@@ -90,8 +90,6 @@ def similarity_join(
     task_timeout: Optional[float] = None,
     engine: str = "vectorized",
     data_plane: str = "auto",
-    shards: Optional[int] = None,
-    partitioner: str = "grid",
 ) -> JoinResult:
     """Similarity self-join of ``points`` with query range ``eps``.
 
@@ -130,15 +128,6 @@ def similarity_join(
     output and identical counters; grid/partition algorithms ignore the
     choice.  For a belt-and-braces run of *both* engines with an
     equivalence check, see :func:`repro.core.verify.cross_check_engines`.
-
-    ``shards`` (any integer >= 1) partitions the dataset into that many
-    spatial shards with ε-margin boundary replication and runs one join
-    per shard (:func:`repro.shard.sharded_join`), merging owned links in
-    canonical order; ``partitioner`` selects ``"grid"`` or ``"hilbert"``
-    planning.  Sharded output bytes and canonical counters are identical
-    for every shard count, partitioner and worker count, and the implied
-    pair set equals the unsharded join's.  ``shards=None`` (default)
-    keeps the classic unsharded execution.
     """
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHMS:
@@ -159,32 +148,6 @@ def similarity_join(
             "workers": workers,
         },
     )
-    if shards is not None:
-        from repro.shard import sharded_join  # deferred: heavy machinery
-
-        if isinstance(index, SpatialIndex):
-            raise InvalidInputError(
-                "sharded execution builds one index per shard; pass the "
-                "index *name*, not a prebuilt index"
-            )
-        return sharded_join(
-            points,
-            eps,
-            algorithm=algorithm,
-            g=g,
-            shards=shards,
-            partitioner=partitioner,
-            index=index,
-            metric=metric,
-            sink=sink,
-            max_entries=max_entries,
-            bulk=bulk,
-            budget=budget,
-            workers=workers,
-            task_timeout=task_timeout,
-            engine=engine,
-            data_plane=data_plane,
-        )
     if workers is not None and workers > 1:
         from repro.parallel import parallel_join  # deferred: heavy machinery
 

@@ -171,23 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(pickle), or shm where available (auto, default); output "
         "bytes are identical either way",
     )
-    join.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="partition the dataset into K spatial shards with ε-margin "
-        "boundary replication and join each shard independently; output "
-        "bytes are identical for every K (and to the unsharded run of "
-        "the same pipeline).  Omit stays unsharded",
-    )
-    join.add_argument(
-        "--partitioner",
-        default="grid",
-        choices=["grid", "hilbert"],
-        help="shard planner for --shards: a balanced spatial grid or "
-        "Hilbert-curve range partitioning",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -289,20 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="register the dataset before the storm: publish it (and its "
         "packed index) to shared memory once and reuse the warm state "
         "across every request",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="serve every request through K-way sharded execution "
-        "(ε-margin boundary replication; bytes identical to unsharded)",
-    )
-    serve.add_argument(
-        "--partitioner",
-        default="grid",
-        choices=["grid", "hilbert"],
-        help="shard planner for --shards",
     )
 
     update = sub.add_parser(
@@ -425,11 +394,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
             "csj join: --engine paranoid runs both engines against "
             "in-memory sinks; it is incompatible with --output/--checkpoint"
         )
-    if args.engine == "paranoid" and args.shards is not None:
-        raise SystemExit(
-            "csj join: --engine paranoid is engine cross-checking; "
-            "sharded output is engine-invariant already, drop --shards"
-        )
 
     # Observability wiring.  Logging goes to stderr so stdout stays clean
     # for piped consumers; --progress implies a visible logger.
@@ -491,8 +455,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     stats=live_stats,
                     engine=args.engine,
                     data_plane=args.data_plane,
-                    shards=args.shards,
-                    partitioner=args.partitioner,
                 )
                 if args.progress is not None:
                     heartbeat = ProgressHeartbeat(
@@ -535,8 +497,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     task_timeout=args.task_timeout,
                     engine=args.engine,
                     data_plane=args.data_plane,
-                    shards=args.shards,
-                    partitioner=args.partitioner,
                 )
                 if args.output:
                     sink.close()
@@ -566,11 +526,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 "write_seconds": round(stats.write_time, 6),
                 "estimated": bool(getattr(result, "estimated", False)),
             }
-            shard_report = getattr(result, "shard_report", None)
-            if shard_report is not None:
-                summary["shards"] = shard_report["shards"]
-                summary["shard_halo_points"] = shard_report["halo_points"]
-                summary["shard_skew_ratio"] = shard_report["skew_ratio"]
             if args.output:
                 summary["output_file"] = args.output
             if args.checkpoint:
@@ -604,14 +559,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                         "NOTE: output exceeded the byte budget; figures above "
                         "are the paper's analytic estimate, no exact output "
                         "was written",
-                        file=err,
-                    )
-                if shard_report is not None:
-                    print(
-                        f"shards         : {shard_report['shards']} "
-                        f"({shard_report['partitioner']}, "
-                        f"halo {shard_report['halo_points']} points, "
-                        f"skew {shard_report['skew_ratio']:.3f})",
                         file=err,
                     )
                 if args.output:
@@ -676,16 +623,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache_bytes=args.cache_bytes if args.cache else 0,
         data_plane=args.data_plane,
-        shards=args.shards,
-        partitioner=args.partitioner,
     )
     service.chaos = chaos
     if args.preload:
         # One shared segment + one packed index for the whole storm;
         # requests match the registered array by identity.
-        points = service.register_dataset(
-            points, shards=args.shards, partitioner=args.partitioner
-        ).points
+        points = service.register_dataset(points).points
     if args.repeats < 1:
         from repro.errors import ValidationError
 

@@ -313,12 +313,6 @@ class JoinResult:
     #: Path of the output text file when the run used a file sink; lets
     #: :meth:`expanded_links` verify file-backed runs too.
     output_path: Optional[str] = None
-    #: Shard-plan summary for sharded runs (``None`` otherwise): shard
-    #: count, partitioner, halo replication, skew ratio, and the
-    #: K-dependent phase-1 work charges under ``"work"``.  Kept separate
-    #: from :attr:`stats`, whose counters are canonical — identical for
-    #: every shard count, partitioner and worker count.
-    shard_report: Optional[dict] = None
 
     @classmethod
     def from_sink(

@@ -143,23 +143,6 @@ class MBR:
         gaps = np.maximum(0.0, np.maximum(self.lo - p, p - self.hi))
         return get_metric(metric).norm(gaps)
 
-    def min_dist_points(
-        self, points: np.ndarray, metric: Optional[Metric] = None
-    ) -> np.ndarray:
-        """Smallest metric distance from each row of ``points`` (0 inside).
-
-        The vectorised batch form of :meth:`min_dist_point` — one clamp
-        per axis and a single norm over the gap matrix.  For every
-        Minkowski metric the per-axis gap is bounded by the per-axis
-        difference to any interior point and the norm is monotone, so
-        ``min_dist_points(pts)[i] <= metric.distance(pts[i], q)`` for any
-        ``q`` inside the rectangle — the inequality the shard planner's
-        ε-margin halo relies on.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        gaps = np.maximum(0.0, np.maximum(self.lo - pts, pts - self.hi))
-        return get_metric(metric).norm_rows(gaps)
-
     def max_dist_point(self, point: np.ndarray, metric: Optional[Metric] = None) -> float:
         """Largest metric distance from ``point`` to anywhere in the rectangle."""
         p = np.asarray(point, dtype=float)

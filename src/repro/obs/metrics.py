@@ -283,39 +283,6 @@ class MetricsRegistry:
             f"repro_cache_{plural}_total", f"Result-cache {kind} events"
         ).inc()
 
-    def record_shard_plan(
-        self,
-        shards: int,
-        points: int,
-        halo_points: int,
-        tasks: int,
-        skew_ratio: float,
-    ) -> None:
-        """Capture one shard plan's shape and load balance.
-
-        ``points`` counts core memberships (the dataset size),
-        ``halo_points`` the ε-margin replicated memberships, ``tasks``
-        the canonical shard-task count, and ``skew_ratio`` the max/mean
-        working-set size (1.0 = perfectly balanced).  Gauges reflect the
-        most recent plan; the companion counter totals plans made.
-        """
-        self.counter("repro_shard_plans_total", "Shard plans computed").inc()
-        self.gauge("repro_shard_count", "Shards in the last plan").set(shards)
-        self.gauge(
-            "repro_shard_points", "Core point memberships in the last shard plan"
-        ).set(points)
-        self.gauge(
-            "repro_shard_halo_points",
-            "Replicated ε-margin halo memberships in the last shard plan",
-        ).set(halo_points)
-        self.gauge(
-            "repro_shard_tasks", "Canonical tasks in the last sharded join"
-        ).set(tasks)
-        self.gauge(
-            "repro_shard_skew_ratio",
-            "Max/mean shard working-set size of the last plan (1.0 = balanced)",
-        ).set(skew_ratio)
-
     def data_plane_event(self, kind: str, amount: Union[int, float] = 1) -> None:
         """Count one shared-memory data-plane event.
 

@@ -94,14 +94,6 @@ class JoinSpec:
     #: Shared-memory reference to the published packed-index arrays
     #: (set lazily by the first ``build_state`` on the owner side).
     packed_ref: Optional[object] = None
-    #: Spatial shard count.  ``None`` runs the classic unsharded task
-    #: sequence; any integer >= 1 builds the sharded canonical sequence
-    #: (:class:`repro.shard.state.ShardTaskState`) whose replayed output
-    #: is invariant across shard counts.
-    shards: Optional[int] = None
-    #: Shard partitioner (``"grid"`` or ``"hilbert"``); only meaningful
-    #: with ``shards`` set.
-    partitioner: str = "grid"
 
     def __post_init__(self) -> None:
         from repro.core.frontier import resolve_engine  # deferred: heavy import
@@ -124,20 +116,6 @@ class JoinSpec:
         if self.algorithm == "ncsj":
             self.g = 0
         self.g = int(self.g)
-        if self.shards is not None:
-            if int(self.shards) != self.shards or self.shards < 1:
-                raise InvalidInputError(
-                    f"shards must be an integer >= 1, got {self.shards}"
-                )
-            self.shards = int(self.shards)
-            from repro.shard.planner import PARTITIONERS  # deferred: cycle
-
-            self.partitioner = str(self.partitioner).lower()
-            if self.partitioner not in PARTITIONERS:
-                raise InvalidInputError(
-                    f"unknown partitioner {self.partitioner!r}; "
-                    f"known: {PARTITIONERS}"
-                )
 
     @property
     def family(self) -> str:
@@ -218,8 +196,6 @@ class JoinSpec:
             repr(self.metric),
             self.engine,
             self.partitions_per_axis,
-            self.shards,
-            self.partitioner if self.shards is not None else None,
         )
 
     def build_state(self) -> "TaskState":
@@ -239,12 +215,7 @@ class JoinSpec:
                 state = cached.rebind(self)
                 self._restore_packed_ref(state)
                 return state
-        if self.shards is not None:
-            from repro.shard.state import ShardTaskState  # deferred: cycle
-
-            state = ShardTaskState(self)
-        else:
-            state = TaskState(self)
+        state = TaskState(self)
         if key is not None:
             shm.warm_state_put(key, state)
         return state

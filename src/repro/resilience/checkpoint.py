@@ -58,6 +58,7 @@ from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as trace_span
+from repro.parallel.tasks import FAMILIES, JoinSpec
 from repro.resilience.budget import Budget
 from repro.resilience.sinks import DurableTextSink
 from repro.stats.counters import JoinStats
@@ -225,18 +226,6 @@ def _restore_window(buffer: GroupBuffer, state: list) -> None:
         )
 
 
-_ALGORITHMS = {
-    # name -> (family, compact)
-    "ssj": ("tree", False),
-    "ncsj": ("tree", True),
-    "csj": ("tree", True),
-    "egrid": ("egrid", False),
-    "egrid-csj": ("egrid", True),
-    "pbsm": ("pbsm", False),
-    "pbsm-csj": ("pbsm", True),
-}
-
-
 class CheckpointedJoin:
     """Resumable similarity self-join with a durable progress journal.
 
@@ -283,16 +272,14 @@ class CheckpointedJoin:
         stats: Optional[JoinStats] = None,
         engine: str = "vectorized",
         data_plane: str = "auto",
-        shards: Optional[int] = None,
-        partitioner: str = "grid",
     ):
         self.points = validate_points(points)
         self.eps = validate_eps(eps)
         algorithm = algorithm.lower()
-        if algorithm not in _ALGORITHMS:
+        if algorithm not in FAMILIES:
             raise InvalidInputError(
                 f"unknown or non-checkpointable algorithm {algorithm!r}; "
-                f"supported: {tuple(_ALGORITHMS)}"
+                f"supported: {tuple(FAMILIES)}"
             )
         if g < 0:
             raise InvalidInputError(f"window size g must be >= 0, got {g}")
@@ -329,18 +316,6 @@ class CheckpointedJoin:
         # Externally supplied stats are *observed* (progress heartbeats,
         # metrics) — the run still owns all mutation; pass a fresh one.
         self.stats = stats
-        if shards is not None:
-            from repro.shard.planner import PARTITIONERS
-
-            shards = int(shards)
-            if shards < 1:
-                raise InvalidInputError(f"shards must be >= 1, got {shards}")
-            if partitioner not in PARTITIONERS:
-                raise InvalidInputError(
-                    f"unknown partitioner {partitioner!r}; known: {PARTITIONERS}"
-                )
-        self.shards = shards
-        self.partitioner = partitioner
 
     # -- identity ----------------------------------------------------------
     def fingerprint(self) -> dict:
@@ -353,7 +328,7 @@ class CheckpointedJoin:
         excluded: a run checkpointed at ``workers=4`` must resume at
         ``workers=1`` (or vice versa) with a byte-identical tail.
         """
-        family, compact = _ALGORITHMS[self.algorithm]
+        family, compact = FAMILIES[self.algorithm]
         fp = {
             "n": int(self.points.shape[0]),
             "dim": int(self.points.shape[1]),
@@ -362,20 +337,11 @@ class CheckpointedJoin:
             "eps": repr(self.eps),
             "algorithm": self.algorithm,
             "g": self.g if compact else None,
+            "index": self.index if family == "tree" else family,
+            "max_entries": int(self.max_entries) if family == "tree" else None,
+            "bulk": self.bulk if family == "tree" else None,
             "metric": get_metric(self.metric).name,
         }
-        if self.shards is not None:
-            # A sharded run journals the canonical *replay* stream, whose
-            # bytes depend only on the qualifying-pair set and the window
-            # — never on the plan.  Shard count, partitioner, index and
-            # index tuning are therefore execution knobs here, excluded
-            # like ``workers``: a run checkpointed at one K resumes at
-            # any other K (or partitioner, or index) byte-identically.
-            fp["sharded"] = True
-            return fp
-        fp["index"] = self.index if family == "tree" else family
-        fp["max_entries"] = int(self.max_entries) if family == "tree" else None
-        fp["bulk"] = self.bulk if family == "tree" else None
         if family == "pbsm":
             fp["partitions_per_axis"] = self.partitions_per_axis
         return fp
@@ -388,9 +354,7 @@ class CheckpointedJoin:
         configuration; the output file is truncated to the last durable
         offset and execution continues from the recorded cursor.
         """
-        if self.shards is not None:
-            return self._run_sharded(resume)
-        family, compact = _ALGORITHMS[self.algorithm]
+        compact = FAMILIES[self.algorithm][1]
         pts = self.points
         width = width_for(len(pts))
         stats = self.stats if self.stats is not None else JoinStats()
@@ -402,7 +366,6 @@ class CheckpointedJoin:
         sink = self.sink_wrapper(inner) if self.sink_wrapper is not None else inner
 
         from repro.parallel.shm import SharedDataset, resolve_data_plane
-        from repro.parallel.tasks import JoinSpec
 
         # The shared-memory plane only matters when a pool will run;
         # serial (resumable) execution keeps the in-process array.
@@ -496,7 +459,7 @@ class CheckpointedJoin:
                         self._checkpoint(journal, inner, scheduler.merged, stats, buffer)
                         self._finalize_timing(stats, start, write_time_before)
                         exc.partial = JoinResult.from_sink(
-                            inner, eps=self.eps, algorithm=self._label(),
+                            inner, eps=self.eps, algorithm=spec.label(),
                             g=self.g if compact else None, index_name=index_name,
                         )
                         raise
@@ -518,7 +481,7 @@ class CheckpointedJoin:
                 self._checkpoint(journal, inner, safe, stats, buffer)
                 self._finalize_timing(stats, start, write_time_before)
                 exc.partial = JoinResult.from_sink(
-                    inner, eps=self.eps, algorithm=self._label(),
+                    inner, eps=self.eps, algorithm=spec.label(),
                     g=self.g if compact else None, index_name=index_name,
                 )
                 raise
@@ -544,195 +507,10 @@ class CheckpointedJoin:
         return JoinResult.from_sink(
             inner,
             eps=self.eps,
-            algorithm=self._label(),
+            algorithm=spec.label(),
             g=self.g if compact else None,
             index_name=index_name,
         )
-
-    # -- sharded execution -------------------------------------------------
-    def _run_sharded(self, resume: bool) -> JoinResult:
-        """Checkpointed sharded join: journal the canonical replay stream.
-
-        Phase 1 (per-shard discovery) writes no output and is recomputed
-        in full — idempotently — on every resume; the journal cursor
-        counts *replayed links*, so each checkpoint is taken against a
-        stream that is identical for every shard count.  That is what
-        lets a run killed at ``shards=K`` resume at ``shards=K'`` with a
-        byte-identical tail (the fingerprint deliberately omits the
-        plan; see :meth:`fingerprint`).
-        """
-        from repro.core.results import CollectSink
-        from repro.parallel.shm import SharedDataset, resolve_data_plane
-        from repro.parallel.tasks import JoinSpec
-        from repro.shard.driver import (
-            _work_report,
-            replay_links,
-            run_phase1,
-            sorted_owned_links,
-        )
-
-        family, compact = _ALGORITHMS[self.algorithm]
-        pts = self.points
-        width = width_for(len(pts))
-        stats = self.stats if self.stats is not None else JoinStats()
-        journal, cursor, window_state = self._open_journal(resume, stats)
-
-        inner = DurableTextSink(
-            self.output_path, stats=stats, id_width=width, append=resume
-        )
-        sink = self.sink_wrapper(inner) if self.sink_wrapper is not None else inner
-
-        shared: Optional[SharedDataset] = None
-        plane = "pickle"
-        parallel = self.workers is not None and self.workers > 1
-        if parallel:
-            plane = resolve_data_plane(self.data_plane)
-            if plane == "shm":
-                shared = SharedDataset(
-                    pts, metric=self.metric, data_plane=self.data_plane
-                )
-                plane = shared.plane
-        spec = JoinSpec(
-            points=pts if shared is None else shared.points,
-            eps=self.eps,
-            algorithm=self.algorithm,
-            g=self.g,
-            index=self.index,
-            max_entries=self.max_entries,
-            bulk=self.bulk,
-            metric=self.metric,
-            partitions_per_axis=self.partitions_per_axis,
-            engine=self.engine,
-            data_plane=plane,
-            dataset_ref=shared.ref if shared is not None else None,
-            shards=self.shards,
-            partitioner=self.partitioner,
-        )
-        if shared is not None:
-            spec._shared = shared
-        state = spec.build_state()
-        plan = state.plan
-        get_registry().record_shard_plan(
-            shards=plan.k,
-            points=plan.points,
-            halo_points=plan.halo_points,
-            tasks=len(state.tasks),
-            skew_ratio=plan.skew_ratio,
-        )
-        report = plan.report()
-        report["tasks"] = len(state.tasks)
-        index_name = state.index_name
-
-        budget = self.budget
-        if budget is not None:
-            budget.start()
-        write_time_before = stats.write_time
-        start = time.perf_counter()
-
-        def result_from_sink() -> JoinResult:
-            result = JoinResult.from_sink(
-                inner,
-                eps=self.eps,
-                algorithm=self._label(),
-                g=self.g if compact else None,
-                index_name=index_name,
-            )
-            result.shard_report = report
-            return result
-
-        window: Optional[GroupBuffer] = None
-        phase_sink = CollectSink(id_width=width)
-        phase_stats = phase_sink.stats
-        replayed = cursor
-        try:
-            try:
-                run_phase1(
-                    state,
-                    phase_sink,
-                    phase_stats,
-                    budget=budget,
-                    workers=self.workers if parallel else None,
-                    task_timeout=self.task_timeout,
-                    config=self._pool_config() if parallel else None,
-                    fault=self.fault,
-                )
-                report["work"] = _work_report(phase_stats)
-
-                pairs = sorted_owned_links(phase_sink.links)
-                if cursor > len(pairs):
-                    raise CheckpointCorruptError(
-                        self.journal_path,
-                        f"cursor {cursor} beyond the {len(pairs)} replay "
-                        "units of this run",
-                    )
-                if compact:
-                    window = GroupBuffer(
-                        self.g,
-                        self.eps,
-                        sink,
-                        metric=get_metric(self.metric),
-                        stats=stats,
-                        dim=pts.shape[1],
-                    )
-                    if window_state is not None:
-                        _restore_window(window, window_state)
-
-                emitted_mark = stats.links_emitted + stats.groups_emitted
-
-                def on_link_replayed(done: int) -> None:
-                    nonlocal replayed, emitted_mark
-                    replayed = done
-                    emitted = stats.links_emitted + stats.groups_emitted
-                    if (
-                        self.cadence
-                        and done < len(pairs)
-                        and (
-                            done % self.cadence == 0
-                            or emitted - emitted_mark >= self.cadence
-                        )
-                    ):
-                        self._checkpoint(journal, inner, done, stats, window)
-                        emitted_mark = emitted
-
-                replay_links(
-                    pairs,
-                    sink,
-                    window,
-                    pts,
-                    budget=budget,
-                    stats=stats,
-                    start_cursor=cursor,
-                    on_link_replayed=on_link_replayed,
-                )
-                if window is not None:
-                    window.flush()
-                self._checkpoint(
-                    journal, inner, len(pairs), stats, window, final=True
-                )
-            except (BudgetExceededError, PoisonTaskError) as exc:
-                # Phase-1 breaches checkpoint at the resume cursor (no
-                # output was produced there); replay breaches at the last
-                # fully replayed link.  Either way the run stays
-                # resumable — at any future shard count.
-                report.setdefault("work", _work_report(phase_stats))
-                self._checkpoint(journal, inner, replayed, stats, window)
-                self._finalize_timing(stats, start, write_time_before)
-                exc.partial = result_from_sink()
-                raise
-            except OSError as exc:
-                if is_disk_full(exc) and not isinstance(exc, DiskFullError):
-                    raise DiskFullError.wrap(
-                        exc, "durable storage exhausted; join output write failed"
-                    ) from exc
-                raise
-        finally:
-            sink.close()
-            journal.close()
-            if shared is not None:
-                shared.close()
-
-        self._finalize_timing(stats, start, write_time_before)
-        return result_from_sink()
 
     # -- helpers -----------------------------------------------------------
     def _open_journal(
@@ -794,15 +572,6 @@ class CheckpointedJoin:
                 ) from exc
             raise
         return journal, 0, None
-
-    def _label(self) -> str:
-        if self.algorithm == "csj":
-            return f"csj({self.g})" if self.g else "ncsj"
-        if self.algorithm == "egrid-csj":
-            return f"egrid-csj({self.g})" if self.g else "egrid-ncsj"
-        if self.algorithm == "pbsm-csj":
-            return f"pbsm-csj({self.g})" if self.g else "pbsm-ncsj"
-        return self.algorithm
 
     def _pool_config(self):
         """The supervisor configuration for parallel execution."""

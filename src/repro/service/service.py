@@ -180,30 +180,22 @@ class ServiceConfig:
     #: worker, ``"auto"`` prefers shm where available.  Never affects
     #: output bytes.
     data_plane: str = "auto"
-    #: Sharded execution for served joins: partition every request's
-    #: dataset into this many ε-replicated spatial shards
-    #: (:func:`repro.shard.sharded_join`).  ``None`` (default) serves
-    #: unsharded.  Never affects output bytes — sharded serving is
-    #: byte-identical to unsharded at any shard count.
-    shards: Optional[int] = None
-    #: Shard planner (``"grid"`` or ``"hilbert"``) when ``shards`` is set.
-    partitioner: str = "grid"
 
     def __post_init__(self) -> None:
-        if self.shards is not None:
-            from repro.shard.planner import PARTITIONERS
+        from repro.parallel.shm import DATA_PLANES
 
-            if self.shards < 1:
-                raise ValueError(f"shards must be >= 1, got {self.shards}")
-            if self.partitioner not in PARTITIONERS:
-                raise ValueError(
-                    f"unknown partitioner {self.partitioner!r}; "
-                    f"known: {PARTITIONERS}"
-                )
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.executors < 1:
             raise ValueError(f"executors must be >= 1, got {self.executors}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if self.task_timeout is not None and self.task_timeout <= 0:
+            raise ValueError(f"task_timeout must be > 0, got {self.task_timeout}")
+        if str(self.data_plane).lower() not in DATA_PLANES:
+            raise ValueError(
+                f"unknown data_plane {self.data_plane!r}; known: {DATA_PLANES}"
+            )
         if not 0.0 <= self.brownout_threshold <= self.degrade_threshold <= 1.0:
             raise ValueError(
                 "need 0 <= brownout_threshold <= degrade_threshold <= 1, got "
@@ -532,8 +524,6 @@ class JoinService:
         index: str = "rstar",
         max_entries: int = 64,
         bulk: Optional[str] = "str",
-        shards: Optional[int] = None,
-        partitioner: str = "grid",
     ):
         """Pre-publish a dataset for zero-copy, warm-state serving.
 
@@ -544,25 +534,10 @@ class JoinService:
         worker respawns and the brownout ladder.  Returns the owning
         :class:`~repro.parallel.shm.SharedDataset`; it is closed with
         the service.
-
-        ``shards``/``partitioner`` attach a per-dataset sharding hint:
-        requests over this dataset run through
-        :func:`repro.shard.sharded_join` with that plan, overriding the
-        service-wide :attr:`ServiceConfig.shards` default.  Output bytes
-        are unchanged either way.
         """
         from repro.index.packed import pack_index
         from repro.parallel.shm import SharedDataset
 
-        if shards is not None:
-            from repro.shard.planner import PARTITIONERS
-
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            if partitioner not in PARTITIONERS:
-                raise ValueError(
-                    f"unknown partitioner {partitioner!r}; known: {PARTITIONERS}"
-                )
         shared = SharedDataset(
             points, metric=metric, data_plane=self.config.data_plane
         )
@@ -574,7 +549,6 @@ class JoinService:
             shared.publish_packed(
                 (index, max_entries, bulk, repr(metric)), packed
             )
-        shared.shard_hint = (shards, partitioner) if shards is not None else None
         with self._lock:
             if self._closed:
                 shared.close()
@@ -609,40 +583,6 @@ class JoinService:
         from repro.api import similarity_join  # deferred: api imports service
 
         registered = self._find_registered(request.points)
-        shards = self.config.shards
-        partitioner = self.config.partitioner
-        if registered is not None and getattr(registered, "shard_hint", None):
-            shards, partitioner = registered.shard_hint
-        if shards is not None:
-            from repro.shard import sharded_join  # deferred: heavy machinery
-
-            config = None
-            if workers > 1:
-                from repro.parallel.supervisor import SupervisorConfig
-
-                task_timeout = budget.cap_timeout(self.config.task_timeout)
-                if task_timeout is not None and task_timeout <= 0:
-                    task_timeout = 1e-3
-                config = SupervisorConfig(
-                    workers=workers,
-                    task_timeout=task_timeout,
-                    speculate=speculate,
-                )
-            return sharded_join(
-                request.points,
-                request.eps,
-                algorithm=request.algorithm,
-                g=request.g,
-                shards=shards,
-                partitioner=partitioner,
-                metric=request.metric,
-                budget=budget,
-                workers=workers if workers > 1 else None,
-                config=config,
-                engine=engine,
-                data_plane=self.config.data_plane,
-                shared=registered if workers > 1 else None,
-            )
         if workers > 1:
             from repro.parallel.supervisor import SupervisorConfig
 

@@ -7,6 +7,7 @@ every seam.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from repro import (
     similarity_join,
     ssj,
 )
-from repro.datasets import mg_county, pacific_nw, sierpinski_pyramid
+from repro.datasets import load_dataset, mg_county, pacific_nw, sierpinski_pyramid
+from repro.index import pack_index
 from repro.io.writer import read_output, width_for
 
 
@@ -59,6 +61,45 @@ class TestFilePipeline:
             assert os.path.getsize(path) == result.output_bytes
             sizes[name] = os.path.getsize(path)
         assert sizes["ncsj"] <= sizes["ssj"]
+
+
+class TestPeakMemory:
+    """A join's memory follows its compact output, not its pair count.
+
+    Fig 7's dense workload (Sierpinski3D, eps 0.125, fanout 8) implies
+    ~80k pairs from 2000 points.  The bound is that pair list stored as
+    two int64 ids per pair, so any path that collects pairs before
+    writing them exceeds it.
+    """
+
+    @pytest.mark.parametrize("algorithm", ["ncsj", "csj"])
+    def test_peak_below_pair_list(self, tmp_path, algorithm):
+        eps = 0.125
+        points = load_dataset("sierpinski3d", 2000, seed=0)
+        pairs = len(brute_force_links(points, eps))
+
+        def traced_peak(pts, path):
+            tree = build_index(pts, "rstar", max_entries=8, bulk="str")
+            pack_index(tree)  # index set-up is O(n); only the join is traced
+            with TextSink(str(path), id_width=width_for(len(pts))) as sink:
+                tracemalloc.start()
+                try:
+                    if algorithm == "ncsj":
+                        ncsj(tree, eps, sink=sink)
+                    else:
+                        csj(tree, eps, g=10, sink=sink)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            return peak
+
+        # Lazy imports and kernel caches load on the first join; keep
+        # them out of the measured one.
+        traced_peak(points[:64], tmp_path / "warm.txt")
+        peak = traced_peak(points, tmp_path / "out.txt")
+        assert peak < 16 * pairs, (
+            f"{algorithm} peaked at {peak} bytes for {pairs} pairs"
+        )
 
 
 class TestPaperDatasetsPipelines:

@@ -32,11 +32,8 @@ ALGORITHMS = ["ssj", "csj", "egrid", "pbsm"]
 
 
 @pytest.fixture(scope="module")
-def pts(sharded_dataset):
-    # The shared shard-parity dataset: one workload backs both the
-    # worker-count and the shard-count determinism matrices (and the CI
-    # shard-parity job reseeds it via REPRO_SHARD_SEED).
-    return sharded_dataset
+def pts():
+    return np.random.default_rng(5).random((300, 2))
 
 
 def _serial_file(pts, eps, algo, path, g=10):

@@ -530,6 +530,28 @@ class TestOpenService:
         with open_service() as svc:
             assert svc.config.default_deadline is None
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": -1},
+            {"workers": 2, "task_timeout": -1},
+            {"workers": 2, "task_timeout": 0},
+            {"workers": 2, "data_plane": "bogus"},
+        ],
+        ids=["negative-workers", "negative-timeout", "zero-timeout", "bogus-plane"],
+    )
+    def test_execution_fields_rejected_at_construction(self, kwargs):
+        # Accepted, these surface only later: a non-positive timeout
+        # trips the pool breaker on the first request, and an unknown
+        # plane fails every request.
+        with pytest.raises(ValueError):
+            open_service(**kwargs)
+
+    def test_zero_workers_means_serial(self, pts):
+        with open_service(workers=0) as svc:
+            outcome = svc.submit(JoinRequest(points=pts, eps=0.05)).wait(10.0)
+            assert outcome.status == "admitted"
+
 
 class TestMetricsSurface:
     def test_pressure_gauges_exported(self, pts):
