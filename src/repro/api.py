@@ -24,6 +24,7 @@ from repro.core.csj import csj as _csj
 from repro.core.csj import ncsj as _ncsj
 from repro.core.dual import compact_spatial_join, spatial_join
 from repro.core.egrid import egrid_join
+from repro.core.metricspace import check_object_metric
 from repro.core.partitioned import pbsm_join
 from repro.core.results import JoinResult, JoinSink
 from repro.core.ssj import ssj as _ssj
@@ -88,7 +89,6 @@ def similarity_join(
     budget: Optional["Budget"] = None,
     workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
-    engine: str = "vectorized",
     data_plane: str = "auto",
 ) -> JoinResult:
     """Similarity self-join of ``points`` with query range ``eps``.
@@ -122,12 +122,12 @@ def similarity_join(
     ``"pickle"`` ships it per worker, ``"auto"`` (default) prefers shm
     where available.  Output bytes are identical either way.
 
-    ``engine`` selects how tree algorithms prune: ``"vectorized"``
-    (default) runs the batched-kernel frontier engine,
-    ``"scalar"`` the per-pair recursive one.  Both produce byte-identical
-    output and identical counters; grid/partition algorithms ignore the
-    choice.  For a belt-and-braces run of *both* engines with an
-    equivalence check, see :func:`repro.core.verify.cross_check_engines`.
+    ``metric`` may be an :class:`~repro.core.metricspace.ObjectMetric`
+    only for ``ssj`` / ``ncsj`` (``csj`` with ``g = 0``) on an M-tree;
+    every other combination raises
+    :class:`~repro.errors.InvalidInputError` before any index is built —
+    :func:`~repro.core.metricspace.metric_similarity_join` is the compact
+    join over arbitrary objects.
     """
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHMS:
@@ -138,6 +138,10 @@ def similarity_join(
         raise InvalidInputError(f"window size g must be >= 0, got {g}")
     if workers is not None and workers < 0:
         raise InvalidInputError(f"workers must be >= 0, got {workers}")
+    check_object_metric(
+        index.metric if isinstance(index, SpatialIndex) else metric,
+        algorithm, g, index,
+    )
     logger.debug(
         "similarity join starting",
         extra={
@@ -169,7 +173,6 @@ def similarity_join(
             bulk=bulk,
             budget=budget,
             task_timeout=task_timeout,
-            engine=engine,
             data_plane=data_plane,
         )
     if algorithm == "egrid":
@@ -190,10 +193,10 @@ def similarity_join(
         )
     tree = build_index(points, index, metric=metric, max_entries=max_entries, bulk=bulk)
     if algorithm == "ssj":
-        return _ssj(tree, eps, sink=sink, budget=budget, engine=engine)
+        return _ssj(tree, eps, sink=sink, budget=budget)
     if algorithm == "ncsj":
-        return _ncsj(tree, eps, sink=sink, budget=budget, engine=engine)
-    return _csj(tree, eps, g=g, sink=sink, budget=budget, engine=engine)
+        return _ncsj(tree, eps, sink=sink, budget=budget)
+    return _csj(tree, eps, g=g, sink=sink, budget=budget)
 
 
 def maintained_join(
@@ -203,7 +206,6 @@ def maintained_join(
     index: Union[str, SpatialIndex] = "rstar",
     metric: object = None,
     max_entries: int = 64,
-    engine: str = "vectorized",
 ):
     """Materialize a compact join and keep it consistent under updates.
 
@@ -222,7 +224,6 @@ def maintained_join(
         metric=metric,
         index=index,
         max_entries=max_entries,
-        engine=engine,
     )
 
 
@@ -231,7 +232,6 @@ def open_service(
     deadline_ms: Optional[float] = None,
     executors: int = 1,
     workers: int = 1,
-    engine: str = "vectorized",
     **config_kwargs,
 ):
     """Open an overload-resilient :class:`~repro.service.JoinService`.
@@ -259,7 +259,6 @@ def open_service(
             executors=executors,
             default_deadline=None if deadline_ms is None else deadline_ms / 1000.0,
             workers=workers,
-            engine=engine,
             **config_kwargs,
         )
     )
@@ -276,16 +275,14 @@ def spatial_join_datasets(
     sink: Optional[JoinSink] = None,
     max_entries: int = 64,
     bulk: Optional[str] = "str",
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Spatial join between two datasets (Section IV-D).
 
     Builds one index per dataset and runs the dual-tree join; with
     ``compact`` the output uses group pairs, otherwise individual links.
-    ``engine`` selects the pruning engine as in :func:`similarity_join`.
     """
     tree_a = build_index(points_a, index, metric=metric, max_entries=max_entries, bulk=bulk)
     tree_b = build_index(points_b, index, metric=metric, max_entries=max_entries, bulk=bulk)
     if compact:
-        return compact_spatial_join(tree_a, tree_b, eps, g=g, sink=sink, engine=engine)
-    return spatial_join(tree_a, tree_b, eps, sink=sink, engine=engine)
+        return compact_spatial_join(tree_a, tree_b, eps, g=g, sink=sink)
+    return spatial_join(tree_a, tree_b, eps, sink=sink)

@@ -71,14 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("-g", type=int, default=10, help="CSJ merge window")
     join.add_argument("--index", default="rstar", choices=["rtree", "rstar", "mtree"])
     join.add_argument("--metric", default="euclidean")
-    join.add_argument(
-        "--engine",
-        default="vectorized",
-        choices=["vectorized", "scalar", "paranoid"],
-        help="pruning engine for tree algorithms: the batched-kernel "
-        "frontier engine (default), the per-pair recursive one, or "
-        "'paranoid' — run both and fail on any byte or counter divergence",
-    )
     join.add_argument("--output", help="write the result file here")
     join.add_argument(
         "--verify", action="store_true", help="check losslessness vs brute force"
@@ -216,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=1,
         help="worker processes per request (1 = serial execution)",
-    )
-    serve.add_argument(
-        "--engine", default="vectorized", choices=["vectorized", "scalar"],
     )
     serve.add_argument(
         "--cache", action="store_true",
@@ -389,11 +378,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
         raise SystemExit("csj join: --resume requires --checkpoint")
     if args.checkpoint and not args.output:
         raise SystemExit("csj join: --checkpoint requires --output")
-    if args.engine == "paranoid" and (args.output or args.checkpoint):
-        raise SystemExit(
-            "csj join: --engine paranoid runs both engines against "
-            "in-memory sinks; it is incompatible with --output/--checkpoint"
-        )
 
     # Observability wiring.  Logging goes to stderr so stdout stays clean
     # for piped consumers; --progress implies a visible logger.
@@ -453,7 +437,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     workers=args.workers,
                     task_timeout=args.task_timeout,
                     stats=live_stats,
-                    engine=args.engine,
                     data_plane=args.data_plane,
                 )
                 if args.progress is not None:
@@ -461,20 +444,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                         live_stats, interval=args.progress
                     ).start()
                 result = job.run(resume=args.resume)
-            elif args.engine == "paranoid":
-                from repro.core.verify import cross_check_engines
-
-                result = cross_check_engines(
-                    points,
-                    args.eps,
-                    algorithm=args.algorithm,
-                    g=args.g,
-                    index=args.index,
-                    metric=args.metric,
-                    budget=budget,
-                    workers=args.workers,
-                    task_timeout=args.task_timeout,
-                )
             else:
                 if args.output:
                     sink = TextSink(args.output, id_width=width_for(len(points)))
@@ -495,7 +464,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     budget=budget,
                     workers=args.workers,
                     task_timeout=args.task_timeout,
-                    engine=args.engine,
                     data_plane=args.data_plane,
                 )
                 if args.output:
@@ -619,7 +587,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         executors=args.executors,
         workers=args.workers,
-        engine=args.engine,
         seed=args.seed,
         cache_bytes=args.cache_bytes if args.cache else 0,
         data_plane=args.data_plane,

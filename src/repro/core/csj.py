@@ -16,6 +16,11 @@ when no recent group can absorb it.  N-CSJ is implemented as CSJ with an
 empty merge window (``g = 0``), which reproduces its behaviour exactly: a
 two-point group is written as a plain link in the paper's output format.
 
+All three serial tree joins (SSJ too) are one loop, :func:`tree_join`:
+it walks the work units of :func:`repro.core.frontier.traverse` and runs
+each through :func:`tree_task_delta`, the executor checkpointed and pool
+runs use as well.
+
 Theorem 1 (completeness — every qualifying pair is implied by the output)
 and Theorem 2 (correctness — no non-qualifying pair is implied) hold by
 construction; the test suite re-verifies both against a brute-force join
@@ -29,16 +34,16 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.core.frontier import traverse
 from repro.core.groups import GroupBuffer, apply_events
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import BudgetExceededError
-from repro.index.base import IndexNode, SpatialIndex
-from repro.index.rtree import RectNode
+from repro.index.base import SpatialIndex
+from repro.index.packed import pack_index
 from repro.io.pagesim import NodePager
 from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span as trace_span
-from repro.stats.counters import JoinStats
 
 if TYPE_CHECKING:
     from repro.resilience.budget import Budget
@@ -46,10 +51,8 @@ if TYPE_CHECKING:
 __all__ = [
     "csj",
     "ncsj",
-    "group_bounds",
-    "pair_group_bounds",
-    "node_group_delta",
-    "pair_group_delta",
+    "tree_join",
+    "tree_task_delta",
     "packed_node_group_delta",
     "packed_pair_group_delta",
     "leaf_self_delta",
@@ -68,56 +71,13 @@ logger = get_logger("core.csj")
 # driver, and inside parallel worker processes.
 # ---------------------------------------------------------------------------
 
-def group_bounds(points: np.ndarray, node: IndexNode, ids: np.ndarray) -> tuple[list, list]:
-    """Group boundary corners for an early-stopped subtree.
+def packed_node_group_delta(points: np.ndarray, packed, nid: int) -> list:
+    """Events for one early-stopped subtree (Figure 3, lines 2-3).
 
     R-tree nodes already carry an MBR ("these shapes can be used
     directly", Section V-A); ball-shaped nodes fall back to the exact
     point MBR, which costs one pass over points we are about to write
     out anyway.
-    """
-    if isinstance(node, RectNode):
-        return node.mbr.lo.tolist(), node.mbr.hi.tolist()
-    pts = points[ids]
-    return pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-
-
-def pair_group_bounds(
-    points: np.ndarray, n1: IndexNode, n2: IndexNode, ids: np.ndarray
-) -> tuple[list, list]:
-    """Combined boundary corners for an early-stopped node pair."""
-    if isinstance(n1, RectNode) and isinstance(n2, RectNode):
-        mbr = n1.mbr.union(n2.mbr)
-        return mbr.lo.tolist(), mbr.hi.tolist()
-    pts = points[ids]
-    return pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-
-
-def node_group_delta(points: np.ndarray, node: IndexNode) -> list:
-    """Events for one early-stopped subtree (Figure 3, lines 2-3)."""
-    ids = node.subtree_ids()
-    if len(ids) < 2:
-        return []  # a singleton implies no links; nothing to report
-    lo, hi = group_bounds(points, node, ids)
-    return [("group", ids.tolist(), lo, hi)]
-
-
-def pair_group_delta(points: np.ndarray, n1: IndexNode, n2: IndexNode) -> list:
-    """Events for one early-stopped node pair (Figure 3, lines 20-21)."""
-    ids = np.concatenate([n1.subtree_ids(), n2.subtree_ids()])
-    if len(ids) < 2:
-        return []
-    lo, hi = pair_group_bounds(points, n1, n2, ids)
-    return [("group", ids.tolist(), lo, hi)]
-
-
-def packed_node_group_delta(points: np.ndarray, packed, nid: int) -> list:
-    """:func:`node_group_delta` against a packed index, by node id.
-
-    Byte-identical to the node-object version: ``packed.lo/hi`` rows are
-    float64 copies of the very MBR corners ``group_bounds`` reads, and
-    :meth:`~repro.index.packed.PackedIndex.subtree_entry_ids` reproduces
-    ``IndexNode.subtree_ids()`` order exactly.
     """
     ids = packed.subtree_entry_ids(nid)
     if len(ids) < 2:
@@ -135,10 +95,9 @@ def packed_node_group_delta(points: np.ndarray, packed, nid: int) -> list:
 def packed_pair_group_delta(
     points: np.ndarray, packed, nid1: int, nid2: int
 ) -> list:
-    """:func:`pair_group_delta` against a packed index, by node ids.
+    """Events for one early-stopped node pair (Figure 3, lines 20-21).
 
-    The rect union uses ``np.minimum`` / ``np.maximum`` over the packed
-    corner rows — elementwise identical to ``MBR.union``.
+    The rect bounds are the union of the two packed MBR rows.
     """
     ids = np.concatenate(
         [packed.subtree_entry_ids(nid1), packed.subtree_entry_ids(nid2)]
@@ -224,6 +183,115 @@ def leaf_cross_delta(
     )], dc
 
 
+def tree_task_delta(
+    points: np.ndarray, metric, eps: float, g: int, packed, task: tuple
+) -> tuple[list, tuple[int, int, int]]:
+    """Run one tree work unit: ``(events, (dc, mbr_checks, early_stops))``.
+
+    ``task`` is a unit of :func:`repro.core.frontier.traverse`.  The leaf
+    executors are looked up in this module's globals on every call.
+    """
+    kind = task[0]
+    if kind == "group":
+        return packed_node_group_delta(points, packed, task[1]), (0, 0, 1)
+    if kind == "pgroup":
+        return packed_pair_group_delta(points, packed, task[1], task[2]), (0, 0, 1)
+    if kind == "self":
+        events, dc = leaf_self_delta(
+            points, metric, eps, packed.leaf_entry_ids(task[1]), g
+        )
+        return events, (dc, 0, 0)
+    events, dc = leaf_cross_delta(
+        points, metric, eps,
+        packed.leaf_entry_ids(task[1]), packed.leaf_entry_ids(task[2]), g,
+    )
+    return events, (dc, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The serial tree join
+# ---------------------------------------------------------------------------
+
+def tree_join(
+    tree: SpatialIndex,
+    eps: float,
+    g: int,
+    compact: bool,
+    sink: JoinSink,
+    pager: Optional[NodePager],
+    budget: Optional["Budget"],
+    label: str,
+) -> JoinResult:
+    """Run SSJ (``compact=False``), N-CSJ or CSJ(g) serially on ``tree``.
+
+    Work units execute as the traversal yields them; counters are charged
+    exactly as :meth:`repro.parallel.tasks.TaskState.apply` charges a
+    replayed unit.  A breached ``budget`` flushes the group window first,
+    so the sink holds a valid prefix of the output, which is attached to
+    the raised :class:`~repro.errors.BudgetExceededError` as
+    ``exc.partial``.
+    """
+    radius = float(eps)
+    stats = sink.stats
+    buffer = None
+    attrs = {}
+    if compact:
+        dim = tree.points.shape[1] if tree.points.ndim == 2 else None
+        buffer = GroupBuffer(g, radius, sink, metric=tree.metric, stats=stats, dim=dim)
+        attrs["g"] = g
+    result_g = attrs.get("g")
+    if budget is not None:
+        budget.start()
+    start = time.perf_counter()
+    try:
+        with trace_span("descend", algorithm=label, eps=eps, **attrs):
+            if tree.root is not None and tree.size > 1:
+                points, metric = tree.points, tree.metric
+                packed = pack_index(tree)
+                for task in traverse(packed, radius, compact, stats, budget, pager):
+                    events, (dc, mbr, stops) = tree_task_delta(
+                        points, metric, radius, g, packed, task
+                    )
+                    stats.distance_computations += dc
+                    stats.mbr_checks += mbr
+                    stats.early_stops += stops
+                    apply_events(events, sink, buffer)
+        if buffer is not None:
+            with trace_span("emit", algorithm=label):
+                buffer.flush()
+    except BudgetExceededError as exc:
+        if buffer is not None:
+            buffer.flush()
+        stats.compute_time += time.perf_counter() - start - stats.write_time
+        logger.warning(
+            "tree join budget breach",
+            extra={"algorithm": label, "kind": exc.kind, "limit": exc.limit},
+        )
+        exc.partial = JoinResult.from_sink(
+            sink, eps=eps, algorithm=label, g=result_g, index_name=type(tree).name
+        )
+        raise
+    stats.compute_time += time.perf_counter() - start - stats.write_time
+    if pager is not None:
+        stats.page_reads += pager.cache.misses
+        stats.cache_hits += pager.cache.hits
+    logger.debug(
+        "tree join finished",
+        extra={
+            "algorithm": label,
+            "links_emitted": stats.links_emitted,
+            "groups_emitted": stats.groups_emitted,
+            "bytes_written": stats.bytes_written,
+            "distance_computations": stats.distance_computations,
+            "early_stops": stats.early_stops,
+            "merge_successes": stats.merge_successes,
+        },
+    )
+    return JoinResult.from_sink(
+        sink, eps=eps, algorithm=label, g=result_g, index_name=type(tree).name
+    )
+
+
 def csj(
     tree: SpatialIndex,
     eps: float,
@@ -232,7 +300,6 @@ def csj(
     pager: Optional[NodePager] = None,
     budget: Optional["Budget"] = None,
     _algorithm_label: Optional[str] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Run the compact similarity join CSJ(g) on ``tree``.
 
@@ -240,10 +307,6 @@ def csj(
     (Figure 6).  ``g = 0`` degenerates to N-CSJ.  Returns a
     :class:`~repro.core.results.JoinResult` whose groups and links together
     imply exactly the SSJ output (Theorems 1 and 2).
-
-    ``engine`` selects the descent implementation (``"vectorized"`` /
-    ``"scalar"``), exactly as in :func:`repro.core.ssj.ssj`; results are
-    byte-identical either way.
 
     A breached ``budget`` stops the run cleanly: the in-flight group
     window is flushed first, so the sink holds a valid prefix of the
@@ -258,47 +321,7 @@ def csj(
     if sink is None:
         sink = CollectSink(id_width=width_for(tree.size))
     label = _algorithm_label or (f"csj({g})" if g else "ncsj")
-    runner = _make_runner(tree, float(eps), int(g), sink, pager, budget, engine)
-    if budget is not None:
-        budget.start()
-    start = time.perf_counter()
-    try:
-        with trace_span("descend", algorithm=label, eps=eps, g=g):
-            if tree.root is not None and tree.size > 1:
-                runner.join_node(tree.root)
-        with trace_span("emit", algorithm=label):
-            runner.buffer.flush()
-    except BudgetExceededError as exc:
-        runner.buffer.flush()
-        elapsed = time.perf_counter() - start
-        stats = sink.stats
-        stats.compute_time += elapsed - stats.write_time
-        logger.warning(
-            "csj budget breach", extra={"kind": exc.kind, "limit": exc.limit}
-        )
-        exc.partial = JoinResult.from_sink(
-            sink, eps=eps, algorithm=label, g=g, index_name=type(tree).name
-        )
-        raise
-    elapsed = time.perf_counter() - start
-    stats = sink.stats
-    stats.compute_time += elapsed - stats.write_time
-    if pager is not None:
-        stats.page_reads += pager.cache.misses
-        stats.cache_hits += pager.cache.hits
-    logger.debug(
-        "csj finished",
-        extra={
-            "algorithm": label,
-            "links_emitted": stats.links_emitted,
-            "groups_emitted": stats.groups_emitted,
-            "early_stops": stats.early_stops,
-            "merge_successes": stats.merge_successes,
-        },
-    )
-    return JoinResult.from_sink(
-        sink, eps=eps, algorithm=label, g=g, index_name=type(tree).name
-    )
+    return tree_join(tree, eps, int(g), True, sink, pager, budget, label)
 
 
 def ncsj(
@@ -307,7 +330,6 @@ def ncsj(
     sink: Optional[JoinSink] = None,
     pager: Optional[NodePager] = None,
     budget: Optional["Budget"] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Run the naive compact similarity join N-CSJ on ``tree``.
 
@@ -316,133 +338,5 @@ def ncsj(
     """
     return csj(
         tree, eps, g=0, sink=sink, pager=pager, budget=budget,
-        _algorithm_label="ncsj", engine=engine,
+        _algorithm_label="ncsj",
     )
-
-
-def _make_runner(tree, eps, g, sink, pager, budget, engine) -> "_CSJRunner":
-    from repro.core.frontier import _VecCSJRunner, resolve_engine  # lazy: cycle
-
-    if resolve_engine(engine) == "vectorized":
-        from repro.index.packed import pack_index
-
-        packed = pack_index(tree)
-        if packed is not None:
-            return _VecCSJRunner(tree, eps, g, sink, pager, budget, packed)
-    return _CSJRunner(tree, eps, g, sink, pager, budget)
-
-
-class _CSJRunner:
-    """Recursive engine for one N-CSJ / CSJ(g) execution."""
-
-    def __init__(
-        self,
-        tree: SpatialIndex,
-        eps: float,
-        g: int,
-        sink: JoinSink,
-        pager: Optional[NodePager],
-        budget: Optional["Budget"] = None,
-    ):
-        self.points = tree.points
-        self.metric = tree.metric
-        self.eps = eps
-        self.g = g
-        self.sink = sink
-        self.stats: JoinStats = sink.stats
-        self.pager = pager
-        self.budget = budget
-        dim = tree.points.shape[1] if tree.points.ndim == 2 else None
-        self.buffer = GroupBuffer(
-            g, eps, sink, metric=tree.metric, stats=sink.stats, dim=dim
-        )
-
-    # ------------------------------------------------------------------
-    # Group creation helpers
-    # ------------------------------------------------------------------
-    def _emit_node_group(self, node: IndexNode) -> None:
-        self.stats.early_stops += 1
-        apply_events(node_group_delta(self.points, node), self.sink, self.buffer)
-
-    def _emit_pair_group(self, n1: IndexNode, n2: IndexNode) -> None:
-        self.stats.early_stops += 1
-        apply_events(pair_group_delta(self.points, n1, n2), self.sink, self.buffer)
-
-    # ------------------------------------------------------------------
-    # simJoin(TreeNode n) — Figure 3, lines 1-18
-    # ------------------------------------------------------------------
-    def join_node(self, node: IndexNode) -> None:
-        self.stats.nodes_visited += 1
-        if self.budget is not None:
-            self.budget.check(self.stats)
-        if self.pager is not None:
-            self.pager.visit(node)
-        # Early stop (line 2): the whole subtree is one group.
-        self.stats.mbr_checks += 1
-        if node.diameter(self.metric) < self.eps:
-            self._emit_node_group(node)
-            return
-        if node.is_leaf:
-            self._leaf_self(node)
-            return
-        children = node.children
-        for child in children:
-            self.join_node(child)
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                self.stats.mbr_checks += 1
-                if children[a].min_dist(children[b], self.metric) < self.eps:
-                    self.join_pair(children[a], children[b])
-
-    # ------------------------------------------------------------------
-    # simJoin(TreeNode n1, n2) — Figure 3, lines 19-41
-    # ------------------------------------------------------------------
-    def join_pair(self, n1: IndexNode, n2: IndexNode) -> None:
-        self.stats.node_pairs_visited += 1
-        if self.budget is not None:
-            self.budget.check(self.stats)
-        if self.pager is not None:
-            self.pager.visit(n1)
-            self.pager.visit(n2)
-        # Early stop (line 20): both subtrees together form one group.
-        self.stats.mbr_checks += 1
-        if n1.union_diameter(n2, self.metric) < self.eps:
-            self._emit_pair_group(n1, n2)
-            return
-        if n1.is_leaf and n2.is_leaf:
-            self._leaf_cross(n1, n2)
-            return
-        if n1.is_leaf:
-            for child in n2.children:
-                self.stats.mbr_checks += 1
-                if n1.min_dist(child, self.metric) < self.eps:
-                    self.join_pair(n1, child)
-            return
-        if n2.is_leaf:
-            for child in n1.children:
-                self.stats.mbr_checks += 1
-                if child.min_dist(n2, self.metric) < self.eps:
-                    self.join_pair(child, n2)
-            return
-        for c1 in n1.children:
-            for c2 in n2.children:
-                self.stats.mbr_checks += 1
-                if c1.min_dist(c2, self.metric) < self.eps:
-                    self.join_pair(c1, c2)
-
-    # ------------------------------------------------------------------
-    # Leaf-level link routing — Figure 3 lines 5-10 and 23-29
-    # ------------------------------------------------------------------
-    def _leaf_self(self, node: IndexNode) -> None:
-        events, dc = leaf_self_delta(
-            self.points, self.metric, self.eps, node.entry_ids, self.g
-        )
-        self.stats.distance_computations += dc
-        apply_events(events, self.sink, self.buffer)
-
-    def _leaf_cross(self, n1: IndexNode, n2: IndexNode) -> None:
-        events, dc = leaf_cross_delta(
-            self.points, self.metric, self.eps, n1.entry_ids, n2.entry_ids, self.g
-        )
-        self.stats.distance_computations += dc
-        apply_events(events, self.sink, self.buffer)

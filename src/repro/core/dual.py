@@ -24,11 +24,12 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.frontier import traverse
 from repro.core.results import CollectSink, JoinResult, JoinSink
-from repro.index.base import IndexNode, SpatialIndex
-from repro.index.rtree import RectNode
+from repro.errors import InvalidInputError
+from repro.index.base import SpatialIndex
+from repro.index.packed import pack_index
 from repro.io.writer import width_for
-from repro.stats.counters import JoinStats
 
 __all__ = ["spatial_join", "compact_spatial_join"]
 
@@ -38,7 +39,6 @@ def spatial_join(
     tree_b: SpatialIndex,
     eps: float,
     sink: Optional[JoinSink] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Standard dual-tree spatial join: every cross link individually.
 
@@ -46,9 +46,7 @@ def spatial_join(
     points and row ``j`` of ``tree_b``'s.  Links are therefore *not*
     normalised to ``i < j`` — the two sides are different relations.
     """
-    return _dual_join(
-        tree_a, tree_b, eps, sink, g=None, label="ssj-spatial", engine=engine
-    )
+    return _dual_join(tree_a, tree_b, eps, sink, g=None, label="ssj-spatial")
 
 
 def compact_spatial_join(
@@ -57,7 +55,6 @@ def compact_spatial_join(
     eps: float,
     g: int = 10,
     sink: Optional[JoinSink] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Compact dual-tree spatial join: group pairs plus residual links.
 
@@ -67,44 +64,38 @@ def compact_spatial_join(
     if g < 0:
         raise ValueError(f"window size g must be >= 0, got {g}")
     label = f"csj({g})-spatial" if g else "ncsj-spatial"
-    return _dual_join(tree_a, tree_b, eps, sink, g=g, label=label, engine=engine)
+    return _dual_join(tree_a, tree_b, eps, sink, g=g, label=label)
 
 
-def _dual_join(tree_a, tree_b, eps, sink, g, label, engine="vectorized") -> JoinResult:
+def _dual_join(tree_a, tree_b, eps, sink, g, label) -> JoinResult:
     if eps <= 0:
         raise ValueError(f"query range must be positive, got {eps}")
     if tree_a.metric != tree_b.metric:
         raise ValueError(
             f"metric mismatch: {tree_a.metric.name} vs {tree_b.metric.name}"
         )
+    packed_a = pack_index(tree_a)
+    packed_b = pack_index(tree_b)
+    if (
+        packed_a is not None
+        and packed_b is not None
+        and packed_a.kind != packed_b.kind
+    ):
+        raise InvalidInputError(
+            f"spatial join needs two indexes of one family: {type(tree_a).name} "
+            f"has {packed_a.kind} nodes, {type(tree_b).name} has {packed_b.kind} nodes"
+        )
     if sink is None:
         sink = CollectSink(id_width=width_for(max(tree_a.size, tree_b.size)))
-    runner = _make_runner(tree_a, tree_b, eps, g, sink, engine)
+    runner = _DualRunner(tree_a, tree_b, eps, g, sink)
     start = time.perf_counter()
-    if tree_a.root is not None and tree_b.root is not None:
-        runner.join_pair(tree_a.root, tree_b.root)
+    if packed_a is not None and packed_b is not None:
+        runner.run(packed_a, packed_b)
     runner.flush()
     sink.stats.compute_time += time.perf_counter() - start - sink.stats.write_time
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g, index_name=type(tree_a).name
     )
-
-
-def _make_runner(tree_a, tree_b, eps, g, sink, engine) -> "_DualRunner":
-    from repro.core.frontier import _VecDualRunner, resolve_engine  # lazy: cycle
-
-    if resolve_engine(engine) == "vectorized":
-        from repro.index.packed import pack_index
-
-        packed_a = pack_index(tree_a)
-        packed_b = pack_index(tree_b)
-        if (
-            packed_a is not None
-            and packed_b is not None
-            and packed_a.kind == packed_b.kind
-        ):
-            return _VecDualRunner(tree_a, tree_b, eps, g, sink, packed_a, packed_b)
-    return _DualRunner(tree_a, tree_b, eps, g, sink)
 
 
 class _PairGroup:
@@ -120,7 +111,8 @@ class _PairGroup:
 
 
 class _DualRunner:
-    """Recursive engine for one (compact) spatial join execution."""
+    """Output side of one (compact) spatial join: leaf joins and the
+    pair-group window, fed by the traversal's pair form."""
 
     def __init__(self, tree_a, tree_b, eps: float, g: Optional[int], sink: JoinSink):
         self.points_a = tree_a.points
@@ -130,44 +122,22 @@ class _DualRunner:
         self.compact = g is not None
         self.g = int(g) if g else 0
         self.sink = sink
-        self.stats: JoinStats = sink.stats
+        self.stats = sink.stats
         self._window: deque[_PairGroup] = deque()
 
-    # ------------------------------------------------------------------
-    # Recursion
-    # ------------------------------------------------------------------
-    def join_pair(self, n1: IndexNode, n2: IndexNode) -> None:
-        self.stats.node_pairs_visited += 1
-        if self.compact:
-            self.stats.mbr_checks += 1
-            if n1.union_diameter(n2, self.metric) < self.eps:
-                self._emit_pair_group(n1, n2)
-                return
-        if n1.is_leaf and n2.is_leaf:
-            self._leaf_cross(n1, n2)
-            return
-        if n1.is_leaf:
-            for child in n2.children:
-                self.stats.mbr_checks += 1
-                if n1.min_dist(child, self.metric) < self.eps:
-                    self.join_pair(n1, child)
-            return
-        if n2.is_leaf:
-            for child in n1.children:
-                self.stats.mbr_checks += 1
-                if child.min_dist(n2, self.metric) < self.eps:
-                    self.join_pair(child, n2)
-            return
-        for c1 in n1.children:
-            for c2 in n2.children:
-                self.stats.mbr_checks += 1
-                if c1.min_dist(c2, self.metric) < self.eps:
-                    self.join_pair(c1, c2)
+    def run(self, pa, pb) -> None:
+        """Execute every unit of the walk from the pair of the two roots."""
+        for task in traverse(pa, self.eps, self.compact, self.stats, other=pb):
+            if task[0] == "pgroup":
+                self._emit_pair_group(pa, pb, task[1], task[2])
+            else:
+                self._leaf_cross(
+                    pa.leaf_entry_ids(task[1]).tolist(),
+                    pb.leaf_entry_ids(task[2]).tolist(),
+                )
 
-    def _leaf_cross(self, n1: IndexNode, n2: IndexNode) -> None:
-        ids1 = n1.entry_ids
-        ids2 = n2.entry_ids
-        if not len(ids1) or not len(ids2):
+    def _leaf_cross(self, ids1: list, ids2: list) -> None:
+        if not ids1 or not ids2:
             return
         pts1 = self.points_a[np.asarray(ids1, dtype=np.intp)]
         pts2 = self.points_b[np.asarray(ids2, dtype=np.intp)]
@@ -208,20 +178,20 @@ class _DualRunner:
                 return
         self._push_group(_PairGroup({i}, {j}, pair_lo, pair_hi))
 
-    def _emit_pair_group(self, n1: IndexNode, n2: IndexNode) -> None:
-        ids_a = n1.subtree_ids()
-        ids_b = n2.subtree_ids()
+    def _emit_pair_group(self, pa, pb, a: int, b: int) -> None:
+        ids_a = pa.subtree_entry_ids(a)
+        ids_b = pb.subtree_entry_ids(b)
         self.stats.early_stops += 1
         if not len(ids_a) or not len(ids_b):
             return
-        if isinstance(n1, RectNode) and isinstance(n2, RectNode):
-            mbr = n1.mbr.union(n2.mbr)
-            lo, hi = mbr.lo.tolist(), mbr.hi.tolist()
+        if pa.kind == "rect":
+            lo = np.minimum(pa.lo[a], pb.lo[b]).tolist()
+            hi = np.maximum(pa.hi[a], pb.hi[b]).tolist()
         else:
             pts = np.vstack([self.points_a[ids_a], self.points_b[ids_b]])
             lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
         group = _PairGroup(set(ids_a.tolist()), set(ids_b.tolist()), lo, hi)
-        if self.compact and self.g > 0:
+        if self.g > 0:
             self._push_group(group)
         else:
             self._write_group(group)

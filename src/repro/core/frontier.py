@@ -1,387 +1,100 @@
-"""Vectorized frontier join engine — batched pruning over packed trees.
+"""The frontier traversal: Figure 3's recursion as one explicit-stack loop.
 
-The scalar runners in :mod:`repro.core.ssj`, :mod:`repro.core.csj` and
-:mod:`repro.core.dual` recurse node pair by node pair, calling the
-Python-level ``min_dist`` / ``union_diameter`` bounds once per candidate.
-The runners here replace the recursion with an **explicit-stack frontier
-loop** over a :class:`~repro.index.packed.PackedIndex`: pop a task, prune
-the whole fanout² candidate block with one kernel call
-(:mod:`repro.geometry.kernels`), push the survivors.
+The paper's joins are one recursion, ``simJoin(n)`` over a node and
+``simJoin(n1, n2)`` over a node pair (Figure 3).  :func:`traverse` runs
+it over a :class:`~repro.index.packed.PackedIndex`: pop a task, prune the
+whole fanout² candidate block with one kernel call
+(:mod:`repro.geometry.kernels`), push the survivors.  It yields the
+join's *work units*, by packed node id:
 
-Parity contract (enforced by the determinism test suite):
+* ``("group", a)`` — subtree ``a`` is one early-stopped group (line 2);
+* ``("self", a)`` — leaf ``a`` joins with itself (lines 5-10);
+* ``("cross", a, b)`` — leaves ``a`` and ``b`` join (lines 23-29);
+* ``("pgroup", a, b)`` — the pair ``a``, ``b`` is one early-stopped
+  group (line 20).
 
-* **Visit order** — subtasks are pushed in reverse so the LIFO pop order
-  reproduces the recursion's preorder exactly; sink writes, pager visits
-  and group-window mutations happen in the identical sequence.
-* **Float decisions** — the kernels perform the scalar bounds' exact
-  elementwise operations over float64 copies of the same per-node arrays,
-  so every ``< eps`` comparison resolves identically and the two engines
-  take the same branches everywhere.
-* **Counters** — final ``JoinStats`` are equal.  ``mbr_checks`` for a
-  candidate block are charged when the block is pruned (one batch) rather
-  than one-by-one between descents; nothing observes the interleaving
-  (:class:`~repro.resilience.budget.Budget` reads only deadline, output
-  bytes and group counts), and the totals match the scalar engine.
+Every tree join consumes this one sequence: the serial joins execute each
+unit as it is yielded (:mod:`repro.core.csj`), checkpointed and pool runs
+list it up front and address units by position
+(:class:`~repro.parallel.tasks.TaskState`), and the dual join starts it
+at the pair of two roots (:mod:`repro.core.dual`).
 
-Each vectorized runner subclasses its scalar twin and overrides only the
-descent; leaf emission, group buffering and budget/pager handling are
-inherited.  When a tree cannot be packed (object metrics, exotic node
-types) the drivers silently fall back to the scalar runner — engine
-selection changes performance, never results.
+* **Order** — subtasks are pushed in reverse, so the LIFO pop order is
+  the recursion's preorder; a node's child pairs are pruned after all
+  its child subtrees, as the recursion's pair loop runs after its child
+  loop.
+* **Counters** — given ``stats``, the loop charges ``nodes_visited``,
+  ``node_pairs_visited`` and ``mbr_checks``, and calls ``budget.check``
+  and ``pager.visit`` as it enters each node and node pair.  A candidate
+  block's ``mbr_checks`` land when the block is pruned; an early-stop
+  test's land when its node or pair is entered.  Without ``stats``
+  nothing is charged.  Leaf distance computations and early stops belong
+  to whoever executes the units.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from repro.core.csj import _CSJRunner
-from repro.core.dual import _DualRunner
-from repro.core.ssj import _SSJRunner
-from repro.index.packed import PackedIndex, pack_index
+from repro.stats.counters import JoinStats
 
-__all__ = [
-    "ENGINES",
-    "resolve_engine",
-    "enumerate_packed_task_ids",
-    "enumerate_tree_tasks_packed",
-    "_VecSSJRunner",
-    "_VecCSJRunner",
-    "_VecDualRunner",
-]
+if TYPE_CHECKING:
+    from repro.index.packed import PackedIndex
 
-#: Engine names accepted by the join drivers.  ``"paranoid"`` is handled
-#: one level up (api / cli): it cross-checks both engines first.
-ENGINES = ("scalar", "vectorized")
+__all__ = ["traverse"]
 
-
-def resolve_engine(engine: str) -> str:
-    engine = (engine or "vectorized").lower()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    return engine
-
-
-# Frontier task tags.  A task is a tuple starting with one of these:
-#   (_NODE, nid)                  simJoin(n)        — Figure 3 lines 1-18
-#   (_NPAIRS, nid)                the deferred a<b child-pair block of n,
-#                                 popped after all child subtrees finish
-#                                 (the scalar pair loop runs after the
-#                                 child recursion)
-#   (_PAIR, n1, n2[, ud])         simJoin(n1, n2)   — Figure 3 lines 19-41;
-#                                 ``ud`` is the precomputed union diameter
-#                                 for the compact early stop
+# Stack entry tags.  An entry is ``(tag, a, b, ud)``:
+#   _NODE    simJoin(a)                     Figure 3 lines 1-18
+#   _NPAIRS  the child-pair block of a, popped after its child subtrees
+#   _PAIR    simJoin(a, b), ``ud`` its precomputed union diameter
+#            (Figure 3 lines 19-41)
 _NODE, _NPAIRS, _PAIR = 0, 1, 2
 
 
-class _VecSSJRunner(_SSJRunner):
-    """Frontier-loop engine for the standard join."""
+def traverse(
+    packed: "PackedIndex",
+    eps: float,
+    compact: bool,
+    stats: Optional[JoinStats] = None,
+    budget=None,
+    pager=None,
+    other: Optional["PackedIndex"] = None,
+) -> Iterator[tuple]:
+    """Yield the canonical work units of one tree join, lazily.
 
-    def __init__(self, tree, eps, sink, pager, budget, packed: PackedIndex):
-        super().__init__(tree, eps, sink, pager, budget)
-        self.packed = packed
-
-    def join_node(self, node) -> None:
-        p = self.packed
-        if node is not p.nodes[0]:
-            # Unpacked entry point (never hit by the drivers): stay scalar.
-            super().join_node(node)
-            return
-        stats = self.stats
-        eps = self.eps
-        budget = self.budget
-        pager = self.pager
-        nodes = p.nodes
-        leaf = p.leaf.tolist()
-        child_beg = p.child_beg.tolist()
-        child_end = p.child_end.tolist()
-        stack: list[tuple] = [(_NODE, 0, 0)]
-        push = stack.append
-        while stack:
-            tag, a, b = stack.pop()
-            if tag == _PAIR:
-                stats.node_pairs_visited += 1
-                if budget is not None:
-                    budget.check(stats)
-                if pager is not None:
-                    pager.visit(nodes[a])
-                    pager.visit(nodes[b])
-                la = leaf[a]
-                lb = leaf[b]
-                if la and lb:
-                    self._leaf_cross(nodes[a], nodes[b])
-                    continue
-                if la:
-                    beg, end = child_beg[b], child_end[b]
-                    stats.mbr_checks += end - beg
-                    _, cols = p.prune_cross([a], slice(beg, end), eps)
-                    for c in cols[::-1].tolist():
-                        push((_PAIR, a, beg + c))
-                elif lb:
-                    beg, end = child_beg[a], child_end[a]
-                    stats.mbr_checks += end - beg
-                    rows, _ = p.prune_cross(slice(beg, end), [b], eps)
-                    for r in rows[::-1].tolist():
-                        push((_PAIR, beg + r, b))
-                else:
-                    b1, e1 = child_beg[a], child_end[a]
-                    b2, e2 = child_beg[b], child_end[b]
-                    stats.mbr_checks += (e1 - b1) * (e2 - b2)
-                    rows, cols = p.prune_cross(slice(b1, e1), slice(b2, e2), eps)
-                    for r, c in zip(rows[::-1].tolist(), cols[::-1].tolist()):
-                        push((_PAIR, b1 + r, b2 + c))
-            elif tag == _NODE:
-                stats.nodes_visited += 1
-                if budget is not None:
-                    budget.check(stats)
-                if pager is not None:
-                    pager.visit(nodes[a])
-                if leaf[a]:
-                    self._leaf_self(nodes[a])
-                    continue
-                beg, end = child_beg[a], child_end[a]
-                push((_NPAIRS, a, 0))
-                for cid in range(end - 1, beg - 1, -1):
-                    push((_NODE, cid, 0))
-            else:  # _NPAIRS
-                beg, end = child_beg[a], child_end[a]
-                k = end - beg
-                stats.mbr_checks += k * (k - 1) // 2
-                rows, cols = p.prune_self(beg, end, eps)
-                for r, c in zip(rows[::-1].tolist(), cols[::-1].tolist()):
-                    push((_PAIR, beg + r, beg + c))
-
-
-class _VecCSJRunner(_CSJRunner):
-    """Frontier-loop engine for N-CSJ / CSJ(g).
-
-    Early stops use the packed per-node diameters and batched union
-    diameters: each surviving pair is pushed with its union diameter
-    already computed, and the ``mbr_checks`` charge for the test lands
-    when the pair is popped — exactly where the scalar runner charges it.
+    Self-joins start at the root of ``packed``.  Given ``other``, the
+    walk starts at the pair of the two roots instead: units then name a
+    node of ``packed`` first and a node of ``other`` second.
+    ``compact`` enables the early stops of N-CSJ / CSJ(g).
     """
-
-    def __init__(self, tree, eps, g, sink, pager, budget, packed: PackedIndex):
-        super().__init__(tree, eps, g, sink, pager, budget)
-        self.packed = packed
-
-    def join_node(self, node) -> None:
-        p = self.packed
-        if node is not p.nodes[0]:
-            super().join_node(node)
-            return
-        stats = self.stats
-        eps = self.eps
-        budget = self.budget
-        pager = self.pager
-        nodes = p.nodes
-        leaf = p.leaf.tolist()
-        child_beg = p.child_beg.tolist()
-        child_end = p.child_end.tolist()
-        diam = p.diam.tolist()
-        stack: list[tuple] = [(_NODE, 0, 0, 0.0)]
-        push = stack.append
-
-        def push_pairs(rows, cols, base1, base2) -> None:
-            ids1 = rows + base1 if base1 else rows
-            ids2 = cols + base2 if base2 else cols
-            ud = p.union_diag(ids1, ids2)
-            for i1, i2, u in zip(
-                ids1[::-1].tolist(), ids2[::-1].tolist(), ud[::-1].tolist()
-            ):
-                push((_PAIR, i1, i2, u))
-
-        while stack:
-            tag, a, b, ud = stack.pop()
-            if tag == _PAIR:
-                stats.node_pairs_visited += 1
-                if budget is not None:
-                    budget.check(stats)
-                if pager is not None:
-                    pager.visit(nodes[a])
-                    pager.visit(nodes[b])
-                # Early stop (line 20): both subtrees form one group.
-                stats.mbr_checks += 1
-                if ud < eps:
-                    self._emit_pair_group(nodes[a], nodes[b])
-                    continue
-                la = leaf[a]
-                lb = leaf[b]
-                if la and lb:
-                    self._leaf_cross(nodes[a], nodes[b])
-                    continue
-                if la:
-                    beg, end = child_beg[b], child_end[b]
-                    stats.mbr_checks += end - beg
-                    _, cols = p.prune_cross([a], slice(beg, end), eps)
-                    push_pairs(np.full(len(cols), a, dtype=np.intp), cols, 0, beg)
-                elif lb:
-                    beg, end = child_beg[a], child_end[a]
-                    stats.mbr_checks += end - beg
-                    rows, _ = p.prune_cross(slice(beg, end), [b], eps)
-                    push_pairs(rows, np.full(len(rows), b, dtype=np.intp), beg, 0)
-                else:
-                    b1, e1 = child_beg[a], child_end[a]
-                    b2, e2 = child_beg[b], child_end[b]
-                    stats.mbr_checks += (e1 - b1) * (e2 - b2)
-                    rows, cols = p.prune_cross(slice(b1, e1), slice(b2, e2), eps)
-                    push_pairs(rows, cols, b1, b2)
-            elif tag == _NODE:
-                stats.nodes_visited += 1
-                if budget is not None:
-                    budget.check(stats)
-                if pager is not None:
-                    pager.visit(nodes[a])
-                # Early stop (line 2): the whole subtree is one group.
-                stats.mbr_checks += 1
-                if diam[a] < eps:
-                    self._emit_node_group(nodes[a])
-                    continue
-                if leaf[a]:
-                    self._leaf_self(nodes[a])
-                    continue
-                beg, end = child_beg[a], child_end[a]
-                push((_NPAIRS, a, 0, 0.0))
-                for cid in range(end - 1, beg - 1, -1):
-                    push((_NODE, cid, 0, 0.0))
-            else:  # _NPAIRS
-                beg, end = child_beg[a], child_end[a]
-                k = end - beg
-                stats.mbr_checks += k * (k - 1) // 2
-                rows, cols = p.prune_self(beg, end, eps)
-                push_pairs(rows, cols, beg, beg)
-
-
-class _VecDualRunner(_DualRunner):
-    """Frontier-loop engine for the dual-tree (two-dataset) joins."""
-
-    def __init__(self, tree_a, tree_b, eps, g, sink,
-                 packed_a: PackedIndex, packed_b: PackedIndex):
-        super().__init__(tree_a, tree_b, eps, g, sink)
-        self.packed_a = packed_a
-        self.packed_b = packed_b
-
-    def join_pair(self, n1, n2) -> None:
-        pa = self.packed_a
-        pb = self.packed_b
-        if n1 is not pa.nodes[0] or n2 is not pb.nodes[0]:
-            super().join_pair(n1, n2)
-            return
-        stats = self.stats
-        eps = self.eps
-        compact = self.compact
-        nodes_a = pa.nodes
-        nodes_b = pb.nodes
-        leaf_a = pa.leaf.tolist()
-        leaf_b = pb.leaf.tolist()
-        cb_a, ce_a = pa.child_beg.tolist(), pa.child_end.tolist()
-        cb_b, ce_b = pb.child_beg.tolist(), pb.child_end.tolist()
-        root_ud = (
-            float(pa.union_diag(np.array([0]), np.array([0]), pb)[0])
-            if compact
-            else 0.0
-        )
-        stack: list[tuple] = [(0, 0, root_ud)]
-        push = stack.append
-
-        def push_pairs(rows, cols, base1, base2) -> None:
-            ids1 = rows + base1 if base1 else rows
-            ids2 = cols + base2 if base2 else cols
-            if compact:
-                ud = pa.union_diag(ids1, ids2, pb)
-                for i1, i2, u in zip(
-                    ids1[::-1].tolist(), ids2[::-1].tolist(), ud[::-1].tolist()
-                ):
-                    push((i1, i2, u))
-            else:
-                for i1, i2 in zip(ids1[::-1].tolist(), ids2[::-1].tolist()):
-                    push((i1, i2, 0.0))
-
-        while stack:
-            aid, bid, ud = stack.pop()
-            stats.node_pairs_visited += 1
-            if compact:
-                stats.mbr_checks += 1
-                if ud < eps:
-                    self._emit_pair_group(nodes_a[aid], nodes_b[bid])
-                    continue
-            la = leaf_a[aid]
-            lb = leaf_b[bid]
-            if la and lb:
-                self._leaf_cross(nodes_a[aid], nodes_b[bid])
-                continue
-            if la:
-                beg, end = cb_b[bid], ce_b[bid]
-                stats.mbr_checks += end - beg
-                _, cols = pa.prune_cross([aid], slice(beg, end), eps, pb)
-                push_pairs(np.full(len(cols), aid, dtype=np.intp), cols, 0, beg)
-            elif lb:
-                beg, end = cb_a[aid], ce_a[aid]
-                stats.mbr_checks += end - beg
-                rows, _ = pa.prune_cross(slice(beg, end), [bid], eps, pb)
-                push_pairs(rows, np.full(len(rows), bid, dtype=np.intp), beg, 0)
-            else:
-                b1, e1 = cb_a[aid], ce_a[aid]
-                b2, e2 = cb_b[bid], ce_b[bid]
-                stats.mbr_checks += (e1 - b1) * (e2 - b2)
-                rows, cols = pa.prune_cross(slice(b1, e1), slice(b2, e2), eps, pb)
-                push_pairs(rows, cols, b1, b2)
-
-
-def enumerate_tree_tasks_packed(tree, eps: float, compact: bool) -> Optional[list]:
-    """Vectorized twin of ``checkpoint._enumerate_tree_tasks``.
-
-    Produces the identical work-unit tuple sequence — ``("group", node)``,
-    ``("self", node)``, ``("cross", n1, n2)``, ``("pgroup", n1, n2)`` with
-    the same :class:`~repro.index.base.IndexNode` objects in the same
-    order — using batched pruning instead of per-pair recursion, so
-    checkpoint fingerprints and parallel task ids are engine-independent
-    by construction.  Returns ``None`` when the tree cannot be packed.
-    """
-    packed = pack_index(tree)
-    if packed is None:
-        return None
-    if tree.root is None or tree.size <= 1:
-        return []
-    nodes = packed.nodes
-    return [
-        (t[0],) + tuple(nodes[i] for i in t[1:])
-        for t in _enumerate_packed_id_tasks(packed, eps, compact)
-    ]
-
-
-def enumerate_packed_task_ids(packed, eps: float, compact: bool) -> list:
-    """The same canonical work-unit sequence, as packed node *ids*.
-
-    Tuples are ``("group", nid)``, ``("self", nid)``, ``("cross", nid1,
-    nid2)``, ``("pgroup", nid1, nid2)`` — positionally identical to
-    :func:`enumerate_tree_tasks_packed` with each node replaced by its
-    level-order id.  This is the form the shared-memory data plane
-    executes against: it needs only the packed arrays, never the node
-    objects, so a worker that adopted the arrays from a segment can
-    enumerate (and execute) without ever holding a tree.
-    """
-    if packed is None or len(packed.entries) <= 1:
-        return []
-    return _enumerate_packed_id_tasks(packed, eps, compact)
-
-
-def _enumerate_packed_id_tasks(p, eps: float, compact: bool) -> list:
-    tasks: list[tuple] = []
+    p = packed
+    q = p if other is None else other
     eps = float(eps)
-    leaf = p.leaf.tolist()
-    child_beg = p.child_beg.tolist()
-    child_end = p.child_end.tolist()
+    if stats is None:
+        stats = JoinStats()  # charged, then dropped: the caller's stay untouched
+    leaf1 = p.leaf.tolist()
+    beg1, end1 = p.child_beg.tolist(), p.child_end.tolist()
+    if q is p:
+        leaf2, beg2, end2 = leaf1, beg1, end1
+    else:
+        leaf2 = q.leaf.tolist()
+        beg2, end2 = q.child_beg.tolist(), q.child_end.tolist()
     diam = p.diam.tolist()
-    stack: list[tuple] = [(_NODE, 0, 0, 0.0)]
+    if other is None:
+        stack: list[tuple] = [(_NODE, 0, 0, 0.0)]
+    else:
+        root = np.zeros(1, dtype=np.intp)
+        ud = float(p.union_diag(root, root, q)[0]) if compact else 0.0
+        stack = [(_PAIR, 0, 0, ud)]
     push = stack.append
 
     def push_pairs(rows, cols, base1, base2) -> None:
         ids1 = rows + base1 if base1 else rows
         ids2 = cols + base2 if base2 else cols
         if compact:
-            ud = p.union_diag(ids1, ids2)
+            ud = p.union_diag(ids1, ids2, q)
             for i1, i2, u in zip(
                 ids1[::-1].tolist(), ids2[::-1].tolist(), ud[::-1].tolist()
             ):
@@ -393,40 +106,60 @@ def _enumerate_packed_id_tasks(p, eps: float, compact: bool) -> list:
     while stack:
         tag, a, b, ud = stack.pop()
         if tag == _PAIR:
-            if compact and ud < eps:
-                tasks.append(("pgroup", a, b))
-                continue
-            la = leaf[a]
-            lb = leaf[b]
+            stats.node_pairs_visited += 1
+            if budget is not None:
+                budget.check(stats)
+            if pager is not None:
+                pager.visit(p.nodes[a])
+                pager.visit(q.nodes[b])
+            if compact:
+                # Early stop (line 20): both subtrees form one group.
+                stats.mbr_checks += 1
+                if ud < eps:
+                    yield ("pgroup", a, b)
+                    continue
+            la = leaf1[a]
+            lb = leaf2[b]
             if la and lb:
-                tasks.append(("cross", a, b))
-                continue
-            if la:
-                beg, end = child_beg[b], child_end[b]
-                _, cols = p.prune_cross([a], slice(beg, end), eps)
+                yield ("cross", a, b)
+            elif la:
+                beg, end = beg2[b], end2[b]
+                stats.mbr_checks += end - beg
+                _, cols = p.prune_cross([a], slice(beg, end), eps, q)
                 push_pairs(np.full(len(cols), a, dtype=np.intp), cols, 0, beg)
             elif lb:
-                beg, end = child_beg[a], child_end[a]
-                rows, _ = p.prune_cross(slice(beg, end), [b], eps)
+                beg, end = beg1[a], end1[a]
+                stats.mbr_checks += end - beg
+                rows, _ = p.prune_cross(slice(beg, end), [b], eps, q)
                 push_pairs(rows, np.full(len(rows), b, dtype=np.intp), beg, 0)
             else:
-                b1, e1 = child_beg[a], child_end[a]
-                b2, e2 = child_beg[b], child_end[b]
-                rows, cols = p.prune_cross(slice(b1, e1), slice(b2, e2), eps)
+                b1, e1 = beg1[a], end1[a]
+                b2, e2 = beg2[b], end2[b]
+                stats.mbr_checks += (e1 - b1) * (e2 - b2)
+                rows, cols = p.prune_cross(slice(b1, e1), slice(b2, e2), eps, q)
                 push_pairs(rows, cols, b1, b2)
         elif tag == _NODE:
-            if compact and diam[a] < eps:
-                tasks.append(("group", a))
+            stats.nodes_visited += 1
+            if budget is not None:
+                budget.check(stats)
+            if pager is not None:
+                pager.visit(p.nodes[a])
+            if compact:
+                # Early stop (line 2): the whole subtree is one group.
+                stats.mbr_checks += 1
+                if diam[a] < eps:
+                    yield ("group", a)
+                    continue
+            if leaf1[a]:
+                yield ("self", a)
                 continue
-            if leaf[a]:
-                tasks.append(("self", a))
-                continue
-            beg, end = child_beg[a], child_end[a]
+            beg, end = beg1[a], end1[a]
             push((_NPAIRS, a, 0, 0.0))
             for cid in range(end - 1, beg - 1, -1):
                 push((_NODE, cid, 0, 0.0))
         else:  # _NPAIRS
-            beg, end = child_beg[a], child_end[a]
+            beg, end = beg1[a], end1[a]
+            k = end - beg
+            stats.mbr_checks += k * (k - 1) // 2
             rows, cols = p.prune_self(beg, end, eps)
             push_pairs(rows, cols, beg, beg)
-    return tasks

@@ -32,13 +32,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.results import CollectSink, JoinResult, JoinSink
+from repro.errors import InvalidInputError
 from repro.geometry.metrics import Metric
+from repro.index import get_index_class
 from repro.index.mtree import MTree
 from repro.io.writer import width_for
 from repro.stats.counters import JoinStats
 
 __all__ = [
     "ObjectMetric",
+    "check_object_metric",
     "BallGroupBuffer",
     "build_metric_index",
     "metric_csj",
@@ -85,6 +88,14 @@ class ObjectMetric(Metric):
                 out[i, j] = self._fn(oa, ob)
         return out
 
+    def paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        rows_a = np.atleast_2d(np.asarray(a, dtype=float))
+        rows_b = np.atleast_2d(np.asarray(b, dtype=float))
+        return np.array(
+            [self._fn(self._resolve(x), self._resolve(y)) for x, y in zip(rows_a, rows_b)],
+            dtype=float,
+        )
+
     def self_pairwise(self, a: np.ndarray) -> np.ndarray:
         return self.pairwise(a, a)
 
@@ -107,6 +118,29 @@ class ObjectMetric(Metric):
         rows = np.atleast_2d(np.asarray(pts, dtype=float))
         target = self._resolve(p)
         return np.array([self._fn(target, self._resolve(r)) for r in rows])
+
+
+def check_object_metric(metric, algorithm: str, g: int, index) -> None:
+    """Reject an :class:`ObjectMetric` wherever a join needs coordinates.
+
+    Object metrics have no coordinates, so grids, partitions, rectangle
+    trees and the CSJ(g) merge window cannot use them.  Only ssj and
+    ncsj (csj with ``g = 0``) on an M-tree run exactly over them;
+    everything else raises :class:`~repro.errors.InvalidInputError`.
+    ``index`` is an index name or a built index.
+    """
+    if not isinstance(metric, ObjectMetric):
+        return
+    cls = get_index_class(index) if isinstance(index, str) else type(index)
+    uncompacted = algorithm in ("ssj", "ncsj") or (algorithm == "csj" and g == 0)
+    if uncompacted and issubclass(cls, MTree):
+        return
+    raise InvalidInputError(
+        f"object metric {metric.name!r} has no coordinates: only ssj and ncsj "
+        f"(csj with g=0) on an mtree run over it, not {algorithm!r} with "
+        f"g={g} on {getattr(cls, 'name', cls.__name__)!r}; use "
+        "metric_similarity_join for compact joins over arbitrary objects"
+    )
 
 
 def build_metric_index(

@@ -7,6 +7,8 @@ pairs are pruned with the minimum-distance lower bound; at the leaves all
 qualifying pairs are enumerated *individually* — which is precisely what
 triggers the output explosion the compact algorithms fix.
 
+The descent is the one shared by every tree join
+(:func:`repro.core.csj.tree_join`) with the early stops switched off.
 Leaf-level pair checks are vectorised with NumPy (one distance matrix per
 leaf or leaf pair), but the logical distance-computation count recorded in
 :class:`~repro.stats.counters.JoinStats` matches the scalar algorithm.
@@ -14,59 +16,20 @@ leaf or leaf pair), but the logical distance-computation count recorded in
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
+from repro.core.csj import tree_join
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import BudgetExceededError
-from repro.index.base import IndexNode, SpatialIndex
+from repro.index.base import SpatialIndex
 from repro.io.pagesim import NodePager
 from repro.io.writer import width_for
-from repro.obs.logging import get_logger
-from repro.obs.tracing import span as trace_span
 from repro.stats.counters import JoinStats
 
 if TYPE_CHECKING:
     from repro.resilience.budget import Budget
 
-__all__ = ["ssj", "leaf_self_pairs", "leaf_cross_pairs"]
-
-logger = get_logger("core.ssj")
-
-
-def leaf_self_pairs(
-    points: np.ndarray, metric, eps: float, ids
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pure leaf self-join: qualifying pairs of ``ids`` and the distance count.
-
-    Returns ``(ids_i, ids_j, distance_computations)`` without touching any
-    sink or counter — the building block shared by the recursive runners,
-    the checkpointed driver, and the parallel worker executors.
-    """
-    id_arr = np.asarray(ids, dtype=np.intp)
-    k = len(id_arr)
-    if k < 2:
-        return id_arr[:0], id_arr[:0], 0
-    # Condensed upper-triangle distances: same values and pair order as
-    # the full k x k matrix masked with triu, at ~half the peak memory.
-    rows, cols, dists = metric.condensed_self(points[id_arr])
-    hit = np.flatnonzero(dists < eps)
-    return id_arr[rows[hit]], id_arr[cols[hit]], k * (k - 1) // 2
-
-
-def leaf_cross_pairs(
-    points: np.ndarray, metric, eps: float, ids1, ids2
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pure leaf cross-join twin of :func:`leaf_self_pairs`."""
-    arr1 = np.asarray(ids1, dtype=np.intp)
-    arr2 = np.asarray(ids2, dtype=np.intp)
-    if not len(arr1) or not len(arr2):
-        return arr1[:0], arr2[:0], 0
-    dists = metric.pairwise(points[arr1], points[arr2])
-    rows, cols = np.nonzero(dists < eps)
-    return arr1[rows], arr2[cols], len(arr1) * len(arr2)
+__all__ = ["ssj"]
 
 
 def ssj(
@@ -75,19 +38,12 @@ def ssj(
     sink: Optional[JoinSink] = None,
     pager: Optional[NodePager] = None,
     budget: Optional["Budget"] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Run the standard similarity join on ``tree`` with range ``eps``.
 
     Every qualifying pair is written to ``sink`` as an individual link.
     Returns a :class:`~repro.core.results.JoinResult`; when ``sink`` is
     omitted a collecting sink is used and the result carries the links.
-
-    ``engine`` selects the descent implementation: ``"vectorized"``
-    (default) prunes candidate blocks with the batched kernels of
-    :mod:`repro.core.frontier`, ``"scalar"`` recurses pair by pair.  The
-    two produce byte-identical output and equal counters; trees that
-    cannot be packed fall back to scalar automatically.
 
     ``budget`` bounds the run cooperatively.  An output-byte breach
     *degrades gracefully*: instead of dying mid-explosion (the paper's
@@ -101,56 +57,12 @@ def ssj(
         raise ValueError(f"query range must be positive, got {eps}")
     if sink is None:
         sink = CollectSink(id_width=width_for(tree.size))
-    runner = _make_runner(tree, float(eps), sink, pager, budget, engine)
-    if budget is not None:
-        budget.start()
-    start = time.perf_counter()
     try:
-        with trace_span("descend", algorithm="ssj", eps=eps):
-            if tree.root is not None and tree.size > 1:
-                runner.join_node(tree.root)
+        return tree_join(tree, eps, 0, False, sink, pager, budget, "ssj")
     except BudgetExceededError as exc:
-        elapsed = time.perf_counter() - start
-        stats = sink.stats
-        stats.compute_time += elapsed - stats.write_time
-        logger.warning(
-            "ssj budget breach", extra={"kind": exc.kind, "limit": exc.limit}
-        )
         if exc.kind == "output_bytes":
-            return _estimated_fallback(tree, eps, sink, stats)
-        exc.partial = JoinResult.from_sink(
-            sink, eps=eps, algorithm="ssj", index_name=type(tree).name
-        )
+            return _estimated_fallback(tree, eps, sink, sink.stats)
         raise
-    elapsed = time.perf_counter() - start
-    stats = sink.stats
-    stats.compute_time += elapsed - stats.write_time
-    if pager is not None:
-        stats.page_reads += pager.cache.misses
-        stats.cache_hits += pager.cache.hits
-    logger.debug(
-        "ssj finished",
-        extra={
-            "links_emitted": stats.links_emitted,
-            "bytes_written": stats.bytes_written,
-            "distance_computations": stats.distance_computations,
-        },
-    )
-    return JoinResult.from_sink(
-        sink, eps=eps, algorithm="ssj", index_name=type(tree).name
-    )
-
-
-def _make_runner(tree, eps, sink, pager, budget, engine) -> "_SSJRunner":
-    from repro.core.frontier import _VecSSJRunner, resolve_engine  # lazy: cycle
-
-    if resolve_engine(engine) == "vectorized":
-        from repro.index.packed import pack_index
-
-        packed = pack_index(tree)
-        if packed is not None:
-            return _VecSSJRunner(tree, eps, sink, pager, budget, packed)
-    return _SSJRunner(tree, eps, sink, pager, budget)
 
 
 def _estimated_fallback(tree: SpatialIndex, eps: float, sink: JoinSink, partial_stats):
@@ -178,89 +90,3 @@ def _estimated_fallback(tree: SpatialIndex, eps: float, sink: JoinSink, partial_
         index_name=type(tree).name,
         estimated=True,
     )
-
-
-class _SSJRunner:
-    """Recursive engine for one SSJ execution."""
-
-    def __init__(
-        self,
-        tree: SpatialIndex,
-        eps: float,
-        sink: JoinSink,
-        pager: Optional[NodePager],
-        budget: Optional["Budget"] = None,
-    ):
-        self.points = tree.points
-        self.metric = tree.metric
-        self.eps = eps
-        self.sink = sink
-        self.stats: JoinStats = sink.stats
-        self.pager = pager
-        self.budget = budget
-
-    # -- simJoin(TreeNode n), Figure 3 lines 1-18 (without the italics) ----
-    def join_node(self, node: IndexNode) -> None:
-        self.stats.nodes_visited += 1
-        if self.budget is not None:
-            self.budget.check(self.stats)
-        if self.pager is not None:
-            self.pager.visit(node)
-        if node.is_leaf:
-            self._leaf_self(node)
-            return
-        children = node.children
-        for child in children:
-            self.join_node(child)
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                self.stats.mbr_checks += 1
-                if children[a].min_dist(children[b], self.metric) < self.eps:
-                    self.join_pair(children[a], children[b])
-
-    # -- simJoin(TreeNode n1, n2), Figure 3 lines 19-41 ---------------------
-    def join_pair(self, n1: IndexNode, n2: IndexNode) -> None:
-        self.stats.node_pairs_visited += 1
-        if self.budget is not None:
-            self.budget.check(self.stats)
-        if self.pager is not None:
-            self.pager.visit(n1)
-            self.pager.visit(n2)
-        if n1.is_leaf and n2.is_leaf:
-            self._leaf_cross(n1, n2)
-            return
-        if n1.is_leaf:
-            inner, leaf = n2, n1
-            for child in inner.children:
-                self.stats.mbr_checks += 1
-                if leaf.min_dist(child, self.metric) < self.eps:
-                    self.join_pair(leaf, child)
-            return
-        if n2.is_leaf:
-            for child in n1.children:
-                self.stats.mbr_checks += 1
-                if child.min_dist(n2, self.metric) < self.eps:
-                    self.join_pair(child, n2)
-            return
-        for c1 in n1.children:
-            for c2 in n2.children:
-                self.stats.mbr_checks += 1
-                if c1.min_dist(c2, self.metric) < self.eps:
-                    self.join_pair(c1, c2)
-
-    # -- leaf-level pair enumeration ----------------------------------------
-    def _leaf_self(self, node: IndexNode) -> None:
-        ids_i, ids_j, dc = leaf_self_pairs(
-            self.points, self.metric, self.eps, node.entry_ids
-        )
-        self.stats.distance_computations += dc
-        if len(ids_i):
-            self.sink.write_links(ids_i, ids_j)
-
-    def _leaf_cross(self, n1: IndexNode, n2: IndexNode) -> None:
-        ids_i, ids_j, dc = leaf_cross_pairs(
-            self.points, self.metric, self.eps, n1.entry_ids, n2.entry_ids
-        )
-        self.stats.distance_computations += dc
-        if len(ids_i):
-            self.sink.write_links(ids_i, ids_j)

@@ -29,7 +29,6 @@ from repro.geometry.metrics import Metric
 __all__ = [
     "expand_result",
     "check_equivalence",
-    "cross_check_engines",
     "EquivalenceReport",
 ]
 
@@ -100,43 +99,3 @@ def check_equivalence(
         expected=len(ground_truth),
         implied=len(implied),
     )
-
-
-def cross_check_engines(points: np.ndarray, eps: float, **kwargs) -> JoinResult:
-    """Paranoia mode: run both execution engines, demand exact agreement.
-
-    Executes the join twice — once with the scalar recursive engine, once
-    with the vectorized frontier engine — and compares the complete
-    payload (links, groups, group pairs, in order) plus every integer
-    counter.  Any divergence raises ``AssertionError`` naming the first
-    differing field; on agreement the vectorized result is returned.
-
-    ``kwargs`` are forwarded to :func:`repro.api.similarity_join`
-    (``algorithm``, ``g``, ``index``, ``metric``, ...); ``engine`` and
-    ``sink`` must not be supplied — paranoia mode owns both.
-    """
-    from repro.api import similarity_join  # deferred: api imports core
-
-    for reserved in ("engine", "sink"):
-        if reserved in kwargs:
-            raise ValueError(f"cross_check_engines manages {reserved!r} itself")
-    scalar = similarity_join(points, eps, engine="scalar", **kwargs)
-    vectorized = similarity_join(points, eps, engine="vectorized", **kwargs)
-    for name in ("links", "groups", "group_pairs"):
-        if getattr(scalar, name) != getattr(vectorized, name):
-            raise AssertionError(
-                f"engine divergence in {name}: scalar produced "
-                f"{len(getattr(scalar, name))} entries, vectorized "
-                f"{len(getattr(vectorized, name))} (or same count, different "
-                f"content)"
-            )
-    s_dict = scalar.stats.as_dict()
-    v_dict = vectorized.stats.as_dict()
-    for key, s_val in s_dict.items():
-        if isinstance(s_val, int):
-            if v_dict.get(key) != s_val:
-                raise AssertionError(
-                    f"engine divergence in counter {key!r}: "
-                    f"scalar={s_val}, vectorized={v_dict.get(key)}"
-                )
-    return vectorized

@@ -105,7 +105,6 @@ class MaintainedJoin:
         metric: object = None,
         index: Union[str, SpatialIndex] = "rstar",
         max_entries: int = 64,
-        engine: str = "vectorized",
     ):
         points = validate_points(points)
         self.eps = validate_eps(eps)
@@ -113,7 +112,6 @@ class MaintainedJoin:
             raise InvalidInputError(f"window size g must be >= 0, got {g}")
         self.g = int(g)
         self.metric = get_metric(metric)
-        self.engine = engine
         if isinstance(index, SpatialIndex):
             self.tree = index
         else:
@@ -140,7 +138,7 @@ class MaintainedJoin:
     def _materialize(self) -> None:
         """From-scratch CSJ(g) run seeding the maintained state."""
         sink = CollectSink(id_width=width_for(len(self.tree.points)))
-        result = _csj(self.tree, self.eps, self.g, sink, engine=self.engine)
+        result = _csj(self.tree, self.eps, self.g, sink)
         self._seed(result)
 
     @classmethod
@@ -151,7 +149,6 @@ class MaintainedJoin:
         metric: object = None,
         index: Union[str, SpatialIndex] = "rstar",
         max_entries: int = 64,
-        engine: str = "vectorized",
     ) -> "MaintainedJoin":
         """Adopt an already-computed compact join instead of recomputing.
 
@@ -170,7 +167,6 @@ class MaintainedJoin:
         self.eps = validate_eps(result.eps)
         self.g = int(result.g) if result.g is not None else 10
         self.metric = get_metric(metric)
-        self.engine = engine
         if isinstance(index, SpatialIndex):
             self.tree = index
         else:

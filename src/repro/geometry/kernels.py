@@ -1,24 +1,24 @@
 """Batched geometry kernels over packed bounding-shape arrays.
 
-The scalar join engines prune node pairs one at a time — a Python-level
-``MBR.min_dist`` call per pair, each allocating fresh NumPy temporaries
-for a handful of floats.  The vectorized frontier engine
-(:mod:`repro.core.frontier`) instead prunes a whole fanout² candidate
-block with a single kernel call over contiguous ``(lo, hi)`` corner
-matrices (or ``(center, radius)`` arrays for ball-shaped nodes).
+The frontier traversal (:mod:`repro.core.frontier`) prunes a whole
+fanout² candidate block with a single kernel call over contiguous
+``(lo, hi)`` corner matrices (or ``(center, radius)`` arrays for
+ball-shaped nodes) instead of one Python-level bound per node pair.
 
 Every kernel here performs *exactly* the elementwise operations of its
-scalar counterpart in :class:`repro.geometry.mbr.MBR` /
+per-pair counterpart in :class:`repro.geometry.mbr.MBR` /
 :class:`repro.geometry.ball.Ball`, in the same order, so results are
-bit-identical to the scalar path for every Minkowski metric (L1, L2,
-L∞ and fractional/whole p alike — the metric's ``norm_rows`` reduces the
-coordinate axis identically in both paths).  That equivalence is what
-lets the vectorized engine promise byte-identical output and identical
-``JoinStats`` counters; the property-based test suite re-verifies it.
+bit-identical to those bounds for every Minkowski metric (L1, L2, L∞ and
+fractional/whole p alike — the metric's ``norm_rows`` reduces the
+coordinate axis identically in both paths); the property-based test
+suite re-verifies it.  Ball kernels take their center distances from the
+metric's ``pairwise`` / ``condensed_self`` / ``paired`` methods, so an
+M-tree over an :class:`~repro.core.metricspace.ObjectMetric` prunes
+through the same kernels.
 
 Surviving index pairs are always returned in *canonical order*: row-major
-over the candidate block, with ``row < col`` for self-sets — the exact
-order the scalar engines' nested ``for a / for b`` loops visit.
+over the candidate block, with ``row < col`` for self-sets — the order of
+Figure 3's nested ``for a / for b`` loops.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def self_pairs_within(
     ``min_dist(box_a, box_b) < eps``, in canonical row-major order.
 
     Works on the condensed upper triangle — no ``k × k`` matrix is ever
-    materialised, mirroring the ``for a / for b in range(a+1, k)`` loop
-    of the scalar engines.
+    materialised, mirroring Figure 3's ``for a / for b in range(a+1, k)``
+    pair loop.
     """
     k = len(lo)
     if k < 2:
@@ -184,12 +184,6 @@ def ball_diameter(radii: np.ndarray) -> np.ndarray:
     return 2.0 * np.asarray(radii, dtype=float)
 
 
-def _center_dist_matrix(
-    c1: np.ndarray, c2: np.ndarray, metric: Optional[Metric] = None
-) -> np.ndarray:
-    return get_metric(metric).norm_rows(c1[:, None, :] - c2[None, :, :])
-
-
 def ball_min_dist_matrix(
     c1: np.ndarray,
     r1: np.ndarray,
@@ -198,7 +192,7 @@ def ball_min_dist_matrix(
     metric: Optional[Metric] = None,
 ) -> np.ndarray:
     """``(n1, n2)`` ball-to-ball minimum distances: ``max(0, d - r1 - r2)``."""
-    d = _center_dist_matrix(c1, c2, metric)
+    d = get_metric(metric).pairwise(c1, c2)
     return np.maximum(0.0, d - r1[:, None] - r2[None, :])
 
 
@@ -210,7 +204,7 @@ def ball_max_dist_matrix(
     metric: Optional[Metric] = None,
 ) -> np.ndarray:
     """``(n1, n2)`` ball-to-ball maximum distances: ``d + r1 + r2``."""
-    d = _center_dist_matrix(c1, c2, metric)
+    d = get_metric(metric).pairwise(c1, c2)
     return d + r1[:, None] + r2[None, :]
 
 
@@ -222,7 +216,7 @@ def ball_union_diameter_matrix(
     metric: Optional[Metric] = None,
 ) -> np.ndarray:
     """``(n1, n2)`` union diameters: ``max(2 r1, 2 r2, d + r1 + r2)``."""
-    d = _center_dist_matrix(c1, c2, metric)
+    d = get_metric(metric).pairwise(c1, c2)
     return np.maximum(
         np.maximum(2.0 * r1[:, None], 2.0 * r2[None, :]),
         d + r1[:, None] + r2[None, :],
@@ -237,7 +231,7 @@ def ball_union_diameter_pairs(
     metric: Optional[Metric] = None,
 ) -> np.ndarray:
     """Row-wise union diameters of aligned ball pairs."""
-    d = get_metric(metric).norm_rows(c1 - c2)
+    d = get_metric(metric).paired(c1, c2)
     return np.maximum(np.maximum(2.0 * r1, 2.0 * r2), d + r1 + r2)
 
 
@@ -252,8 +246,7 @@ def ball_self_pairs_within(
     if k < 2:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    rows, cols = triu_pair_indices(k)
-    d = get_metric(metric).norm_rows(centers[rows] - centers[cols])
+    rows, cols, d = get_metric(metric).condensed_self(centers)
     dists = np.maximum(0.0, d - radii[rows] - radii[cols])
     hit = np.flatnonzero(dists < eps)
     return rows[hit], cols[hit]

@@ -45,8 +45,8 @@ def triu_pair_indices(k: int) -> "tuple[np.ndarray, np.ndarray]":
 
     Equivalent to ``np.triu_indices(k, k=1)`` but cached for the leaf
     sizes the joins see repeatedly.  The pairs enumerate ``(a, b)`` with
-    ``a < b`` in row-major order — the exact visit order of the scalar
-    engines' nested pair loops.
+    ``a < b`` in row-major order — the visit order of Figure 3's nested
+    pair loops.
     """
     cached = _TRIU_CACHE.get(k)
     if cached is not None:
@@ -100,6 +100,10 @@ class Metric:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         return self.norm_rows(a[:, None, :] - b[None, :, :])
+
+    def paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-aligned distances: ``dist(a[i], b[i])`` for each row ``i``."""
+        return self.norm_rows(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
     def self_pairwise(self, a: np.ndarray) -> np.ndarray:
         """Symmetric distance matrix of a point set with itself."""

@@ -1,4 +1,4 @@
-"""Structure-of-arrays view of a spatial index for the frontier engine.
+"""Structure-of-arrays view of a spatial index for the frontier traversal.
 
 The tree indexes store one Python object per node, so any traversal pays
 attribute lookups and tiny-array arithmetic per node pair.
@@ -25,10 +25,10 @@ bit-identical to the per-node scalar methods because the packed rows are
 float64 copies of the very arrays those methods read, combined with the
 same elementwise operations (see :mod:`repro.geometry.kernels`).
 
-``pack_index`` returns ``None`` whenever the index cannot be packed — an
-unknown node type, a mixed-kind tree, or a metric without a vector norm
-(e.g. :class:`repro.core.metricspace.ObjectMetric`) — and callers fall
-back to the scalar engine.
+Packing is total: every non-empty R-tree, R*-tree and M-tree packs,
+including an M-tree over an
+:class:`~repro.core.metricspace.ObjectMetric`, whose ball kernels reach
+the objects through the metric's distance methods.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class PackedIndex:
         """Surviving ``(a, b)``, ``a < b`` pairs within one child block.
 
         Returned indices are *local* offsets into ``[beg, end)``, in the
-        canonical row-major order of the scalar pair loop.
+        canonical row-major order of Figure 3's pair loop.
         """
         if self.kind == "rect":
             return kernels.self_pairs_within(
@@ -176,27 +176,14 @@ class PackedIndex:
         )
 
 
-def _metric_is_vectorizable(metric, dim: int) -> bool:
-    """Probe ``metric.norm_rows`` — object metrics raise, vector ones don't."""
-    try:
-        out = metric.norm_rows(np.zeros((1, max(dim, 1))))
-    except Exception:
-        return False
-    return isinstance(out, np.ndarray)
-
-
 def pack_index(index: SpatialIndex) -> Optional[PackedIndex]:
-    """Flatten ``index`` into a :class:`PackedIndex`, or ``None``.
+    """Flatten ``index`` into a :class:`PackedIndex` (``None`` when empty).
 
-    ``None`` signals "use the scalar engine": the tree is empty, its node
-    type is not rectangle- or ball-shaped, or its metric has no vector
-    norm to batch with.
-
-    The result (including a ``None`` verdict) is memoized on the index,
-    keyed by its ``_structure_version``, so repeated joins over an
-    unchanged tree — the ``csj serve`` steady state — flatten it once.
-    Any structural mutation (``add_point`` / ``delete`` / ``compact``)
-    bumps the version and invalidates the memo.
+    The result is memoized on the index, keyed by its
+    ``_structure_version``, so repeated joins over an unchanged tree —
+    the ``csj serve`` steady state — flatten it once.  Any structural
+    mutation (``add_point`` / ``delete`` / ``compact``) bumps the version
+    and invalidates the memo.
     """
     version = getattr(index, "_structure_version", None)
     if version is not None:
@@ -210,60 +197,56 @@ def pack_index(index: SpatialIndex) -> Optional[PackedIndex]:
 
 
 def _pack_index_uncached(index: SpatialIndex) -> Optional[PackedIndex]:
-    from repro.index.mtree import BallNode
-    from repro.index.rtree import RectNode
-
     root = index.root
     if root is None:
         return None
-    if isinstance(root, RectNode):
+    # Duck-typed, so node proxies (e.g. FlakyIndex's) pack like their nodes.
+    if hasattr(root, "mbr"):
         kind = "rect"
-        node_cls = RectNode
-    elif isinstance(root, BallNode):
+    elif hasattr(root, "radius"):
         kind = "ball"
-        node_cls = BallNode
     else:
-        return None
+        raise TypeError(f"cannot pack {type(root).__name__} nodes")
     points = index.points
     dim = points.shape[1] if getattr(points, "ndim", 0) == 2 else 0
-    if not _metric_is_vectorizable(index.metric, dim):
-        return None
 
     packed = PackedIndex(kind, points, index.metric)
     nodes = packed.nodes
     nodes.append(root)
-    # Level-order fill: appending each node's children as a batch numbers
-    # them contiguously, so child blocks are slices of the packed arrays.
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if not isinstance(node, node_cls):
-            return None  # mixed node kinds: no packed form
-        if not node.is_leaf:
-            nodes.extend(node.children)
-        i += 1
-
-    n = len(nodes)
-    packed.leaf = np.empty(n, dtype=bool)
-    packed.child_beg = np.zeros(n, dtype=np.intp)
-    packed.child_end = np.zeros(n, dtype=np.intp)
-    packed.entry_beg = np.zeros(n, dtype=np.intp)
-    packed.entry_end = np.zeros(n, dtype=np.intp)
+    leaf: list[bool] = []
+    child_beg: list[int] = []
+    child_end: list[int] = []
+    entry_beg: list[int] = []
+    entry_end: list[int] = []
     entry_blocks: list = []
     total_entries = 0
-    child_cursor = 1  # node 0 is the root; its children start at id 1
-    for nid, node in enumerate(nodes):
-        is_leaf = node.is_leaf
-        packed.leaf[nid] = is_leaf
-        if is_leaf:
-            packed.entry_beg[nid] = total_entries
-            total_entries += len(node.entry_ids)
-            packed.entry_end[nid] = total_entries
-            entry_blocks.append(node.entry_ids)
+    # Level-order fill (the loop visits the nodes it appends): appending
+    # each node's children as a batch numbers them contiguously, so child
+    # blocks are slices of the packed arrays.  Each node's children or
+    # entries are read exactly once.
+    for node in nodes:
+        if node.is_leaf:
+            ids = node.entry_ids
+            leaf.append(True)
+            child_beg.append(0)
+            child_end.append(0)
+            entry_beg.append(total_entries)
+            total_entries += len(ids)
+            entry_end.append(total_entries)
+            entry_blocks.append(ids)
         else:
-            packed.child_beg[nid] = child_cursor
-            child_cursor += len(node.children)
-            packed.child_end[nid] = child_cursor
+            leaf.append(False)
+            child_beg.append(len(nodes))
+            nodes.extend(node.children)
+            child_end.append(len(nodes))
+            entry_beg.append(0)
+            entry_end.append(0)
+    n = len(nodes)
+    packed.leaf = np.array(leaf, dtype=bool)
+    packed.child_beg = np.array(child_beg, dtype=np.intp)
+    packed.child_end = np.array(child_end, dtype=np.intp)
+    packed.entry_beg = np.array(entry_beg, dtype=np.intp)
+    packed.entry_end = np.array(entry_end, dtype=np.intp)
     packed.entries = (
         np.concatenate([np.asarray(b, dtype=np.intp) for b in entry_blocks])
         if entry_blocks

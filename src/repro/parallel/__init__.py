@@ -53,7 +53,6 @@ def parallel_join(
     task_timeout: Optional[float] = None,
     config: Optional[SupervisorConfig] = None,
     fault: Optional[FlakyWorker] = None,
-    engine: str = "vectorized",
     breaker: object = None,
     cancel: object = None,
     data_plane: str = "auto",
@@ -78,7 +77,7 @@ def parallel_join(
     refuse tasks once it passes, even mid-queue.
 
     ``data_plane`` selects how workers obtain the dataset: ``"shm"``
-    publishes ``points`` (and the packed index, when packable) into
+    publishes ``points`` (and, for tree joins, the packed index) into
     shared-memory segments that workers attach zero-copy, ``"pickle"``
     ships the array inside the spec, ``"auto"`` (default) prefers shm
     where the platform supports it.  The choice never affects output
@@ -133,7 +132,6 @@ def parallel_join(
             bulk=bulk,
             metric=metric,
             partitions_per_axis=partitions_per_axis,
-            engine=engine,
             deadline_at=deadline_at,
             data_plane=plane,
             dataset_ref=shared.ref if shared is not None else None,

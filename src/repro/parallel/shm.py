@@ -7,7 +7,7 @@ entire tree from scratch in ``TaskState``.  This module replaces both
 copies with *references*:
 
 * :class:`SharedDataset` — the **owner** of one dataset's shared-memory
-  segments.  It publishes ``points`` (and, for packable trees, the
+  segments.  It publishes ``points`` (and, for tree joins, the
   level-order :class:`~repro.index.packed.PackedIndex` arrays) into
   ``multiprocessing.shared_memory`` once; workers attach by name and
   map the same physical pages.  A spec then crosses the process

@@ -4,8 +4,9 @@ The parallel executor rests on one structural fact: every supported join
 is a deterministic, flat sequence of *work units* (leaf self/cross
 joins, early-stopped subtree groups, grid cells, PBSM partitions) whose
 canonical order is fixed by the data and the configuration alone —
-PR 1's checkpoint layer already enumerates the tree and grid sequences,
-and :func:`repro.core.partitioned.pbsm_plan` fixes the partition order.
+:func:`repro.core.frontier.traverse` enumerates the tree sequence, the
+checkpoint layer the grid sequence, and
+:func:`repro.core.partitioned.pbsm_plan` fixes the partition order.
 
 :class:`JoinSpec` is the picklable recipe for one join.  Every process —
 the parent and each worker — independently materialises the *same*
@@ -27,16 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.csj import (
-    leaf_cross_delta,
-    leaf_self_delta,
-    node_group_delta,
-    packed_node_group_delta,
-    packed_pair_group_delta,
-    pair_group_delta,
-)
+from repro.core.csj import tree_task_delta
 from repro.core.egrid import cell_pair_delta, cell_self_delta
+from repro.core.frontier import traverse
 from repro.core.groups import GroupBuffer, apply_events
+from repro.core.metricspace import check_object_metric
 from repro.core.partitioned import partition_delta, pbsm_plan
 from repro.core.results import JoinSink
 from repro.errors import InvalidInputError, validate_eps, validate_points
@@ -75,7 +71,6 @@ class JoinSpec:
     bulk: Optional[str] = "str"
     metric: object = None
     partitions_per_axis: Optional[int] = None
-    engine: str = "vectorized"
     #: Absolute request deadline (``time.monotonic()`` timestamp) carried
     #: to every worker.  Execution-only: it never affects the task
     #: sequence or the output bytes, it only lets a worker refuse tasks
@@ -96,15 +91,12 @@ class JoinSpec:
     packed_ref: Optional[object] = None
 
     def __post_init__(self) -> None:
-        from repro.core.frontier import resolve_engine  # deferred: heavy import
-
         if self.points is None and self.dataset_ref is not None:
             from repro.parallel.shm import attach_points
 
             self.points = attach_points(self.dataset_ref)
         self.points = validate_points(self.points)
         self.eps = validate_eps(self.eps)
-        self.engine = resolve_engine(self.engine)
         self.algorithm = str(self.algorithm).lower()
         if self.algorithm not in FAMILIES:
             raise InvalidInputError(
@@ -116,6 +108,7 @@ class JoinSpec:
         if self.algorithm == "ncsj":
             self.g = 0
         self.g = int(self.g)
+        check_object_metric(self.metric, self.algorithm, self.g, self.index)
 
     @property
     def family(self) -> str:
@@ -194,7 +187,6 @@ class JoinSpec:
             self.bulk,
             get_metric(self.metric).name,
             repr(self.metric),
-            self.engine,
             self.partitions_per_axis,
         )
 
@@ -232,7 +224,6 @@ class JoinSpec:
         if (
             self.packed_ref is not None
             or self.dataset_ref is None
-            or state.task_mode != "packed"
             or state.packed is None
         ):
             return
@@ -267,74 +258,22 @@ class TaskState:
         # Effective merge window: non-compact algorithms never merge.
         self.g = spec.g if spec.compact else 0
         self.home_of: Optional[np.ndarray] = None
-        #: ``"packed"`` when tree tasks are packed node *ids* executed
-        #: against :attr:`packed` arrays; ``"node"`` when they carry
-        #: :class:`~repro.index.base.IndexNode` objects.
-        self.task_mode = "node"
         self.packed = None
 
         if self.family == "tree":
             self.tree = None
-            packed = None
-            if spec.packed_ref is not None and spec.engine == "vectorized":
+            if spec.packed_ref is not None:
                 # Zero-copy path: adopt the published packed arrays —
                 # no tree is ever built in this process.
                 from repro.parallel.shm import attach_packed
 
-                packed = attach_packed(spec.packed_ref, self.points, self.metric)
-            if packed is None:
-                from repro.api import build_index  # deferred: api imports core
-
-                shared = getattr(spec, "_shared", None)
-                if shared is not None:
-                    self.tree = shared.get_tree(
-                        spec.index,
-                        max_entries=spec.max_entries,
-                        bulk=spec.bulk,
-                        metric=spec.metric,
-                    )
-                else:
-                    self.tree = build_index(
-                        spec.points,
-                        spec.index,
-                        metric=self.metric,
-                        max_entries=spec.max_entries,
-                        bulk=spec.bulk,
-                    )
-                if spec.engine == "vectorized":
-                    from repro.index.packed import pack_index
-
-                    packed = pack_index(self.tree)
-                    if (
-                        packed is not None
-                        and shared is not None
-                        and spec.dataset_ref is not None
-                        and spec.packed_ref is None
-                    ):
-                        # Publish once so workers can adopt instead of
-                        # rebuilding; must happen before the supervisor
-                        # pickles the spec (build_state precedes start).
-                        spec.packed_ref = shared.publish_packed(
-                            (
-                                spec.index,
-                                spec.max_entries,
-                                spec.bulk,
-                                repr(spec.metric),
-                            ),
-                            packed,
-                        )
-            if packed is not None:
-                from repro.core.frontier import enumerate_packed_task_ids
-
-                self.packed = packed
-                self.task_mode = "packed"
-                self.tasks = enumerate_packed_task_ids(
-                    packed, self.eps, self.compact
-                )
+                self.packed = attach_packed(spec.packed_ref, self.points, self.metric)
+            if self.packed is None:
+                self._build_packed(spec)
+            if self.packed is not None and len(self.packed.entries) > 1:
+                self.tasks = list(traverse(self.packed, self.eps, self.compact))
             else:
-                from repro.resilience.checkpoint import _enumerate_tree_tasks
-
-                self.tasks = _enumerate_tree_tasks(self.tree, self.eps, self.compact)
+                self.tasks = []
             if self.tree is not None:
                 self.index_name = type(self.tree).name
             else:
@@ -357,6 +296,42 @@ class TaskState:
             else:
                 self.tasks = []
             self.index_name = "pbsm"
+
+    def _build_packed(self, spec: JoinSpec) -> None:
+        """Build (or reuse) the tree and pack it; publish the pack once."""
+        from repro.api import build_index  # deferred: api imports core
+        from repro.index.packed import pack_index
+
+        shared = getattr(spec, "_shared", None)
+        if shared is not None:
+            self.tree = shared.get_tree(
+                spec.index,
+                max_entries=spec.max_entries,
+                bulk=spec.bulk,
+                metric=spec.metric,
+            )
+        else:
+            self.tree = build_index(
+                spec.points,
+                spec.index,
+                metric=self.metric,
+                max_entries=spec.max_entries,
+                bulk=spec.bulk,
+            )
+        self.packed = pack_index(self.tree)
+        if (
+            self.packed is not None
+            and shared is not None
+            and spec.dataset_ref is not None
+            and spec.packed_ref is None
+        ):
+            # Publish once so workers can adopt instead of rebuilding;
+            # must happen before the supervisor pickles the spec
+            # (build_state precedes start).
+            spec.packed_ref = shared.publish_packed(
+                (spec.index, spec.max_entries, spec.bulk, repr(spec.metric)),
+                self.packed,
+            )
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -388,49 +363,11 @@ class TaskState:
         retries) with identical results.
         """
         task = self.tasks[task_id]
-        kind = task[0]
         if self.family == "tree":
-            if self.task_mode == "packed":
-                packed = self.packed
-                if kind == "group":
-                    return (
-                        packed_node_group_delta(self.points, packed, task[1]),
-                        (0, 0, 1),
-                    )
-                if kind == "pgroup":
-                    return (
-                        packed_pair_group_delta(
-                            self.points, packed, task[1], task[2]
-                        ),
-                        (0, 0, 1),
-                    )
-                if kind == "self":
-                    events, dc = leaf_self_delta(
-                        self.points, self.metric, self.eps,
-                        packed.leaf_entry_ids(task[1]), self.g,
-                    )
-                    return events, (dc, 0, 0)
-                events, dc = leaf_cross_delta(
-                    self.points, self.metric, self.eps,
-                    packed.leaf_entry_ids(task[1]),
-                    packed.leaf_entry_ids(task[2]),
-                    self.g,
-                )
-                return events, (dc, 0, 0)
-            if kind == "group":
-                return node_group_delta(self.points, task[1]), (0, 0, 1)
-            if kind == "pgroup":
-                return pair_group_delta(self.points, task[1], task[2]), (0, 0, 1)
-            if kind == "self":
-                events, dc = leaf_self_delta(
-                    self.points, self.metric, self.eps, task[1].entry_ids, self.g
-                )
-                return events, (dc, 0, 0)
-            events, dc = leaf_cross_delta(
-                self.points, self.metric, self.eps,
-                task[1].entry_ids, task[2].entry_ids, self.g,
+            return tree_task_delta(
+                self.points, self.metric, self.eps, self.g, self.packed, task
             )
-            return events, (dc, 0, 0)
+        kind = task[0]
         if self.family == "egrid":
             if kind == "self":
                 events, dc, mbr, stops = cell_self_delta(

@@ -255,11 +255,15 @@ class FlakyIndex:
     Wraps a built tree; descending through :attr:`root` yields proxy
     nodes that raise ``OSError`` when the plan schedules a failure on a
     ``children`` / ``entry_ids`` access — a simulated failed page read.
-    All other attributes (``points``, ``metric``, ``size``, queries)
-    delegate to the wrapped tree.
+    A join reads every page once, when it packs the index
+    (:func:`~repro.index.packed.pack_index`).  All other attributes
+    (``points``, ``metric``, ``size``, queries) delegate to the wrapped
+    tree.
     """
 
     name = "flaky"
+    #: No pack memo: every join re-reads the pages through the proxies.
+    _structure_version = None
 
     def __init__(self, tree: SpatialIndex, plan: Optional[FailurePlan] = None, **plan_kwargs):
         self._tree = tree

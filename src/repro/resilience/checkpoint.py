@@ -6,8 +6,9 @@ pairs, and (for the compact variants) early-stopped subtree groups, in
 the exact order the recursion of Figure 3 visits them.
 :class:`CheckpointedJoin` exploits that: it enumerates the work-unit
 sequence up front (a cheap pruned traversal — no distance computations),
-executes it unit by unit through the ordinary runners, and every
-``cadence`` units writes a *checkpoint* to a journal file:
+executes it unit by unit through the same per-task executors as the
+serial joins, and every ``cadence`` units writes a *checkpoint* to a
+journal file:
 
 ``(cursor, durable sink offset, counters, in-flight group window)``
 
@@ -136,61 +137,8 @@ def read_journal(path: str) -> tuple[dict, Optional[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Work-unit enumeration (mirrors the runners' traversal order exactly)
+# Grid work-unit enumeration (tree joins use repro.core.frontier.traverse)
 # ---------------------------------------------------------------------------
-
-def _enumerate_tree_tasks(tree, eps: float, compact: bool) -> list[tuple]:
-    """The deterministic leaf/group work-unit sequence of the tree join.
-
-    Mirrors ``_SSJRunner`` (``compact=False``) / ``_CSJRunner``
-    (``compact=True``) — same pruning, same early stops, same order — but
-    yields the units instead of executing them.  Traversal counters are
-    *not* charged here; checkpointed runs account leaf-level work only.
-    """
-    metric = tree.metric
-    tasks: list[tuple] = []
-
-    def visit(node) -> None:
-        if compact and node.diameter(metric) < eps:
-            tasks.append(("group", node))
-            return
-        if node.is_leaf:
-            tasks.append(("self", node))
-            return
-        children = node.children
-        for child in children:
-            visit(child)
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                if children[a].min_dist(children[b], metric) < eps:
-                    visit_pair(children[a], children[b])
-
-    def visit_pair(n1, n2) -> None:
-        if compact and n1.union_diameter(n2, metric) < eps:
-            tasks.append(("pgroup", n1, n2))
-            return
-        if n1.is_leaf and n2.is_leaf:
-            tasks.append(("cross", n1, n2))
-            return
-        if n1.is_leaf:
-            for child in n2.children:
-                if n1.min_dist(child, metric) < eps:
-                    visit_pair(n1, child)
-            return
-        if n2.is_leaf:
-            for child in n1.children:
-                if child.min_dist(n2, metric) < eps:
-                    visit_pair(child, n2)
-            return
-        for c1 in n1.children:
-            for c2 in n2.children:
-                if c1.min_dist(c2, metric) < eps:
-                    visit_pair(c1, c2)
-
-    if tree.root is not None and tree.size > 1:
-        visit(tree.root)
-    return tasks
-
 
 def _enumerate_egrid_tasks(pts: np.ndarray, eps: float) -> list[tuple]:
     """Cell work units in :func:`repro.core.egrid.egrid_join` order."""
@@ -270,7 +218,6 @@ class CheckpointedJoin:
         fault: object = None,
         supervisor_config: object = None,
         stats: Optional[JoinStats] = None,
-        engine: str = "vectorized",
         data_plane: str = "auto",
     ):
         self.points = validate_points(points)
@@ -300,18 +247,14 @@ class CheckpointedJoin:
         if workers is not None and workers < 0:
             raise InvalidInputError(f"workers must be >= 0, got {workers}")
         # Execution-only knobs: deliberately absent from the fingerprint,
-        # so a run checkpointed at one worker count (or engine) resumes
-        # at any other.
+        # so a run checkpointed at one worker count resumes at any other.
         self.workers = workers
         self.task_timeout = task_timeout
         self.fault = fault
         self.supervisor_config = supervisor_config
-        from repro.core.frontier import resolve_engine
-
-        self.engine = resolve_engine(engine)
-        # Like workers/engine: how workers obtain the dataset never
-        # affects the task sequence, so a run checkpointed on one data
-        # plane resumes on any other.
+        # Like workers: how workers obtain the dataset never affects the
+        # task sequence, so a run checkpointed on one data plane resumes
+        # on any other.
         self.data_plane = data_plane
         # Externally supplied stats are *observed* (progress heartbeats,
         # metrics) — the run still owns all mutation; pass a fresh one.
@@ -388,7 +331,6 @@ class CheckpointedJoin:
             bulk=self.bulk,
             metric=self.metric,
             partitions_per_axis=self.partitions_per_axis,
-            engine=self.engine,
             data_plane=plane,
             dataset_ref=shared.ref if shared is not None else None,
         )

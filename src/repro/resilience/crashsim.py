@@ -317,7 +317,6 @@ def verify_checkpointed_join(
     cadence: int = 4,
     workers: Optional[int] = None,
     max_states: Optional[int] = None,
-    engine: str = "vectorized",
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> CrashReport:
     """Crash-verify the checkpoint journal + durable sink protocol.
@@ -340,7 +339,7 @@ def verify_checkpointed_join(
     def job() -> "CheckpointedJoin":
         return CheckpointedJoin(
             points, eps, out, algorithm=algorithm, g=g, cadence=cadence,
-            journal_path=journal, workers=workers, engine=engine,
+            journal_path=journal, workers=workers,
         )
 
     # Reference: an uninterrupted traced run; its sandbox output is the

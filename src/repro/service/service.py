@@ -22,9 +22,8 @@ mechanisms compose:
   fails requests fast with :class:`~repro.errors.CircuitOpenError`
   instead of feeding a struggling dependency.
 * **Brownout ladder** — under queue pressure the service degrades in
-  steps rather than falling over: first it drops execution niceties
-  (straggler speculation and the vectorized engine's packing work —
-  never the output bytes, which are engine-independent); past
+  steps rather than falling over: first it drops straggler speculation
+  (an execution nicety that never changes the output bytes); past
   ``degrade_threshold`` occupancy, and for any admitted request that
   runs over its deadline or byte budget, it serves the paper's analytic
   estimator answer marked ``degraded=True``; only a full queue sheds.
@@ -152,11 +151,6 @@ class ServiceConfig:
     workers: int = 1
     #: Per-task timeout for parallel requests (capped at deadline slack).
     task_timeout: Optional[float] = None
-    #: Engine under normal load, and under level-1 brownout.  Both
-    #: produce identical bytes; the brownout engine skips the vectorized
-    #: packing work to shed CPU and allocation pressure.
-    engine: str = "vectorized"
-    brownout_engine: str = "scalar"
     #: Queue occupancy in [0, 1] where level-1 brownout starts.
     brownout_threshold: float = 0.5
     #: Queue occupancy in [0, 1] where requests get estimator answers.
@@ -441,21 +435,15 @@ class JoinService:
         ):
             return self._degrade(request, occupancy, slack, JoinStats())
 
-        # Ladder rung 2: under moderate pressure drop the niceties —
+        # Ladder rung 2: under moderate pressure drop speculation —
         # same bytes, cheaper execution.
-        engine = self.config.engine
         workers = self.config.workers
-        speculate = True
-        if pressure >= self.config.brownout_threshold:
-            engine = self.config.brownout_engine
-            speculate = False
+        speculate = pressure < self.config.brownout_threshold
 
         try:
             if self.chaos is not None:
                 self.chaos.before_execute(request.request_id)
-            result = self._run_join(
-                request, budget, engine, workers, speculate
-            )
+            result = self._run_join(request, budget, workers, speculate)
             # Serial runs have no scheduler hook; report pool health here
             # so a half-open circuit can close again.
             self.pool_breaker.record_success()
@@ -527,8 +515,8 @@ class JoinService:
     ):
         """Pre-publish a dataset for zero-copy, warm-state serving.
 
-        Builds the tree (and, when packable, publishes the packed-index
-        arrays alongside the points into shared memory) *now*, so every
+        Builds and packs the tree (publishing the packed-index arrays
+        alongside the points into shared memory) *now*, so every
         subsequent request whose ``points`` is this same array reuses
         one segment and one packed index — across requests, executors,
         worker respawns and the brownout ladder.  Returns the owning
@@ -576,7 +564,6 @@ class JoinService:
         self,
         request: JoinRequest,
         budget: Budget,
-        engine: str,
         workers: int,
         speculate: bool,
     ) -> JoinResult:
@@ -603,7 +590,6 @@ class JoinService:
                 metric=request.metric,
                 budget=budget,
                 config=config,
-                engine=engine,
                 breaker=self.pool_breaker,
                 data_plane=self.config.data_plane,
                 shared=registered,
@@ -620,7 +606,6 @@ class JoinService:
                 index=registered.get_tree(metric=request.metric),
                 metric=request.metric,
                 budget=budget,
-                engine=engine,
             )
         return similarity_join(
             request.points,
@@ -629,7 +614,6 @@ class JoinService:
             g=request.g,
             metric=request.metric,
             budget=budget,
-            engine=engine,
         )
 
     def _degrade(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.bruteforce import brute_force_cross_links
 from repro.core.dual import compact_spatial_join, spatial_join
+from repro.errors import InvalidInputError
 from repro.index.bulk import bulk_load
 from repro.index.mtree import MTree
 
@@ -92,6 +93,14 @@ class TestCompactSpatialJoin:
 
 
 class TestValidation:
+    def test_index_families_must_match(self, overlapping_pair):
+        """Rectangle and ball trees have no common bounds to prune with."""
+        a, b = overlapping_pair
+        with pytest.raises(InvalidInputError, match="one family"):
+            spatial_join(bulk_load(a), MTree(b, max_entries=16), 0.05)
+        with pytest.raises(InvalidInputError, match="one family"):
+            compact_spatial_join(MTree(a, max_entries=16), bulk_load(b), 0.05)
+
     def test_metric_mismatch(self, overlapping_pair):
         a, b = overlapping_pair
         with pytest.raises(ValueError, match="metric mismatch"):

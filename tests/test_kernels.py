@@ -1,12 +1,12 @@
 """Batched geometry kernels vs. their scalar counterparts.
 
-The vectorized frontier engine's correctness rests entirely on one
-claim: every kernel in :mod:`repro.geometry.kernels` computes exactly
-what the corresponding :class:`~repro.geometry.mbr.MBR` /
-:class:`~repro.geometry.ball.Ball` method computes, for every supported
-metric and dimensionality, including degenerate (point-sized) boxes.
-Hypothesis hunts for counterexamples here; the engine-parity suite
-(``test_engine_parity.py``) then checks the end-to-end consequence.
+The frontier traversal's pruning rests on one claim: every kernel in
+:mod:`repro.geometry.kernels` computes exactly what the corresponding
+:class:`~repro.geometry.mbr.MBR` / :class:`~repro.geometry.ball.Ball`
+method computes, for every supported metric and dimensionality,
+including degenerate (point-sized) boxes.  Hypothesis hunts for
+counterexamples here; the traversal suite (``test_traversal.py``) then
+checks the end-to-end consequence against the Figure 3 recursion.
 
 Also covers the condensed self-distance path (``Metric.condensed_self``)
 including its memory shape: the whole point of the condensed form is

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import similarity_join
 from repro.core.metricspace import (
     BallGroupBuffer,
     ObjectMetric,
@@ -12,6 +13,9 @@ from repro.core.metricspace import (
     metric_similarity_join,
 )
 from repro.core.results import CollectSink
+from repro.errors import InvalidInputError
+from repro.parallel.tasks import JoinSpec
+from repro.resilience.checkpoint import CheckpointedJoin
 
 
 def hamming(a: str, b: str) -> float:
@@ -171,3 +175,78 @@ class TestBallGroupBuffer:
             BallGroupBuffer(-1, 1.0, sink, distance_fn=hamming)
         with pytest.raises(ValueError):
             BallGroupBuffer(1, 0.0, sink, distance_fn=hamming)
+
+
+@pytest.fixture
+def repeated_words():
+    """105 words: 15 distinct ones, each seven times."""
+    distinct = [
+        "cat", "bat", "hat", "rat", "car", "bar", "tar", "cot",
+        "dog", "dig", "dug", "log", "fog", "cog", "zebra",
+    ]
+    return distinct * 7
+
+
+def _ids(objects):
+    return np.arange(len(objects), dtype=float).reshape(-1, 1)
+
+
+class TestObjectMetricInTreeJoins:
+    """An ObjectMetric has no coordinates: only ssj and ncsj (csj with
+    g=0) on an M-tree are exact over it; everything else is rejected
+    before any index is built or any output written."""
+
+    EPS = 1.5
+
+    @pytest.mark.parametrize("algorithm,g", [("ssj", 10), ("ncsj", 10), ("csj", 0)])
+    def test_mtree_joins_are_exact(self, repeated_words, algorithm, g):
+        metric = ObjectMetric(repeated_words, hamming)
+        result = similarity_join(
+            _ids(repeated_words), self.EPS, algorithm=algorithm, g=g,
+            index="mtree", metric=metric, max_entries=8,
+        )
+        truth = brute_force_object_links(repeated_words, self.EPS, hamming)
+        assert result.expanded_links() == truth
+
+    @pytest.mark.parametrize(
+        "algorithm,g,index",
+        [
+            ("egrid", 10, "rstar"),
+            ("pbsm", 10, "rstar"),
+            ("egrid-csj", 10, "rstar"),
+            ("pbsm-csj", 10, "rstar"),
+            ("ssj", 10, "rstar"),
+            ("ncsj", 10, "rtree"),
+            ("csj", 0, "rtree"),
+            ("csj", 10, "mtree"),
+            ("csj", 10, "m-tree"),
+        ],
+    )
+    def test_rejected_before_output(self, repeated_words, algorithm, g, index):
+        metric = ObjectMetric(repeated_words, hamming)
+        sink = CollectSink(id_width=3)
+        with pytest.raises(InvalidInputError, match="metric_similarity_join"):
+            similarity_join(
+                _ids(repeated_words), self.EPS, algorithm=algorithm, g=g,
+                index=index, metric=metric, sink=sink,
+            )
+        assert sink.stats.bytes_written == 0
+
+    def test_prebuilt_object_tree_rejects_merge_window(self, repeated_words):
+        tree = build_metric_index(repeated_words[:50], hamming, max_entries=4)
+        with pytest.raises(InvalidInputError, match="metric_similarity_join"):
+            similarity_join(_ids(repeated_words[:50]), self.EPS, index=tree, g=10)
+
+    def test_join_spec_rejects(self, repeated_words, tmp_path):
+        """JoinSpec guards the pool, checkpointed and served paths."""
+        metric = ObjectMetric(repeated_words, hamming)
+        ids = _ids(repeated_words)
+        with pytest.raises(InvalidInputError, match="metric_similarity_join"):
+            JoinSpec(ids, self.EPS, algorithm="csj", g=10, index="mtree", metric=metric)
+        with pytest.raises(InvalidInputError, match="metric_similarity_join"):
+            CheckpointedJoin(
+                ids, self.EPS, str(tmp_path / "out.txt"), algorithm="egrid",
+                metric=metric,
+            ).run()
+        spec = JoinSpec(ids, self.EPS, algorithm="ncsj", index="mtree", metric=metric)
+        assert spec.g == 0

@@ -341,15 +341,6 @@ class TestBrownoutLadder:
             outcome.result.stats.bytes_written == offline.stats.bytes_written
         )
 
-    def test_brownout_engine_same_bytes(self, pts):
-        # Rung 2 swaps engines; the contract is identical bytes, so an
-        # admitted answer under brownout matches the vectorized offline
-        # run exactly.
-        offline = similarity_join(pts, 0.05, engine="vectorized")
-        browned = similarity_join(pts, 0.05, engine="scalar")
-        assert browned.links == offline.links
-        assert browned.stats.bytes_written == offline.stats.bytes_written
-
     def test_degrade_threshold_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(brownout_threshold=0.9, degrade_threshold=0.5)
