@@ -81,7 +81,7 @@ from repro.obs import (
     get_registry,
     run_context,
 )
-from repro.parallel import SupervisorConfig, parallel_join
+from repro.parallel import parallel_join
 from repro.geometry import MBR, Ball, Metric, get_metric
 from repro.index import (
     MTree,
@@ -129,7 +129,6 @@ __all__ = [
     "ServiceConfig",
     "CircuitBreaker",
     "parallel_join",
-    "SupervisorConfig",
     # algorithms
     "ssj",
     "ncsj",

@@ -28,7 +28,12 @@ from repro.core.metricspace import check_object_metric
 from repro.core.partitioned import pbsm_join
 from repro.core.results import JoinResult, JoinSink
 from repro.core.ssj import ssj as _ssj
-from repro.errors import InvalidInputError, validate_eps, validate_points
+from repro.errors import (
+    InvalidInputError,
+    validate_eps,
+    validate_execution,
+    validate_points,
+)
 from repro.index import SpatialIndex, bulk_load, get_index_class
 from repro.obs.logging import get_logger
 
@@ -89,7 +94,6 @@ def similarity_join(
     budget: Optional["Budget"] = None,
     workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
-    data_plane: str = "auto",
 ) -> JoinResult:
     """Similarity self-join of ``points`` with query range ``eps``.
 
@@ -115,12 +119,8 @@ def similarity_join(
     ``workers`` > 1 executes the join across a supervised worker pool
     (:func:`repro.parallel.parallel_join`) with ``task_timeout`` as the
     per-task wall-clock limit; output is byte-identical to the serial
-    run.  ``workers`` of ``None``, 0 or 1 stays in-process.
-
-    ``data_plane`` (parallel runs only) selects how workers obtain the
-    dataset: ``"shm"`` maps one shared-memory copy zero-copy,
-    ``"pickle"`` ships it per worker, ``"auto"`` (default) prefers shm
-    where available.  Output bytes are identical either way.
+    run.  ``workers`` of ``None``, 0 or 1 stays in-process.  Both
+    settings are validated up front, on the serial path too.
 
     ``metric`` may be an :class:`~repro.core.metricspace.ObjectMetric`
     only for ``ssj`` / ``ncsj`` (``csj`` with ``g = 0``) on an M-tree;
@@ -136,8 +136,7 @@ def similarity_join(
     eps = validate_eps(eps)
     if g < 0:
         raise InvalidInputError(f"window size g must be >= 0, got {g}")
-    if workers is not None and workers < 0:
-        raise InvalidInputError(f"workers must be >= 0, got {workers}")
+    validate_execution(workers, task_timeout)
     check_object_metric(
         index.metric if isinstance(index, SpatialIndex) else metric,
         algorithm, g, index,
@@ -173,7 +172,6 @@ def similarity_join(
             bulk=bulk,
             budget=budget,
             task_timeout=task_timeout,
-            data_plane=data_plane,
         )
     if algorithm == "egrid":
         return egrid_join(

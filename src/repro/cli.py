@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="execute across a supervised pool of N worker processes "
-        "(heartbeats, retry, straggler re-dispatch); output is "
+        "(heartbeats, timeouts, retry, respawn); output is "
         "byte-identical to the serial run.  Omit, 0 or 1 stays serial",
     )
     join.add_argument(
@@ -153,15 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="log a progress heartbeat (links/groups/bytes so far) every "
         "SECONDS while the join runs",
-    )
-    join.add_argument(
-        "--data-plane",
-        default="auto",
-        choices=["auto", "shm", "pickle"],
-        help="how parallel workers obtain the dataset: one zero-copy "
-        "shared-memory mapping (shm), a pickled copy per worker "
-        "(pickle), or shm where available (auto, default); output "
-        "bytes are identical either way",
     )
 
     serve = sub.add_parser(
@@ -249,12 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit with the typed code of the worst non-admitted outcome: "
         "10 if any request failed on an open circuit, else 9 if any was "
         "shed, else 0",
-    )
-    serve.add_argument(
-        "--data-plane",
-        default="auto",
-        choices=["auto", "shm", "pickle"],
-        help="data plane for parallel requests (see `csj join --data-plane`)",
     )
     serve.add_argument(
         "--preload", action="store_true",
@@ -437,7 +422,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     workers=args.workers,
                     task_timeout=args.task_timeout,
                     stats=live_stats,
-                    data_plane=args.data_plane,
                 )
                 if args.progress is not None:
                     heartbeat = ProgressHeartbeat(
@@ -464,7 +448,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     budget=budget,
                     workers=args.workers,
                     task_timeout=args.task_timeout,
-                    data_plane=args.data_plane,
                 )
                 if args.output:
                     sink.close()
@@ -589,7 +572,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         seed=args.seed,
         cache_bytes=args.cache_bytes if args.cache else 0,
-        data_plane=args.data_plane,
     )
     service.chaos = chaos
     if args.preload:

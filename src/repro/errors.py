@@ -12,6 +12,7 @@ an ``OSError``.
 :func:`validate_points` and :func:`validate_eps` enforce the input
 contract (2-D finite float array, positive finite range) at the public
 API boundary — the tree and grid internals may assume clean input.
+:func:`validate_execution` does the same for the worker-pool settings.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "is_disk_full",
     "validate_points",
     "validate_eps",
+    "validate_execution",
 ]
 
 
@@ -343,3 +345,15 @@ def validate_eps(eps: float, name: str = "eps") -> float:
     if not math.isfinite(value) or value <= 0:
         raise InvalidInputError(f"{name} must be positive and finite, got {eps!r}")
     return value
+
+
+def validate_execution(workers: Optional[int], task_timeout: Optional[float]) -> None:
+    """Validate the worker-pool settings every entry point accepts.
+
+    ``workers`` is ``None`` or ``>= 0`` (0 and 1 mean serial);
+    ``task_timeout`` is ``None`` or positive.
+    """
+    if workers is not None and workers < 0:
+        raise InvalidInputError(f"workers must be >= 0, got {workers}")
+    if task_timeout is not None and not task_timeout > 0:
+        raise InvalidInputError(f"task_timeout must be positive, got {task_timeout}")

@@ -14,38 +14,43 @@
   crash, timeout) is requeued after a randomised backoff; the jitter RNG
   affects *timing only*, never output.
 * **Poison quarantine** — a task whose failures exceed
-  ``max_task_retries`` is quarantined instead of retried forever and the
+  ``MAX_TASK_RETRIES`` is quarantined instead of retried forever and the
   run surfaces :class:`~repro.errors.PoisonTaskError`.  With
   ``skip_poisoned=True`` (the API path) every other task still completes
   and merges first, so the partial result is maximal; with ``False``
   (the checkpointed path) the merge halts at the poisoned task so the
   journal cursor remains exact.
-* **Straggler speculation** — when the queue is empty and idle workers
-  remain, a task running far beyond the median duration is re-dispatched
-  to a second worker; the first result wins, duplicates are dropped.
 * **Budget enforcement** — the parent checks its
   :class:`~repro.resilience.budget.Budget` at every merge and publishes
   totals to :class:`~repro.parallel.shared.SharedCounters` so workers
-  refuse tasks the moment a cap or deadline is breached anywhere.
+  refuse tasks the moment a cap or deadline is breached anywhere.  Both
+  sides measure the deadline from the same ``budget.start()``, and the
+  per-task timeout is capped at the slack left at that moment.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-import statistics
 import time
 from collections import deque
 from typing import Callable, Optional
 
 from repro.core.groups import GroupBuffer
 from repro.core.results import JoinSink
-from repro.errors import BudgetExceededError, CircuitOpenError, PoisonTaskError, WorkerPoolError
+from repro.errors import CircuitOpenError, PoisonTaskError, WorkerPoolError
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as trace_span
 from repro.parallel.shared import SharedCounters
-from repro.parallel.supervisor import Supervisor, SupervisorConfig
+from repro.parallel.supervisor import (
+    BACKOFF_BASE,
+    BACKOFF_MAX,
+    JITTER_SEED,
+    MAX_TASK_RETRIES,
+    Supervisor,
+    mp_context,
+)
 from repro.parallel.tasks import TaskState
 from repro.resilience.budget import Budget
 from repro.resilience.chaos import FlakyWorker
@@ -54,9 +59,6 @@ from repro.stats.counters import JoinStats
 __all__ = ["WorkScheduler"]
 
 logger = get_logger("parallel.scheduler")
-
-#: Maximum concurrent executions of one task (primary + speculative copy).
-_MAX_COPIES = 2
 
 
 class WorkScheduler:
@@ -71,33 +73,31 @@ class WorkScheduler:
         self,
         state: TaskState,
         sink: JoinSink,
-        config: SupervisorConfig,
+        workers: int,
         stats: JoinStats,
+        task_timeout: Optional[float] = None,
         buffer: Optional[GroupBuffer] = None,
         budget: Optional[Budget] = None,
         fault: Optional[FlakyWorker] = None,
         start_cursor: int = 0,
         skip_poisoned: bool = True,
         breaker: object = None,
-        cancel: object = None,
     ):
         self.state = state
         self.sink = sink
-        self.config = config
+        self.workers = workers
+        #: Per-task wall-clock limit before the budget caps it; ``None``
+        #: disables the timeout.
+        self.task_timeout = task_timeout
         self.stats = stats
         self.buffer = buffer
         self.budget = budget
         self.fault = fault
         self.skip_poisoned = skip_poisoned
-        #: Optional circuit breaker guarding the pool (duck-typed:
-        #: ``allow()/record_failure()/record_success()/retry_after()``).
-        #: Worker deaths feed it, so a respawn storm opens the circuit
-        #: mid-run instead of thrashing the host.
+        #: Optional :class:`~repro.service.breaker.CircuitBreaker`
+        #: guarding the pool.  Worker deaths feed it, so a respawn storm
+        #: opens the circuit mid-run instead of thrashing the host.
         self.breaker = breaker
-        #: Optional cancellation signal (``threading.Event`` protocol).
-        #: Checked every scheduling round: in-flight work is abandoned
-        #: cooperatively, workers are shut down, and the run raises.
-        self.cancel = cancel
         self.merged = int(start_cursor)
 
         n = len(state.tasks)
@@ -109,13 +109,8 @@ class WorkScheduler:
         self._last_error: dict[int, str] = {}
         self._backoff: dict[int, float] = {}
         self._quarantined: dict[int, str] = {}
-        self._in_flight: dict[int, int] = {}  # task_id -> live copies
-        self._durations: list[float] = []
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(JITTER_SEED)
         self._shared: Optional[SharedCounters] = None
-        self.speculated: int = 0
-        self.speculation_wins: int = 0
-        self._spec_wids: dict[int, int] = {}  # task_id -> speculative worker
         #: Whether a worker death already recorded a breaker failure
         #: this run (guards against double-counting one incident).
         self._breaker_fed = False
@@ -129,28 +124,32 @@ class WorkScheduler:
         ``on_task_merged(cursor)`` fires after each task's delta lands in
         the sink (cursor = tasks merged so far) — the checkpoint hook.
         """
-        if self.breaker is not None:
-            # Health check only: when the serving layer drives this run
-            # it already holds the half-open probe slot, so the entry
-            # gate must refuse an open circuit without consuming a
-            # second probe (a duck-typed breaker without the ``consume``
-            # keyword keeps the consuming behaviour).
-            try:
-                allowed = self.breaker.allow(consume=False)
-            except TypeError:
-                allowed = self.breaker.allow()
-            if not allowed:
-                raise CircuitOpenError(
-                    "worker-pool", retry_after=self.breaker.retry_after()
-                )
+        # Health check only: when the serving layer drives this run it
+        # already holds the half-open probe slot, so the entry gate must
+        # refuse an open circuit without consuming a second probe.
+        if self.breaker is not None and not self.breaker.allow(consume=False):
+            raise CircuitOpenError(
+                "worker-pool", retry_after=self.breaker.retry_after()
+            )
+        task_timeout = self.task_timeout
         if self.budget is not None:
             self.budget.start()
+            task_timeout = self.budget.cap_timeout(task_timeout)
+            if task_timeout is not None and task_timeout <= 0:
+                # Deadline already spent: keep a minimal valid timeout and
+                # let the loop raise the breach with the partial result
+                # attached, exactly like a mid-run expiry.
+                task_timeout = 1e-3
         if self.merged >= self._n:
             return
 
-        self._shared = self._make_shared()
+        self._shared = SharedCounters.from_budget(mp_context(), self.budget)
         supervisor = Supervisor(
-            self.state.spec, self.config, shared=self._shared, fault=self.fault
+            self.state.spec,
+            self.workers,
+            task_timeout,
+            shared=self._shared,
+            fault=self.fault,
         )
         if self._shared is not None:
             self._shared.start()
@@ -167,17 +166,13 @@ class WorkScheduler:
         logger.info(
             "pool started",
             extra={
-                "workers": self.config.workers,
+                "workers": self.workers,
                 "tasks": self._n - self.merged,
-                "data_plane": getattr(self.state.spec, "data_plane", "pickle"),
+                "shm": self.state.spec.dataset_ref is not None,
             },
         )
         try:
             while not self._done():
-                if self.cancel is not None and self.cancel.is_set():
-                    raise BudgetExceededError(
-                        "cancelled", 0.0, 0.0, "join cancelled cooperatively"
-                    )
                 self._promote_ready_retries()
                 self._dispatch(supervisor)
                 for kind, handle, payload in supervisor.poll(timeout=0.05):
@@ -236,13 +231,6 @@ class WorkScheduler:
             "repro_pool_respawns_total", "Workers respawned after death"
         ).inc(supervisor.respawns)
         registry.counter(
-            "repro_pool_speculated_total", "Straggler tasks re-dispatched"
-        ).inc(self.speculated)
-        registry.counter(
-            "repro_pool_speculation_wins_total",
-            "Speculative copies that finished first",
-        ).inc(self.speculation_wins)
-        registry.counter(
             "repro_pool_task_retries_total", "Task execution failures retried"
         ).inc(sum(self._failures.values()))
         registry.counter(
@@ -254,8 +242,6 @@ class WorkScheduler:
                 "merged": self.merged,
                 "tasks": self._n,
                 "respawns": supervisor.respawns,
-                "speculated": self.speculated,
-                "speculation_wins": self.speculation_wins,
                 "retries": sum(self._failures.values()),
                 "quarantined": len(self._quarantined),
             },
@@ -281,7 +267,7 @@ class WorkScheduler:
         )
 
     # ------------------------------------------------------------------
-    # Dispatch, speculation, retries
+    # Dispatch and retries
     # ------------------------------------------------------------------
     def _promote_ready_retries(self) -> None:
         now = time.monotonic()
@@ -296,57 +282,17 @@ class WorkScheduler:
             task_id = self._pending.popleft()
             if not self._runnable(task_id):
                 continue
-            handle = idle.pop()
-            if supervisor.dispatch(handle, task_id):
-                self._in_flight[task_id] = self._in_flight.get(task_id, 0) + 1
-            else:
+            if not supervisor.dispatch(idle.pop(), task_id):
                 self._pending.appendleft(task_id)
-                idle.append(handle)
                 break
-        if idle and not self._pending and not self._delayed and self.config.speculate:
-            self._speculate(supervisor, idle)
-
-    def _speculate(self, supervisor: Supervisor, idle: list) -> None:
-        """Duplicate the slowest running task onto an idle worker."""
-        threshold = self.config.straggler_min_seconds
-        if self._durations:
-            threshold = max(
-                threshold,
-                self.config.straggler_factor * statistics.median(self._durations),
-            )
-        now = time.monotonic()
-        candidates = sorted(
-            (
-                h
-                for h in supervisor.workers
-                if h.current is not None
-                and now - h.started_at > threshold
-                and self._in_flight.get(h.current, 0) < _MAX_COPIES
-                and self._runnable(h.current)
-            ),
-            key=lambda h: h.started_at,
-        )
-        for slow in candidates:
-            if not idle:
-                break
-            handle = idle.pop()
-            task_id = slow.current
-            if supervisor.dispatch(handle, task_id):
-                self._in_flight[task_id] += 1
-                self.speculated += 1
-                self._spec_wids[task_id] = handle.wid
-                logger.debug(
-                    "speculating straggler task",
-                    extra={"task": task_id, "worker": handle.wid},
-                )
 
     def _record_failure(self, task_id: int, reason: str) -> None:
         if not self._runnable(task_id):
-            return  # a speculative copy already finished it
+            return  # completed, merged past or quarantined
         count = self._failures.get(task_id, 0) + 1
         self._failures[task_id] = count
         self._last_error[task_id] = reason
-        if count > self.config.max_task_retries:
+        if count > MAX_TASK_RETRIES:
             self._quarantined[task_id] = reason
             logger.warning(
                 "quarantining poison task",
@@ -358,11 +304,8 @@ class WorkScheduler:
             extra={"task": task_id, "failures": count, "reason": reason},
         )
         # Decorrelated jitter: sleep ~ U(base, 3 * previous), capped.
-        prev = self._backoff.get(task_id, self.config.backoff_base)
-        delay = min(
-            self.config.backoff_max,
-            self._rng.uniform(self.config.backoff_base, prev * 3),
-        )
+        prev = self._backoff.get(task_id, BACKOFF_BASE)
+        delay = min(BACKOFF_MAX, self._rng.uniform(BACKOFF_BASE, prev * 3))
         self._backoff[task_id] = delay
         heapq.heappush(self._delayed, (time.monotonic() + delay, task_id))
 
@@ -378,14 +321,10 @@ class WorkScheduler:
         task_id = payload[1]
         if handle.current == task_id:
             handle.current = None
-        self._in_flight[task_id] = max(0, self._in_flight.get(task_id, 1) - 1)
         if kind == "ok":
-            _, _, events, counters, elapsed = payload
-            self._durations.append(elapsed)
+            _, _, events, counters = payload
             if self._runnable(task_id):
                 self._completed[task_id] = (events, counters)
-                if self._spec_wids.get(task_id) == handle.wid:
-                    self.speculation_wins += 1
         elif kind == "err":
             self._record_failure(task_id, payload[2])
         elif kind == "breach":
@@ -403,7 +342,6 @@ class WorkScheduler:
             self.breaker.record_failure()
             self._breaker_fed = True
         if task_id is not None:
-            self._in_flight[task_id] = max(0, self._in_flight.get(task_id, 1) - 1)
             self._record_failure(
                 task_id, f"worker w{handle.wid} died while executing the task"
             )
@@ -416,7 +354,6 @@ class WorkScheduler:
             self.breaker.record_failure()
             self._breaker_fed = True
         if task_id is not None:
-            self._in_flight[task_id] = max(0, self._in_flight.get(task_id, 1) - 1)
             self._record_failure(task_id, reason)
         if not self._done():
             supervisor.respawn()
@@ -424,14 +361,6 @@ class WorkScheduler:
     # ------------------------------------------------------------------
     # Canonical-order merge
     # ------------------------------------------------------------------
-    def _make_shared(self) -> Optional[SharedCounters]:
-        import multiprocessing as mp
-
-        method = self.config.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return SharedCounters.from_budget(mp.get_context(method), self.budget)
-
     def _merge(self, on_task_merged: Optional[Callable[[int], None]]) -> None:
         shared = self._shared
         if self.merged >= self._n:

@@ -50,13 +50,14 @@ exiting never unlinks its parent's segments.
 
 Fallback rules
 --------------
-``data_plane="auto"`` resolves to ``"shm"`` when the platform supports
-POSIX shared memory and to ``"pickle"`` otherwise; a failed segment
-creation under ``"auto"`` falls back to pickling the dataset (counted
-in ``repro_shm_fallback_total``) rather than failing the join.
-``data_plane="shm"`` is strict and raises instead.  Either way the
-task sequence — and therefore the output bytes — is identical across
-planes by construction.
+No option selects the plane; :func:`share_dataset` follows what it
+observes.  Where POSIX shared memory does not work (probed once) a pool
+run creates no :class:`SharedDataset` and its spec ships the array.
+Where it works but a segment *creation* fails, the dataset keeps
+``ref=None`` and the spec ships the array too (counted in
+``repro_shm_fallback_total``) rather than failing the join.  Either way
+the task sequence — and therefore the output bytes — is identical
+across planes by construction.
 """
 
 from __future__ import annotations
@@ -70,12 +71,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import InvalidInputError, WorkerPoolError, validate_points
+from repro.errors import WorkerPoolError, validate_points
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 
 __all__ = [
-    "DATA_PLANES",
     "SEGMENT_PREFIX",
     "DatasetRef",
     "PackedRef",
@@ -84,7 +84,7 @@ __all__ = [
     "attach_points",
     "clear_process_caches",
     "owned_segments",
-    "resolve_data_plane",
+    "share_dataset",
     "shm_available",
     "sweep_orphan_segments",
     "warm_state_get",
@@ -93,15 +93,13 @@ __all__ = [
 
 logger = get_logger("parallel.shm")
 
-DATA_PLANES = ("auto", "shm", "pickle")
-
 #: Every segment this library creates carries this name prefix, so leak
 #: checks (tests, CI) can scan ``/dev/shm`` without false positives.
 SEGMENT_PREFIX = "repro-shm-"
 
 
 # ----------------------------------------------------------------------
-# Plane resolution
+# Plane probe
 # ----------------------------------------------------------------------
 _SHM_AVAILABLE: Optional[bool] = None
 
@@ -124,23 +122,6 @@ def shm_available() -> bool:
         except Exception:  # noqa: BLE001 - any failure means "no shm here"
             _SHM_AVAILABLE = False
     return _SHM_AVAILABLE
-
-
-def resolve_data_plane(value: Optional[str]) -> str:
-    """Normalise a ``data_plane`` setting to ``"shm"`` or ``"pickle"``."""
-    plane = "auto" if value is None else str(value).lower()
-    if plane not in DATA_PLANES:
-        raise InvalidInputError(
-            f"unknown data_plane {value!r}; known: {DATA_PLANES}"
-        )
-    if plane == "auto":
-        return "shm" if shm_available() else "pickle"
-    if plane == "shm" and not shm_available():
-        raise InvalidInputError(
-            "data_plane='shm' requested but shared memory is unavailable "
-            "on this platform; use 'auto' or 'pickle'"
-        )
-    return plane
 
 
 # ----------------------------------------------------------------------
@@ -288,16 +269,13 @@ class SharedDataset:
 
     Create it in the process that will run the pool; pass it (or let
     ``parallel_join`` create an ephemeral one) and the spec ships a
-    :class:`DatasetRef` instead of the array.  A context manager —
-    leaving the ``with`` block unlinks every segment it created.
+    :class:`DatasetRef` instead of the array.  ``ref`` stays ``None``
+    when shared memory is unavailable or publishing fails; the spec then
+    ships the array.  A context manager — leaving the ``with`` block
+    unlinks every segment it created.
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        metric: object = None,
-        data_plane: str = "auto",
-    ):
+    def __init__(self, points: np.ndarray, metric: object = None):
         from repro.dynamic.maintain import dataset_fingerprint
 
         self.points = validate_points(points)
@@ -305,7 +283,6 @@ class SharedDataset:
         self.fingerprint = dataset_fingerprint(
             self.points, range(len(self.points))
         )
-        self.plane = resolve_data_plane(data_plane)
         self.ref: Optional[DatasetRef] = None
         #: Packed-index publications, keyed by tree configuration.
         self._packed: dict[tuple, tuple[int, PackedRef]] = {}
@@ -315,21 +292,16 @@ class SharedDataset:
         self._finalizer = weakref.finalize(
             self, _release_segments, self._segments, os.getpid()
         )
-        if self.plane == "shm":
+        if shm_available():
             sweep_orphan_segments()
             try:
                 self.ref = self._publish_points()
             except OSError as exc:
-                if data_plane == "shm":
-                    raise WorkerPoolError(
-                        f"cannot publish dataset to shared memory: {exc}"
-                    ) from exc
                 get_registry().data_plane_event("fallback")
                 logger.warning(
                     "shared-memory publish failed; falling back to pickle",
                     extra={"error": str(exc)},
                 )
-                self.plane = "pickle"
 
     # -- segment publication ------------------------------------------------
     def _publish_points(self) -> DatasetRef:
@@ -441,9 +413,30 @@ class SharedDataset:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SharedDataset(n={len(self.points)}, plane={self.plane!r}, "
+            f"SharedDataset(n={len(self.points)}, ref={self.ref is not None}, "
             f"segments={len(self._segments)})"
         )
+
+
+def share_dataset(
+    spec, shared: Optional[SharedDataset] = None
+) -> Optional[SharedDataset]:
+    """Put a pool run's :class:`~repro.parallel.tasks.JoinSpec` on shared memory.
+
+    ``shared`` is a caller-owned dataset (e.g. one registered with the
+    service).  Without it, where shared memory works here, an ephemeral
+    dataset is created and returned: the caller owns it and must close
+    it after the run.  Where shared memory does not work, the spec is
+    left as it is and ships the array.
+    """
+    owned = None
+    if shared is None and shm_available():
+        owned = shared = SharedDataset(spec.points, metric=spec.metric)
+    if shared is not None:
+        spec.points = shared.points
+        spec.dataset_ref = shared.ref
+        spec._shared = shared
+    return owned
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,9 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import InvalidInputError, WorkerPoolError
+from repro.errors import WorkerPoolError
 from repro.obs.logging import bind_context, get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace_event
@@ -36,56 +35,33 @@ from repro.parallel.shared import SharedCounters
 from repro.parallel.tasks import JoinSpec
 from repro.resilience.chaos import FlakyWorker
 
-__all__ = ["SupervisorConfig", "Supervisor"]
+__all__ = ["Supervisor", "mp_context"]
 
 logger = get_logger("parallel.supervisor")
 
+#: Worker heartbeat period (seconds).
+HEARTBEAT_INTERVAL = 0.1
+#: Silence longer than this (seconds) marks a worker frozen and gets it killed.
+HEARTBEAT_GRACE = 5.0
+#: Failed executions tolerated per task before quarantine
+#: (``2`` -> at most 3 attempts / worker respawns per poison task).
+MAX_TASK_RETRIES = 2
+#: Decorrelated-jitter retry backoff bounds (seconds).
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 1.0
+#: Seed for the retry-jitter RNG (timing only — never affects output).
+JITTER_SEED = 0
 
-@dataclass
-class SupervisorConfig:
-    """Tunables of the supervised pool (all times in seconds)."""
 
-    #: Number of worker processes.
-    workers: int = 2
-    #: Per-task wall-clock limit; ``None`` disables the timeout.
-    task_timeout: Optional[float] = None
-    #: Worker heartbeat period.
-    heartbeat_interval: float = 0.1
-    #: Silence longer than this marks a worker frozen and gets it killed.
-    heartbeat_grace: float = 5.0
-    #: Failed executions tolerated per task before quarantine
-    #: (``2`` -> at most 3 attempts / worker respawns per poison task).
-    max_task_retries: int = 2
-    #: Decorrelated-jitter retry backoff bounds.
-    backoff_base: float = 0.05
-    backoff_max: float = 1.0
-    #: Speculative re-dispatch of stragglers (first result wins).
-    speculate: bool = True
-    straggler_factor: float = 4.0
-    straggler_min_seconds: float = 1.0
-    #: Seed for the retry-jitter RNG (timing only — never affects output).
-    seed: int = 0
-    #: multiprocessing start method; ``None`` prefers ``fork``.
-    start_method: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise InvalidInputError(f"workers must be >= 1, got {self.workers}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise InvalidInputError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
-        if self.max_task_retries < 0:
-            raise InvalidInputError(
-                f"max_task_retries must be >= 0, got {self.max_task_retries}"
-            )
+def mp_context():
+    """The pool's multiprocessing context: ``fork`` where it exists."""
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
 
 
 def _worker_main(
     conn,
     spec,
     shared: Optional[SharedCounters],
-    heartbeat_interval: float,
     fault: Optional[FlakyWorker],
     wid: int = -1,
 ) -> None:
@@ -112,7 +88,7 @@ def _worker_main(
     stop = threading.Event()
 
     def beat() -> None:
-        while not stop.wait(heartbeat_interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             try:
                 with send_lock:
                     conn.send(("hb",))
@@ -146,25 +122,16 @@ def _worker_main(
                 with send_lock:
                     conn.send(("breach", task_id, kind))
                 continue
-        if spec.deadline_at is not None and time.monotonic() > spec.deadline_at:
-            # The request deadline pickled into the spec has passed:
-            # refuse the task instead of computing a result the parent
-            # is bound to discard (cooperative cancellation).
-            with send_lock:
-                conn.send(("breach", task_id, "deadline"))
-            continue
         try:
             if fault is not None:
                 fault.maybe_fail(task_id)
-            started = time.perf_counter()
             events, counters = state.execute(task_id)
-            elapsed = time.perf_counter() - started
         except BaseException as exc:  # noqa: BLE001 - reported as task failure
             with send_lock:
                 conn.send(("err", task_id, f"{type(exc).__name__}: {exc}"))
             continue
         with send_lock:
-            conn.send(("ok", task_id, events, counters, elapsed))
+            conn.send(("ok", task_id, events, counters))
     stop.set()
 
 
@@ -199,16 +166,16 @@ class Supervisor:
     def __init__(
         self,
         spec: JoinSpec,
-        config: SupervisorConfig,
+        workers: int,
+        task_timeout: Optional[float] = None,
         shared: Optional[SharedCounters] = None,
         fault: Optional[FlakyWorker] = None,
     ):
         self.spec = spec
-        self.config = config
-        method = config.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        self.ctx = mp.get_context(method)
+        self.n_workers = workers
+        #: Per-task wall-clock limit; ``None`` disables the timeout.
+        self.task_timeout = task_timeout
+        self.ctx = mp_context()
         self.shared = shared
         self.fault = fault
         if fault is not None and fault.active and fault.max_failures is not None:
@@ -223,7 +190,7 @@ class Supervisor:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        for _ in range(self.config.workers):
+        for _ in range(self.n_workers):
             self.workers.append(self._spawn())
 
     def _spawn(self) -> _WorkerHandle:
@@ -245,7 +212,6 @@ class Supervisor:
                 child_conn,
                 payload,
                 self.shared,
-                self.config.heartbeat_interval,
                 self.fault,
                 wid,
             ),
@@ -266,12 +232,18 @@ class Supervisor:
         return handle
 
     def kill(self, handle: _WorkerHandle) -> None:
-        """Hard-stop one worker (SIGKILL) and forget it."""
+        """Forget one worker, SIGKILLing it first if it is still running.
+
+        Only a SIGKILL actually sent counts as a kill: a worker that
+        already exited on ``("stop",)`` is just reaped.
+        """
         if handle in self.workers:
             self.workers.remove(handle)
+        killed = False
         try:
             if handle.proc.is_alive():
                 os.kill(handle.proc.pid, signal.SIGKILL)
+                killed = True
         except (OSError, AttributeError):  # pragma: no cover - already gone
             pass
         handle.proc.join(timeout=5.0)
@@ -279,10 +251,11 @@ class Supervisor:
             handle.conn.close()
         except OSError:  # pragma: no cover
             pass
-        get_registry().counter(
-            "repro_pool_kills_total", "Worker processes hard-killed by the parent"
-        ).inc()
-        trace_event("worker-kill", worker=handle.wid)
+        if killed:
+            get_registry().counter(
+                "repro_pool_kills_total", "Worker processes hard-killed by the parent"
+            ).inc()
+            trace_event("worker-kill", worker=handle.wid)
 
     def respawn(self) -> _WorkerHandle:
         """Spawn a replacement worker and track the respawn count."""
@@ -293,7 +266,7 @@ class Supervisor:
         return handle
 
     def shutdown(self) -> None:
-        """Stop every worker: polite request, then SIGKILL stragglers."""
+        """Stop every worker: polite request, then SIGKILL any still running."""
         for handle in self.workers:
             try:
                 handle.conn.send(("stop",))
@@ -375,8 +348,7 @@ class Supervisor:
         """
         now = time.monotonic()
         victims: list[tuple[_WorkerHandle, str]] = []
-        timeout = self.config.task_timeout
-        grace = self.config.heartbeat_grace
+        timeout = self.task_timeout
         for handle in list(self.workers):
             if (
                 timeout is not None
@@ -386,7 +358,7 @@ class Supervisor:
                 victims.append(
                     (handle, f"task timeout ({timeout:g}s) on worker w{handle.wid}")
                 )
-            elif grace is not None and now - handle.last_seen > grace:
+            elif now - handle.last_seen > HEARTBEAT_GRACE:
                 victims.append(
                     (handle, f"worker w{handle.wid} stopped heartbeating")
                 )

@@ -71,20 +71,11 @@ class JoinSpec:
     bulk: Optional[str] = "str"
     metric: object = None
     partitions_per_axis: Optional[int] = None
-    #: Absolute request deadline (``time.monotonic()`` timestamp) carried
-    #: to every worker.  Execution-only: it never affects the task
-    #: sequence or the output bytes, it only lets a worker refuse tasks
-    #: whose results the parent would discard.  ``CLOCK_MONOTONIC`` is
-    #: system-wide on Linux, so the pickled timestamp stays meaningful in
-    #: child processes under both ``fork`` and ``spawn``.
-    deadline_at: Optional[float] = None
-    #: Resolved data plane (``"pickle"`` or ``"shm"``).  Execution-only:
-    #: like ``deadline_at`` it never affects the task sequence or the
-    #: output bytes, only *how* workers obtain the dataset.
-    data_plane: str = "pickle"
     #: Shared-memory reference to the published ``points`` segment.  When
     #: set, pickling this spec ships the ~200-byte ref instead of the
     #: array and the receiving process re-attaches in ``__setstate__``.
+    #: Set means the spec is on the shm data plane; it never affects the
+    #: task sequence or the output bytes.
     dataset_ref: Optional[object] = None
     #: Shared-memory reference to the published packed-index arrays
     #: (set lazily by the first ``build_state`` on the owner side).
@@ -166,9 +157,8 @@ class JoinSpec:
         ``None`` (no caching) when the dataset has no fingerprint — i.e.
         neither a :class:`~repro.parallel.shm.SharedDataset` owner nor a
         :class:`~repro.parallel.shm.DatasetRef` is involved, so there is
-        no cheap identity to key on.  Execution-only knobs with no
-        effect on the task sequence (``deadline_at``, ``data_plane``)
-        are deliberately absent.
+        no cheap identity to key on.  Which data plane the spec rides
+        has no effect on the task sequence and is deliberately absent.
         """
         if self.dataset_ref is not None:
             fingerprint = self.dataset_ref.fingerprint
@@ -341,9 +331,10 @@ class TaskState:
 
         Used by the warm cache: the task sequence and data structures
         are fully determined by the cache key, but the spec carries
-        per-request execution knobs (``deadline_at``) that must come
-        from the *current* request.  Everything here is read-only during
-        execution, so clones may share it freely.
+        per-request shared-memory references (``dataset_ref``,
+        ``packed_ref``) that workers of the *current* request must
+        receive.  Everything here is read-only during execution, so
+        clones may share it freely.
         """
         if spec is self.spec:
             return self
@@ -359,8 +350,8 @@ class TaskState:
         """Run one task; returns ``(events, (dc, mbr_checks, early_stops))``.
 
         Pure: no sink writes, no window mutation, no stats mutation —
-        safe to run in any process and to run twice (speculation,
-        retries) with identical results.
+        safe to run in any process and to run again on retry with
+        identical results.
         """
         task = self.tasks[task_id]
         if self.family == "tree":

@@ -126,10 +126,10 @@ class Budget:
     def cap_timeout(self, timeout: Optional[float]) -> Optional[float]:
         """Cap a per-task timeout at the remaining deadline slack.
 
-        This is how a request deadline propagates into
-        :class:`~repro.parallel.supervisor.SupervisorConfig` task
-        timeouts and :class:`~repro.resilience.sinks.RetryingSink` sleep
-        caps: no subordinate wait may outlive the request.  Returns
+        This is how a request deadline propagates into the worker pool's
+        per-task timeouts (:class:`~repro.parallel.scheduler.WorkScheduler`)
+        and :class:`~repro.resilience.sinks.RetryingSink` sleep caps: no
+        subordinate wait may outlive the request.  Returns
         ``timeout`` unchanged when no deadline is set; never returns a
         negative value.
         """

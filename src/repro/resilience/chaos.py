@@ -99,9 +99,8 @@ class FlakyWorker:
 
     Unlike :class:`FailurePlan` (which counts a *stream* of operations),
     the decision here depends only on ``(seed, task_id)``: a task that is
-    retried or speculatively re-dispatched to another worker fails in
-    exactly the same way — the property the poison-quarantine tests rely
-    on.  Fault modes:
+    retried on another worker fails in exactly the same way — the
+    property the poison-quarantine tests rely on.  Fault modes:
 
     * ``kill_at`` — the worker SIGKILLs its own process before executing
       the task (a hard crash: no exception, no cleanup);

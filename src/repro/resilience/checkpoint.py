@@ -51,6 +51,7 @@ from repro.errors import (
     PoisonTaskError,
     is_disk_full,
     validate_eps,
+    validate_execution,
     validate_points,
 )
 from repro.geometry.metrics import get_metric
@@ -59,6 +60,7 @@ from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as trace_span
+from repro.parallel.shm import share_dataset
 from repro.parallel.tasks import FAMILIES, JoinSpec
 from repro.resilience.budget import Budget
 from repro.resilience.sinks import DurableTextSink
@@ -216,12 +218,11 @@ class CheckpointedJoin:
         workers: Optional[int] = None,
         task_timeout: Optional[float] = None,
         fault: object = None,
-        supervisor_config: object = None,
         stats: Optional[JoinStats] = None,
-        data_plane: str = "auto",
     ):
         self.points = validate_points(points)
         self.eps = validate_eps(eps)
+        validate_execution(workers, task_timeout)
         algorithm = algorithm.lower()
         if algorithm not in FAMILIES:
             raise InvalidInputError(
@@ -244,18 +245,12 @@ class CheckpointedJoin:
         self.budget = budget
         self.sink_wrapper = sink_wrapper
         self.partitions_per_axis = partitions_per_axis
-        if workers is not None and workers < 0:
-            raise InvalidInputError(f"workers must be >= 0, got {workers}")
         # Execution-only knobs: deliberately absent from the fingerprint,
-        # so a run checkpointed at one worker count resumes at any other.
+        # so a run checkpointed at one worker count (or data plane)
+        # resumes at any other.
         self.workers = workers
         self.task_timeout = task_timeout
         self.fault = fault
-        self.supervisor_config = supervisor_config
-        # Like workers: how workers obtain the dataset never affects the
-        # task sequence, so a run checkpointed on one data plane resumes
-        # on any other.
-        self.data_plane = data_plane
         # Externally supplied stats are *observed* (progress heartbeats,
         # metrics) — the run still owns all mutation; pass a fresh one.
         self.stats = stats
@@ -308,21 +303,9 @@ class CheckpointedJoin:
         )
         sink = self.sink_wrapper(inner) if self.sink_wrapper is not None else inner
 
-        from repro.parallel.shm import SharedDataset, resolve_data_plane
-
-        # The shared-memory plane only matters when a pool will run;
-        # serial (resumable) execution keeps the in-process array.
-        shared: Optional[SharedDataset] = None
-        plane = "pickle"
-        if self.workers is not None and self.workers > 1:
-            plane = resolve_data_plane(self.data_plane)
-            if plane == "shm":
-                shared = SharedDataset(
-                    pts, metric=self.metric, data_plane=self.data_plane
-                )
-                plane = shared.plane
+        pool = self.workers is not None and self.workers > 1
         spec = JoinSpec(
-            points=pts if shared is None else shared.points,
+            points=pts,
             eps=self.eps,
             algorithm=self.algorithm,
             g=self.g,
@@ -331,11 +314,10 @@ class CheckpointedJoin:
             bulk=self.bulk,
             metric=self.metric,
             partitions_per_axis=self.partitions_per_axis,
-            data_plane=plane,
-            dataset_ref=shared.ref if shared is not None else None,
         )
-        if shared is not None:
-            spec._shared = shared
+        # The shared-memory plane only matters when a pool will run;
+        # serial (resumable) execution keeps the in-process array.
+        shared = share_dataset(spec) if pool else None
         state = spec.build_state()
         tasks = state.tasks
         buffer: Optional[GroupBuffer] = state.make_buffer(sink, stats)
@@ -378,14 +360,15 @@ class CheckpointedJoin:
 
         try:
             try:
-                if self.workers is not None and self.workers > 1:
+                if pool:
                     from repro.parallel.scheduler import WorkScheduler
 
                     scheduler = WorkScheduler(
                         state,
                         sink,
-                        self._pool_config(),
+                        self.workers,
                         stats=stats,
+                        task_timeout=self.task_timeout,
                         buffer=buffer,
                         budget=budget,
                         fault=self.fault,
@@ -514,16 +497,6 @@ class CheckpointedJoin:
                 ) from exc
             raise
         return journal, 0, None
-
-    def _pool_config(self):
-        """The supervisor configuration for parallel execution."""
-        if self.supervisor_config is not None:
-            return self.supervisor_config
-        from repro.parallel.supervisor import SupervisorConfig
-
-        return SupervisorConfig(
-            workers=int(self.workers), task_timeout=self.task_timeout
-        )
 
     @staticmethod
     def _finalize_timing(stats: JoinStats, start: float, write_time_before: float) -> None:

@@ -12,21 +12,20 @@ mechanisms compose:
 * **End-to-end deadlines** — a request's deadline is armed as an
   *absolute* timestamp at admission (queue wait spends it) and
   propagates down: it becomes the run's
-  :class:`~repro.resilience.budget.Budget`, caps the supervisor's
-  per-task timeouts, is pickled into the
-  :class:`~repro.parallel.tasks.JoinSpec` so workers refuse expired
-  tasks, and trims :class:`~repro.resilience.sinks.RetryingSink` backoff
-  sleeps.  Expiry cancels in-flight work cooperatively.
+  :class:`~repro.resilience.budget.Budget`, caps the pool's per-task
+  timeouts, reaches the workers through the shared budget counters so
+  they refuse expired tasks, and trims
+  :class:`~repro.resilience.sinks.RetryingSink` backoff sleeps.  Expiry
+  cancels in-flight work cooperatively.
 * **Circuit breakers** — one :class:`~repro.service.breaker.CircuitBreaker`
   guards the worker pool, another the durable sink.  An open circuit
   fails requests fast with :class:`~repro.errors.CircuitOpenError`
   instead of feeding a struggling dependency.
-* **Brownout ladder** — under queue pressure the service degrades in
-  steps rather than falling over: first it drops straggler speculation
-  (an execution nicety that never changes the output bytes); past
-  ``degrade_threshold`` occupancy, and for any admitted request that
-  runs over its deadline or byte budget, it serves the paper's analytic
-  estimator answer marked ``degraded=True``; only a full queue sheds.
+* **Brownout ladder** — under queue pressure the service degrades
+  rather than falling over: past ``degrade_threshold`` occupancy, and
+  for any admitted request that runs over its deadline or byte budget,
+  it serves the paper's analytic estimator answer marked
+  ``degraded=True``; only a full queue sheds.
 
 Every request ends in **exactly one** typed outcome — ``admitted``
 (served exactly, byte-identical to an offline run), ``degraded``,
@@ -54,6 +53,7 @@ from repro.errors import (
     SinkIOError,
     WorkerPoolError,
     validate_eps,
+    validate_execution,
     validate_points,
 )
 from repro.io.writer import width_for
@@ -151,8 +151,6 @@ class ServiceConfig:
     workers: int = 1
     #: Per-task timeout for parallel requests (capped at deadline slack).
     task_timeout: Optional[float] = None
-    #: Queue occupancy in [0, 1] where level-1 brownout starts.
-    brownout_threshold: float = 0.5
     #: Queue occupancy in [0, 1] where requests get estimator answers.
     degrade_threshold: float = 0.75
     #: Result-cache byte budget; 0 disables caching entirely.
@@ -169,31 +167,16 @@ class ServiceConfig:
     breaker_cooldown_max: float = 30.0
     #: Seed for breaker cooldown jitter (timing only, never output).
     seed: int = 0
-    #: Data plane for parallel requests: ``"shm"`` maps one shared copy
-    #: of the dataset into every worker, ``"pickle"`` ships it per
-    #: worker, ``"auto"`` prefers shm where available.  Never affects
-    #: output bytes.
-    data_plane: str = "auto"
 
     def __post_init__(self) -> None:
-        from repro.parallel.shm import DATA_PLANES
-
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.executors < 1:
             raise ValueError(f"executors must be >= 1, got {self.executors}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {self.task_timeout}")
-        if str(self.data_plane).lower() not in DATA_PLANES:
+        validate_execution(self.workers, self.task_timeout)
+        if not 0.0 <= self.degrade_threshold <= 1.0:
             raise ValueError(
-                f"unknown data_plane {self.data_plane!r}; known: {DATA_PLANES}"
-            )
-        if not 0.0 <= self.brownout_threshold <= self.degrade_threshold <= 1.0:
-            raise ValueError(
-                "need 0 <= brownout_threshold <= degrade_threshold <= 1, got "
-                f"{self.brownout_threshold} / {self.degrade_threshold}"
+                f"need 0 <= degrade_threshold <= 1, got {self.degrade_threshold}"
             )
         if self.cache_bytes < 0:
             raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
@@ -409,7 +392,7 @@ class JoinService:
         )
         # Cache fast path: an exact hit needs no tree descent and no
         # ladder — it is the cold run's bytes, served again.  Checked
-        # before the pressure rungs because a hit *relieves* pressure.
+        # before the estimator rung because a hit *relieves* pressure.
         cache_key = None
         if self.cache is not None:
             cache_key = ResultCache.key_for(
@@ -428,22 +411,17 @@ class JoinService:
                     deadline_slack=slack,
                     occupancy=occupancy,
                 )
-        # Ladder rung 3: an expired-or-hopeless deadline, or severe queue
+        # Estimator rung: an expired-or-hopeless deadline, or severe queue
         # pressure, goes straight to the estimator answer.
         if (slack is not None and slack <= 0) or (
             pressure >= self.config.degrade_threshold
         ):
             return self._degrade(request, occupancy, slack, JoinStats())
 
-        # Ladder rung 2: under moderate pressure drop speculation —
-        # same bytes, cheaper execution.
-        workers = self.config.workers
-        speculate = pressure < self.config.brownout_threshold
-
         try:
             if self.chaos is not None:
                 self.chaos.before_execute(request.request_id)
-            result = self._run_join(request, budget, workers, speculate)
+            result = self._run_join(request, budget)
             # Serial runs have no scheduler hook; report pool health here
             # so a half-open circuit can close again.
             self.pool_breaker.record_success()
@@ -526,9 +504,7 @@ class JoinService:
         from repro.index.packed import pack_index
         from repro.parallel.shm import SharedDataset
 
-        shared = SharedDataset(
-            points, metric=metric, data_plane=self.config.data_plane
-        )
+        shared = SharedDataset(points, metric=metric)
         tree = shared.get_tree(
             index, max_entries=max_entries, bulk=bulk, metric=metric
         )
@@ -546,7 +522,7 @@ class JoinService:
             "dataset registered",
             extra={
                 "n": int(shared.points.shape[0]),
-                "plane": shared.plane,
+                "shm": shared.ref is not None,
                 "fingerprint": shared.fingerprint[:12],
             },
         )
@@ -560,38 +536,21 @@ class JoinService:
                     return shared
         return None
 
-    def _run_join(
-        self,
-        request: JoinRequest,
-        budget: Budget,
-        workers: int,
-        speculate: bool,
-    ) -> JoinResult:
+    def _run_join(self, request: JoinRequest, budget: Budget) -> JoinResult:
         from repro.api import similarity_join  # deferred: api imports service
 
         registered = self._find_registered(request.points)
-        if workers > 1:
-            from repro.parallel.supervisor import SupervisorConfig
-
-            task_timeout = budget.cap_timeout(self.config.task_timeout)
-            if task_timeout is not None and task_timeout <= 0:
-                task_timeout = 1e-3
-            config = SupervisorConfig(
-                workers=workers,
-                task_timeout=task_timeout,
-                speculate=speculate,
-            )
+        if self.config.workers > 1:
             return parallel_join(
                 request.points,
                 request.eps,
                 algorithm=request.algorithm,
                 g=request.g,
-                workers=workers,
+                workers=self.config.workers,
                 metric=request.metric,
                 budget=budget,
-                config=config,
+                task_timeout=self.config.task_timeout,
                 breaker=self.pool_breaker,
-                data_plane=self.config.data_plane,
                 shared=registered,
             )
         family = FAMILIES.get(str(request.algorithm).lower(), (None, None))[0]

@@ -255,3 +255,11 @@ class TestValidation:
             CheckpointedJoin(np.empty((0, 2)), 0.06, str(tmp_path / "x"))
         with pytest.raises(InvalidInputError):
             CheckpointedJoin(np.zeros((5, 2)), -1.0, str(tmp_path / "x"))
+
+    def test_bad_execution_settings_rejected_before_any_file(self, pts, tmp_path):
+        from repro.errors import InvalidInputError
+
+        out = tmp_path / "out.txt"
+        with pytest.raises(InvalidInputError, match="task_timeout"):
+            CheckpointedJoin(pts, 0.05, str(out), workers=2, task_timeout=0)
+        assert os.listdir(tmp_path) == []

@@ -2,14 +2,14 @@
 
 A request deadline is armed once, as an absolute
 ``time.monotonic()`` timestamp, and must bind every layer underneath:
-the :class:`~repro.resilience.budget.Budget` composition, pickling into
-:class:`~repro.parallel.tasks.JoinSpec` for worker processes, the
-shared-memory deadline workers poll, supervisor task timeouts, and
+the :class:`~repro.resilience.budget.Budget` composition, the
+shared-memory deadline worker processes poll, pool task timeouts, and
 kill-and-resume through :class:`~repro.resilience.checkpoint.CheckpointedJoin`.
 Nothing — not :meth:`Budget.start`, not a resume, not a retry — may
 extend an armed deadline.
 """
 
+import filecmp
 import multiprocessing
 import pickle
 import time
@@ -17,10 +17,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import similarity_join
+from repro.core.results import TextSink
 from repro.errors import BudgetExceededError
+from repro.io.writer import width_for
 from repro.parallel import parallel_join
 from repro.parallel.shared import SharedCounters
-from repro.parallel.tasks import JoinSpec
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CheckpointedJoin
 from repro.stats.counters import JoinStats
@@ -104,21 +106,6 @@ class TestPicklePropagation:
         # The clone enforces the same absolute point in time.
         assert abs(clone.remaining_seconds() - budget.remaining_seconds()) < 0.1
 
-    def test_joinspec_carries_deadline_through_pickle(self, pts):
-        deadline_at = time.monotonic() + 9.0
-        spec = JoinSpec(points=pts, eps=0.05, deadline_at=deadline_at)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone.deadline_at == deadline_at
-        assert JoinSpec(points=pts, eps=0.05).deadline_at is None
-
-    def test_expired_spec_deadline_detectable_after_pickle(self, pts):
-        # What a worker checks before starting a task.
-        spec = JoinSpec(
-            points=pts, eps=0.05, deadline_at=time.monotonic() - 0.1
-        )
-        clone = pickle.loads(pickle.dumps(spec))
-        assert time.monotonic() > clone.deadline_at
-
 
 class TestSharedCounters:
     def test_start_publishes_armed_absolute_deadline(self):
@@ -159,6 +146,26 @@ class TestParallelBinding:
                           budget=budget, task_timeout=30.0)
         assert info.value.kind == "deadline"
         assert info.value.partial is not None
+
+    def test_relative_deadline_restarts_at_pool_run_start(self, tmp_path):
+        # A deterministic stand-in for a slow index build: the budget's
+        # relative clock ran out before the join began.  Serial and pool
+        # runs both restart it at run start, so both must finish.
+        pts = np.random.default_rng(3).random((300, 2))
+        pool_budget, serial_budget = (
+            Budget(deadline_seconds=1.0, check_every=1).start() for _ in range(2)
+        )
+        time.sleep(1.1)
+        pooled = TextSink(str(tmp_path / "pool.txt"), id_width=width_for(300))
+        parallel_join(pts, 0.06, algorithm="csj", g=10, workers=2,
+                      sink=pooled, budget=pool_budget)
+        pooled.close()
+        serial = TextSink(str(tmp_path / "serial.txt"), id_width=width_for(300))
+        similarity_join(pts, 0.06, algorithm="csj", g=10, sink=serial,
+                        budget=serial_budget)
+        serial.close()
+        assert filecmp.cmp(str(tmp_path / "serial.txt"),
+                           str(tmp_path / "pool.txt"), shallow=False)
 
     def test_generous_deadline_does_not_perturb_output(self, pts):
         budget = Budget(check_every=1)

@@ -3,8 +3,8 @@
 The load-bearing claim: the pool is an *execution* strategy, not an
 algorithm change — output is byte-identical to the serial run for any
 worker count, so every correctness theorem carries over unchanged.  The
-failure policy (retry, timeout-kill, poison quarantine, straggler
-speculation) is exercised with deterministic fault injection.
+failure policy (retry, timeout-kill, poison quarantine) is exercised
+with deterministic fault injection.
 """
 
 import filecmp
@@ -15,18 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import similarity_join
-from repro.core.results import CollectSink, TextSink
+from repro.core.results import TextSink
 from repro.core.verify import brute_force_links
 from repro.errors import BudgetExceededError, InvalidInputError, PoisonTaskError
 from repro.io.writer import width_for
-from repro.parallel import (
-    JoinSpec,
-    SupervisorConfig,
-    WorkScheduler,
-    parallel_join,
-)
+from repro.obs.metrics import reset_registry
+from repro.parallel import parallel_join
 from repro.resilience.budget import Budget
 from repro.resilience.chaos import FlakyWorker
+from repro.resilience.checkpoint import CheckpointedJoin, read_journal
 
 ALGORITHMS = ["ssj", "csj", "egrid", "pbsm"]
 
@@ -112,11 +109,15 @@ class TestApiRouting:
         with pytest.raises(InvalidInputError, match="prebuilt"):
             similarity_join(pts, 0.06, index=tree, workers=2)
 
-    def test_bad_worker_config_rejected(self):
+    def test_bad_worker_config_rejected(self, pts):
         with pytest.raises(InvalidInputError):
-            SupervisorConfig(workers=0)
+            parallel_join(pts, 0.06, workers=0)
         with pytest.raises(InvalidInputError):
-            SupervisorConfig(workers=2, task_timeout=-1.0)
+            parallel_join(pts, 0.06, workers=2, task_timeout=-1.0)
+
+    def test_bad_task_timeout_rejected_on_the_serial_path_too(self, pts):
+        with pytest.raises(InvalidInputError, match="task_timeout"):
+            similarity_join(pts, 0.06, task_timeout=-1)
 
 
 class TestFailurePolicy:
@@ -154,40 +155,46 @@ class TestFailurePolicy:
         assert info.value.task_id == 0
         assert info.value.attempts == 3
 
+    def test_fault_free_run_kills_no_workers(self, pts):
+        # A clean shutdown reaps workers that exited on ("stop",);
+        # only a SIGKILL actually sent counts as a kill.
+        registry = reset_registry()
+        parallel_join(pts, 0.06, algorithm="csj", g=10, workers=2)
+        snap = registry.snapshot()
+        assert snap["repro_pool_spawns_total"] == 2
+        assert snap.get("repro_pool_kills_total", 0) == 0
+
     def test_hung_task_killed_and_retried(self, pts, tmp_path):
         serial_path = tmp_path / "serial.txt"
         _serial_file(pts, 0.06, "csj", serial_path)
         fault = FlakyWorker(hang_at=(1,), max_failures=1, hang_seconds=60.0)
-        config = SupervisorConfig(
-            workers=2, task_timeout=0.4, heartbeat_grace=30.0
-        )
         par_path = tmp_path / "par.txt"
         sink = TextSink(str(par_path), id_width=width_for(len(pts)))
+        registry = reset_registry()
         parallel_join(
             pts, 0.06, algorithm="csj", g=10, workers=2, sink=sink,
-            fault=fault, config=config,
+            fault=fault, task_timeout=0.4,
         )
         sink.close()
         assert filecmp.cmp(str(serial_path), str(par_path), shallow=False)
+        assert registry.snapshot()["repro_pool_kills_total"] >= 1
 
-    def test_straggler_speculation_rescues_hung_worker(self, pts):
-        spec = JoinSpec(points=pts, eps=0.06, algorithm="csj", g=10)
-        state = spec.build_state()
-        sink = CollectSink(id_width=width_for(len(pts)))
-        buffer = state.make_buffer(sink, sink.stats)
-        # Task 0 hangs once (budget 1); no task timeout — only the
-        # speculative duplicate can rescue the run.
+    def test_task_timeout_rescues_hung_worker_in_checkpointed_pool(
+        self, pts, tmp_path
+    ):
+        # Task 0 hangs once (budget 1) while its worker keeps
+        # heartbeating: only the per-task timeout can rescue the run.
+        serial_path = tmp_path / "serial.txt"
+        _serial_file(pts, 0.06, "csj", serial_path)
+        out = tmp_path / "ck.txt"
         fault = FlakyWorker(hang_at=(0,), max_failures=1, hang_seconds=60.0)
-        config = SupervisorConfig(
-            workers=2, speculate=True, straggler_factor=0.5,
-            straggler_min_seconds=0.1, heartbeat_grace=30.0,
-        )
-        scheduler = WorkScheduler(
-            state, sink, config, stats=sink.stats, buffer=buffer, fault=fault
-        )
-        scheduler.run()
-        assert scheduler.merged == len(state.tasks)
-        assert scheduler.speculated >= 1
+        CheckpointedJoin(
+            pts, 0.06, str(out), algorithm="csj", g=10, workers=2,
+            task_timeout=0.4, fault=fault,
+        ).run()
+        assert filecmp.cmp(str(serial_path), str(out), shallow=False)
+        _, last = read_journal(str(out) + ".journal")
+        assert last["done"] is True
 
     def test_deadline_breach_raises_with_partial(self, pts):
         budget = Budget(deadline_seconds=0.0, check_every=1)

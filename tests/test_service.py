@@ -343,7 +343,7 @@ class TestBrownoutLadder:
 
     def test_degrade_threshold_validation(self):
         with pytest.raises(ValueError):
-            ServiceConfig(brownout_threshold=0.9, degrade_threshold=0.5)
+            ServiceConfig(degrade_threshold=1.5)
         with pytest.raises(ValueError):
             ServiceConfig(queue_depth=0)
 
@@ -527,14 +527,12 @@ class TestOpenService:
             {"workers": -1},
             {"workers": 2, "task_timeout": -1},
             {"workers": 2, "task_timeout": 0},
-            {"workers": 2, "data_plane": "bogus"},
         ],
-        ids=["negative-workers", "negative-timeout", "zero-timeout", "bogus-plane"],
+        ids=["negative-workers", "negative-timeout", "zero-timeout"],
     )
     def test_execution_fields_rejected_at_construction(self, kwargs):
-        # Accepted, these surface only later: a non-positive timeout
-        # trips the pool breaker on the first request, and an unknown
-        # plane fails every request.
+        # Accepted, a non-positive timeout would surface only later,
+        # tripping the pool breaker on the first request.
         with pytest.raises(ValueError):
             open_service(**kwargs)
 

@@ -4,7 +4,12 @@ Every guarantee the plane makes is asserted here:
 
 * **determinism matrix** — shm and pickle planes produce byte-identical
   output files and identical ``repro_join_*`` counters at 1, 2 and 4
-  workers, for tree, compact-tree and partitioned algorithms alike;
+  workers, for tree, compact-tree and partitioned algorithms alike.  No
+  option selects the plane, so the pickle rows run with
+  ``shm_available()`` reporting False — the code a host without POSIX
+  shared memory runs;
+* **fallback** — a segment that cannot be created falls back to
+  shipping the array, with the same bytes and nothing left owned;
 * **no leaks** — worker SIGKILL chaos ends with zero owned segments and
   nothing matching ``repro-shm-*`` left in ``/dev/shm``;
 * **resumability** — a checkpointed run killed under one data plane
@@ -26,17 +31,16 @@ import pytest
 from repro.api import similarity_join
 from repro.core.results import TextSink
 from repro.core.verify import brute_force_links
-from repro.errors import BudgetExceededError, InvalidInputError, WorkerPoolError
+from repro.errors import BudgetExceededError, WorkerPoolError
 from repro.io.writer import width_for
 from repro.obs.metrics import get_registry, reset_registry
-from repro.parallel import parallel_join
+from repro.parallel import parallel_join, shm
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
     SharedDataset,
     attach_points,
     clear_process_caches,
     owned_segments,
-    resolve_data_plane,
     shm_available,
 )
 from repro.parallel.tasks import JoinSpec
@@ -61,6 +65,20 @@ def pts():
     return np.random.default_rng(11).random((220, 2))
 
 
+@pytest.fixture
+def use_plane(monkeypatch):
+    """``use_plane(p)`` makes the following pool runs pick plane ``p``.
+
+    ``"pickle"`` makes ``shm_available()`` report False, so no dataset
+    is published and specs ship the array.
+    """
+
+    def use(plane):
+        monkeypatch.setattr(shm, "_SHM_AVAILABLE", plane == "shm")
+
+    return use
+
+
 def _devshm_segments():
     return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
@@ -72,25 +90,13 @@ def _serial_file(pts, eps, algo, path, g=10):
     return result
 
 
-def _parallel_file(pts, eps, algo, path, plane, workers=2, g=10, fault=None):
+def _parallel_file(pts, eps, algo, path, workers=2, g=10, fault=None):
     sink = TextSink(str(path), id_width=width_for(len(pts)))
     result = parallel_join(
-        pts, eps, algorithm=algo, g=g, workers=workers, sink=sink,
-        data_plane=plane, fault=fault,
+        pts, eps, algorithm=algo, g=g, workers=workers, sink=sink, fault=fault,
     )
     sink.close()
     return result
-
-
-class TestPlaneResolution:
-    def test_auto_resolves_to_a_concrete_plane(self):
-        assert resolve_data_plane("auto") in ("shm", "pickle")
-        assert resolve_data_plane(None) in ("shm", "pickle")
-        assert resolve_data_plane("pickle") == "pickle"
-
-    def test_unknown_plane_rejected(self):
-        with pytest.raises(InvalidInputError):
-            resolve_data_plane("carrier-pigeon")
 
 
 @needs_shm
@@ -98,12 +104,13 @@ class TestDeterminismMatrix:
     """The acceptance gate: shm vs pickle is invisible in the output."""
 
     @pytest.mark.parametrize("algo", ["ssj", "csj", "pbsm-csj"])
-    def test_byte_identity_across_planes(self, pts, algo, tmp_path):
+    def test_byte_identity_across_planes(self, pts, algo, tmp_path, use_plane):
         serial = tmp_path / "serial.txt"
         _serial_file(pts, 0.06, algo, serial)
         for plane in ("pickle", "shm"):
+            use_plane(plane)
             out = tmp_path / f"{plane}.txt"
-            result = _parallel_file(pts, 0.06, algo, out, plane)
+            result = _parallel_file(pts, 0.06, algo, out)
             assert filecmp.cmp(str(serial), str(out), shallow=False), (
                 f"{algo}: {plane} plane output differs from serial"
             )
@@ -111,15 +118,15 @@ class TestDeterminismMatrix:
         assert owned_segments() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_join_counters_identical_across_planes(self, pts, workers):
+    def test_join_counters_identical_across_planes(self, pts, workers, use_plane):
         """``repro_join_*`` counters (the integer ones — wall-clock times
         legitimately differ) must not depend on the data plane."""
         snaps = {}
         for plane in ("pickle", "shm"):
+            use_plane(plane)
             registry = reset_registry()
             result = parallel_join(
                 pts, 0.055, algorithm="csj", g=10, workers=workers,
-                data_plane=plane,
             )
             registry.record_join_stats(result.stats)
             snaps[plane] = {
@@ -130,6 +137,21 @@ class TestDeterminismMatrix:
         assert snaps["shm"] == snaps["pickle"]
         assert snaps["shm"]["repro_join_distance_computations_total"] > 0
 
+    def test_publish_failure_falls_back_to_shipping_the_array(
+        self, pts, tmp_path, monkeypatch
+    ):
+        def no_segment(nbytes):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(shm, "_create_segment", no_segment)
+        serial = tmp_path / "serial.txt"
+        _serial_file(pts, 0.06, "csj", serial)
+        out = tmp_path / "fallback.txt"
+        _parallel_file(pts, 0.06, "csj", out)
+        assert filecmp.cmp(str(serial), str(out), shallow=False)
+        assert get_registry().snapshot()["repro_shm_fallback_total"] == 1
+        assert owned_segments() == []
+
 
 @needs_shm
 class TestChaosNoLeak:
@@ -139,7 +161,7 @@ class TestChaosNoLeak:
         _serial_file(pts, 0.06, "csj", serial)
         fault = FlakyWorker(kill_rate=0.5, seed=0, max_failures=2)
         par = tmp_path / "par.txt"
-        _parallel_file(pts, 0.06, "csj", par, "shm", fault=fault)
+        _parallel_file(pts, 0.06, "csj", par, fault=fault)
         assert filecmp.cmp(str(serial), str(par), shallow=False)
         assert owned_segments() == []
         assert _devshm_segments() == before
@@ -147,9 +169,8 @@ class TestChaosNoLeak:
     def test_close_is_idempotent_and_context_managed(self, pts):
         before = _devshm_segments()
         with SharedDataset(pts) as ds:
-            if ds.plane == "shm":
-                assert ds.ref is not None
-                assert len(_devshm_segments()) == len(before) + 1
+            assert ds.ref is not None
+            assert len(_devshm_segments()) == len(before) + 1
         assert ds.closed
         ds.close()  # second close is a no-op
         assert owned_segments() == []
@@ -160,19 +181,22 @@ class TestChaosNoLeak:
 class TestKillAndResumeAcrossPlanes:
     @pytest.mark.parametrize("first,second", [("shm", "pickle"),
                                               ("pickle", "shm")])
-    def test_resume_under_the_other_plane(self, pts, first, second, tmp_path):
+    def test_resume_under_the_other_plane(
+        self, pts, first, second, tmp_path, use_plane
+    ):
         serial = tmp_path / "serial.txt"
         _serial_file(pts, 0.06, "csj", serial)
         ck = tmp_path / "ck.txt"
+        use_plane(first)
         job = CheckpointedJoin(
             pts, 0.06, str(ck), algorithm="csj", g=10, cadence=3, workers=2,
-            data_plane=first, budget=Budget(max_output_bytes=400, check_every=1),
+            budget=Budget(max_output_bytes=400, check_every=1),
         )
         with pytest.raises(BudgetExceededError):
             job.run()
+        use_plane(second)
         CheckpointedJoin(
             pts, 0.06, str(ck), algorithm="csj", g=10, cadence=3, workers=2,
-            data_plane=second,
         ).run(resume=True)
         assert filecmp.cmp(str(serial), str(ck), shallow=False)
         assert owned_segments() == []
@@ -181,7 +205,7 @@ class TestKillAndResumeAcrossPlanes:
 @needs_shm
 class TestAttachIntegrity:
     def test_fingerprint_mismatch_fails_loudly(self, pts):
-        with SharedDataset(pts, data_plane="shm") as ds:
+        with SharedDataset(pts) as ds:
             clear_process_caches()  # drop the owner's pre-seeded attach
             bad = dataclasses.replace(ds.ref, fingerprint="0" * 64)
             with pytest.raises(WorkerPoolError, match="fingerprint mismatch"):
@@ -208,7 +232,7 @@ class TestAttachIntegrity:
         with open(orphan, "wb") as f:
             f.write(b"\0" * 64)
         try:
-            with SharedDataset(pts, data_plane="shm") as ds:
+            with SharedDataset(pts) as ds:
                 assert ds.ref is not None
                 assert not os.path.exists(orphan)  # swept on creation
                 # our own (live) segments are never treated as orphans
@@ -219,7 +243,7 @@ class TestAttachIntegrity:
                 os.unlink(orphan)
 
     def test_vanished_segment_fails_loudly(self, pts):
-        ds = SharedDataset(pts, data_plane="shm")
+        ds = SharedDataset(pts)
         ref = ds.ref
         ds.close()
         clear_process_caches()
@@ -232,14 +256,14 @@ class TestWarmStateReuse:
     def _spec(self, ds, eps):
         spec = JoinSpec(
             points=ds.points, eps=eps, algorithm="csj", g=10,
-            data_plane=ds.plane, dataset_ref=ds.ref,
+            dataset_ref=ds.ref,
         )
         spec._shared = ds
         return spec
 
     def test_second_build_adopts_not_rebuilds(self, pts):
         clear_process_caches()
-        with SharedDataset(pts, data_plane="shm") as ds:
+        with SharedDataset(pts) as ds:
             registry = get_registry()
             s1 = self._spec(ds, 0.0525).build_state()
             assert registry.snapshot()["repro_taskstate_rebuilds_total"] == 1
@@ -254,7 +278,7 @@ class TestWarmStateReuse:
 
     def test_different_config_rebuilds(self, pts):
         clear_process_caches()
-        with SharedDataset(pts, data_plane="shm") as ds:
+        with SharedDataset(pts) as ds:
             registry = get_registry()
             self._spec(ds, 0.0525).build_state()
             self._spec(ds, 0.0625).build_state()  # different eps: new tasks
@@ -268,10 +292,10 @@ class TestWarmStateReuse:
 @needs_shm
 class TestSpecShipping:
     def test_spec_bytes_pickled_once_and_small(self, pts):
-        with SharedDataset(pts, data_plane="shm") as ds:
+        with SharedDataset(pts) as ds:
             spec = JoinSpec(
                 points=ds.points, eps=0.05, algorithm="csj",
-                data_plane=ds.plane, dataset_ref=ds.ref,
+                dataset_ref=ds.ref,
             )
             spec._shared = ds
             payload = spec.to_bytes()
@@ -316,7 +340,7 @@ class TestServiceRegistration:
         svc = JoinService(ServiceConfig(queue_depth=4, executors=1))
         try:
             registered = svc.register_dataset(pts)
-            assert registered.plane in ("shm", "pickle")
+            assert registered.ref is not None
             outcome = svc.submit(
                 JoinRequest(points=registered.points, eps=0.05)
             ).wait(60.0)
