@@ -9,15 +9,21 @@ Output size — the paper's space metric — is therefore exactly
 ``sum over lines of (ids_per_line * (width + 1))`` bytes: each id costs its
 zero-padded width plus one separator byte (space between ids, newline at
 the end of the line).  :func:`line_bytes` encodes that arithmetic so sinks
-can account bytes without materialising text.
+can account bytes without materialising text.  The arithmetic holds only
+for ids in ``0 .. 10**width - 1``; every write path rejects any other id
+with :class:`~repro.errors.InvalidInputError` before writing its line.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
 
-__all__ = ["FixedWidthWriter", "line_bytes", "read_output"]
+import numpy as np
+
+from repro.errors import InvalidInputError
+
+__all__ = ["FixedWidthWriter", "format_lines", "line_bytes", "read_output"]
 
 
 def line_bytes(n_ids: int, width: int) -> int:
@@ -34,6 +40,57 @@ def line_bytes(n_ids: int, width: int) -> int:
 def width_for(n_points: int) -> int:
     """Zero-padding width able to represent ids ``0 .. n_points - 1``."""
     return max(1, len(str(max(0, n_points - 1))))
+
+
+def _check_range(low: int, high: int, width: int) -> None:
+    """Reject ids that a ``width``-digit column cannot hold exactly.
+
+    An f-string would write a negative id's sign, or a wide id's extra
+    digits, so the file would no longer match :func:`line_bytes`; the
+    digit matrix would write wrong digits instead.
+    """
+    if low < 0 or high >= 10**width:
+        bad = low if low < 0 else high
+        raise InvalidInputError(
+            f"id {bad} does not fit the {width}-digit output format "
+            f"(ids must lie in 0..{10**width - 1})"
+        )
+
+
+def format_lines(ids, lengths, width: int) -> str:
+    """Fixed-width text of consecutive output lines, as one digit matrix.
+
+    ``ids`` holds every line's ids end to end; ``lengths`` is how many ids
+    each line holds, one count per line or one count for every line.
+    Each id becomes one row of ``width`` ASCII digits (``id // 10**k % 10
+    + 48``) plus one separator byte: a space, or a newline on the row that
+    ends its line.  The text equals the lines formatted one f-string at a
+    time, and its length is the sum of :func:`line_bytes` over them.  The
+    range is checked once, on the batch's minimum and maximum, before any
+    text is built.
+
+    >>> format_lines([1, 2, 3, 4, 5], [2, 3], 3)
+    '001 002\\n003 004 005\\n'
+    >>> format_lines([1, 2, 3, 4], 2, 3)
+    '001 002\\n003 004\\n'
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if not len(ids):
+        return ""
+    _check_range(int(ids.min()), int(ids.max()), width)
+    text = np.empty((len(ids), width + 1), dtype=np.uint8)
+    # int64 ids have at most 19 digits; wider columns lead with zeros.
+    digits = min(width, 19)
+    text[:, : width - digits] = 48
+    # One column at a time: temporaries stay one id array in size.
+    for k in range(digits):
+        text[:, width - 1 - k] = ids // 10**k % 10 + 48
+    text[:, width] = 32
+    if np.ndim(lengths) == 0:
+        text[lengths - 1 :: lengths, width] = 10
+    else:
+        text[np.cumsum(lengths) - 1, width] = 10
+    return text.tobytes().decode("ascii")
 
 
 class FixedWidthWriter:
@@ -78,8 +135,16 @@ class FixedWidthWriter:
             self._file = target
             self._owns_file = False
 
-    def _format_ids(self, ids: Iterable[int]) -> str:
-        return " ".join(f"{int(i):0{self.width}d}" for i in ids)
+    def _format_ids(self, ids: Sequence[int]) -> str:
+        # One short line: an f-string per id costs less than the NumPy
+        # dispatch of format_lines.  An in-range id is exactly ``width``
+        # digits, so the text's length and sign show a bad id without a
+        # per-id comparison.
+        width = self.width
+        text = " ".join(f"{int(i):0{width}d}" for i in ids)
+        if len(text) != len(ids) * (width + 1) - 1 or "-" in text:
+            _check_range(min(ids, default=0), max(ids, default=0), width)
+        return text
 
     def write_link(self, i: int, j: int) -> None:
         """One link line: two ids."""
@@ -88,12 +153,9 @@ class FixedWidthWriter:
         self.bytes_written += len(line)
 
     def write_links(self, ids_i, ids_j) -> None:
-        """Many link lines in one buffered write (bulk output path)."""
-        width = self.width
-        text = "".join(
-            f"{int(i):0{width}d} {int(j):0{width}d}\n"
-            for i, j in zip(ids_i, ids_j)
-        )
+        """Many link lines in one write, formatted as one digit matrix."""
+        pairs = np.column_stack((ids_i, ids_j))
+        text = format_lines(pairs.ravel(), 2, self.width)
         self._file.write(text)
         self.bytes_written += len(text)
 

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from repro.core.results import JoinSink, TextSink
 from repro.errors import DiskFullError, SinkIOError, errno_name, is_disk_full
 from repro.io.durable import best_effort_fsync_dir
-from repro.io.writer import FixedWidthWriter
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.stats.counters import JoinStats
@@ -59,18 +58,17 @@ class DurableTextSink(TextSink):
         id_width: int = 8,
         append: bool = False,
     ):
-        JoinSink.__init__(self, stats, id_width)
-        self.path = os.fspath(path)
-        self._writer = FixedWidthWriter(
-            self.path, width=id_width, mode="a" if append else "w"
-        )
+        mode = "a" if append else "w"
+        super().__init__(os.fspath(path), stats, id_width, mode=mode)
 
     def sync(self) -> None:
         """Flush and fsync: everything written so far survives a crash."""
+        self._flush_links()
         self._writer.sync()
 
     def tell(self) -> int:
         """Current byte offset in the output file."""
+        self._flush_links()
         return self._writer.tell()
 
 
@@ -96,6 +94,8 @@ class AtomicTextSink(TextSink):
         """Publish atomically: flush → fsync → rename over the target."""
         if self._closed:
             return
+        # Before marking closed: a retried close must still write the batch.
+        self._flush_links()
         self._closed = True
         fs = self._writer.fs
         self._writer.sync()
@@ -112,6 +112,7 @@ class AtomicTextSink(TextSink):
         if self._closed:
             return
         self._closed = True
+        self._drop_pending()
         fs = self._writer.fs
         self._writer.close()
         try:

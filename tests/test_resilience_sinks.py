@@ -1,12 +1,18 @@
 """Crash-safe sinks: durability, atomic publication, bounded retries."""
 
+import errno
+import io
 import os
+import time
 
+import numpy as np
 import pytest
 
-from repro.core.results import CollectSink
-from repro.errors import SinkIOError
+from repro.core.results import LINK_BATCH, CollectSink, TextSink
+from repro.errors import DiskFullError, SinkIOError
+from repro.io.durable import scoped_fs
 from repro.resilience.sinks import AtomicTextSink, DurableTextSink, RetryingSink
+from repro.resilience.vfs import TraceFS
 
 
 class TestDurableTextSink:
@@ -14,12 +20,19 @@ class TestDurableTextSink:
         path = str(tmp_path / "out.txt")
         sink = DurableTextSink(path, id_width=4)
         sink.write_link(1, 2)
+        sink.write_links(np.array([3, 6]), np.array([4, 5]))
         sink.sync()
-        assert sink.tell() == os.path.getsize(path) > 0
+        assert sink.tell() == os.path.getsize(path) == sink.stats.bytes_written > 0
         sink.write_group([3, 4, 5])
+        sink.write_links(np.array([8]), np.array([7]))
+        # tell() writes the pending batch before it reads the offset.
+        assert sink.tell() == os.path.getsize(path) == sink.stats.bytes_written
         sink.close()
-        assert sink.stats.links_emitted == 1
+        assert sink.stats.links_emitted == 4
         assert sink.stats.groups_emitted == 1
+        assert open(path).read() == (
+            "0001 0002\n0003 0004\n0005 0006\n0003 0004 0005\n0007 0008\n"
+        )
 
     def test_append_continues_file(self, tmp_path):
         path = str(tmp_path / "out.txt")
@@ -47,10 +60,12 @@ class TestAtomicTextSink:
         path = str(tmp_path / "out.txt")
         sink = AtomicTextSink(path, id_width=4)
         sink.write_link(1, 2)
+        sink.write_links(np.array([3]), np.array([4]))
         assert not os.path.exists(path)  # still only the temp file
         sink.close()
         assert sink.committed
-        assert os.path.exists(path)
+        assert open(path).read() == "0001 0002\n0003 0004\n"
+        assert os.path.getsize(path) == sink.stats.bytes_written
         assert not os.path.exists(path + ".part")
 
     def test_abort_leaves_destination_untouched(self, tmp_path):
@@ -59,7 +74,9 @@ class TestAtomicTextSink:
             f.write("previous good output\n")
         sink = AtomicTextSink(path, id_width=4)
         sink.write_link(1, 2)
-        sink.abort()
+        sink.write_links(np.array([3, 5]), np.array([4, 6]))
+        sink.abort()  # drops the pending batch unwritten
+        sink.close()  # after abort: a no-op, nothing is published
         assert not sink.committed
         assert open(path).read() == "previous good output\n"
         assert not os.path.exists(path + ".part")
@@ -88,6 +105,84 @@ class TestAtomicTextSink:
         sink.close()
         sink.abort()  # after commit: no-op, file stays
         assert os.path.exists(path)
+
+
+class TestDeferredLinkWrites:
+    """A link batch is written by a later call than the one that queued it.
+
+    Nine calls of a quarter :data:`LINK_BATCH` each cross the bound twice:
+    the fifth and ninth calls write the batch before them, and close
+    writes the last.  Op 0 of the trace opens the file, so op 1 is the
+    first output write, the fifth call's coalesced batch.
+    """
+
+    CALLS, PER_CALL = 9, LINK_BATCH // 4
+
+    def _batches(self):
+        rng = np.random.default_rng(4)
+        size = (self.CALLS, 2, self.PER_CALL)
+        return [tuple(call) for call in rng.integers(0, 10**5, size)]
+
+    def _traced(self, tmp_path, fail_at=None):
+        fs = TraceFS(root=str(tmp_path / "box"), fail_at=fail_at)
+        with scoped_fs(fs):
+            inner = TextSink("/out.txt", id_width=5)
+        return fs, inner, RetryingSink(inner, sleep=lambda _s: None)
+
+    @staticmethod
+    def _output(fs):
+        with fs.open("/out.txt", "rb") as handle:
+            return handle.read()
+
+    def test_transient_fault_on_a_deferred_write_is_retried_exactly(self, tmp_path):
+        clean_fs, _, clean = self._traced(tmp_path / "clean")
+        fs, inner, sink = self._traced(tmp_path / "eio", fail_at={1: errno.EIO})
+        for ids_i, ids_j in self._batches():
+            clean.write_links(ids_i, ids_j)
+            sink.write_links(ids_i, ids_j)
+        clean.close()
+        sink.close()
+        assert sink.retries == 1
+        assert fs.ops[1].injected == "eio"
+        assert self._output(fs) == self._output(clean_fs)
+        assert len(self._output(fs)) == inner.stats.bytes_written
+        assert inner.stats.links_emitted == self.CALLS * self.PER_CALL
+
+    def test_disk_full_on_a_deferred_write_charges_nothing(self, tmp_path):
+        clean_fs, _, clean = self._traced(tmp_path / "clean")
+        fs, inner, sink = self._traced(tmp_path / "full", fail_at={1: errno.ENOSPC})
+        batches = self._batches()
+        for ids_i, ids_j in batches[:4]:
+            clean.write_links(ids_i, ids_j)
+            sink.write_links(ids_i, ids_j)
+        charged = (inner.stats.links_emitted, inner.stats.bytes_written)
+        with pytest.raises(DiskFullError):
+            sink.write_links(*batches[4])
+        assert sink.retries == 0
+        assert (inner.stats.links_emitted, inner.stats.bytes_written) == charged
+        # Space freed: the failed call, repeated, is exact.
+        fs.fail_at = {}
+        for ids_i, ids_j in batches[4:]:
+            clean.write_links(ids_i, ids_j)
+            sink.write_links(ids_i, ids_j)
+        clean.close()
+        sink.close()
+        assert self._output(fs) == self._output(clean_fs)
+        assert len(self._output(fs)) == inner.stats.bytes_written
+
+    def test_a_nested_write_is_timed_once(self):
+        class SlowTarget(io.StringIO):
+            def write(self, text):
+                time.sleep(0.02)
+                return super().write(text)
+
+        sink = TextSink(SlowTarget(), id_width=4)
+        start = time.perf_counter()
+        sink.write_links(np.array([1, 2]), np.array([3, 4]))
+        sink.write_group([5, 6, 7])  # writes the pending batch, then its line
+        sink.close()
+        wall = time.perf_counter() - start
+        assert 0.04 <= sink.stats.write_time <= wall
 
 
 class _FailNTimesSink(CollectSink):

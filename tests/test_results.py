@@ -1,9 +1,13 @@
 """Unit tests for sinks and JoinResult (repro.core.results)."""
 
+import io
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.results import (
+    LINK_BATCH,
     CallbackSink,
     CollectSink,
     CountingSink,
@@ -12,6 +16,7 @@ from repro.core.results import (
     make_sink,
     normalized_link,
 )
+from repro.errors import InvalidInputError
 from repro.io.writer import line_bytes
 
 
@@ -122,10 +127,61 @@ class TestTextSink:
             sink.write_link(1, 2)
             sink.write_links(np.array([3]), np.array([4]))
             sink.write_group([5, 6, 7])
-        import os
-
         assert os.path.getsize(path) == sink.stats.bytes_written
         assert sink.stats.write_time > 0.0
+
+    def test_batches_across_calls_keep_line_order(self):
+        """Pending links go out before every other line and at close."""
+        rng = np.random.default_rng(0)
+        buf = io.StringIO()
+        sink = TextSink(buf, id_width=4)
+        expected = []
+        k = LINK_BATCH // 3 + 7  # calls cross the bound at uneven points
+        for step in range(8):
+            i, j = rng.integers(0, 10**4, k), rng.integers(0, 10**4, k)
+            sink.write_links(i, j)
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            expected += [f"{a:04d} {b:04d}\n" for a, b in zip(lo, hi)]
+            if step % 3 == 2:
+                sink.write_group([9, 1, 5])
+                expected.append("0001 0005 0009\n")
+            if step == 4:
+                sink.write_link(7, 3)
+                expected.append("0003 0007\n")
+        # Queued links are charged at once; the file catches up later.
+        assert sink.stats.links_emitted == 8 * k + 1
+        assert len(buf.getvalue()) < sink.stats.bytes_written
+        sink.close()
+        assert buf.getvalue() == "".join(expected)
+        assert len(buf.getvalue()) == sink.stats.bytes_written
+
+    def test_ids_wider_than_the_width_are_rejected(self, tmp_path):
+        # Formatted as-is these would write "05 123\n01 02 300\n-1 07\n",
+        # 23 bytes on disk while bytes_written reported 21.
+        path = tmp_path / "out.txt"
+        sink = TextSink(str(path), id_width=2)
+        with pytest.raises(InvalidInputError):
+            sink.write_link(5, 123)
+        with pytest.raises(InvalidInputError):
+            sink.write_group([1, 2, 300])
+        with pytest.raises(InvalidInputError):
+            sink.write_link(-1, 7)
+        sink.write_link(0, 99)
+        sink.close()
+        assert path.read_bytes() == b"00 99\n"
+        assert sink.stats.bytes_written == 6
+        assert sink.stats.links_emitted == 1 and sink.stats.groups_emitted == 0
+
+    def test_bad_id_in_a_pending_batch_is_rejected_when_written(self):
+        """A batch is range-checked once, when formatted: no byte of it lands."""
+        buf = io.StringIO()
+        sink = TextSink(buf, id_width=2)
+        sink.write_links(np.array([1, 5]), np.array([2, 123]))
+        with pytest.raises(InvalidInputError):
+            sink.write_group([3, 4, 6])
+        with pytest.raises(InvalidInputError):
+            sink.close()
+        assert buf.getvalue() == ""
 
 
 class TestMakeSink:
