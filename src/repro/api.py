@@ -123,11 +123,11 @@ def similarity_join(
     settings are validated up front, on the serial path too.
 
     ``metric`` may be an :class:`~repro.core.metricspace.ObjectMetric`
-    only for ``ssj`` / ``ncsj`` (``csj`` with ``g = 0``) on an M-tree;
-    every other combination raises
-    :class:`~repro.errors.InvalidInputError` before any index is built —
-    :func:`~repro.core.metricspace.metric_similarity_join` is the compact
-    join over arbitrary objects.
+    for the tree joins (``ssj``, ``ncsj``, ``csj``) on an M-tree, whose
+    compact groups are then balls; every other combination raises
+    :class:`~repro.errors.InvalidInputError` before any index is built.
+    :func:`~repro.core.metricspace.metric_similarity_join` builds the
+    M-tree over arbitrary objects and runs this join on it.
     """
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHMS:
@@ -138,8 +138,7 @@ def similarity_join(
         raise InvalidInputError(f"window size g must be >= 0, got {g}")
     validate_execution(workers, task_timeout)
     check_object_metric(
-        index.metric if isinstance(index, SpatialIndex) else metric,
-        algorithm, g, index,
+        index.metric if isinstance(index, SpatialIndex) else metric, algorithm, index
     )
     logger.debug(
         "similarity join starting",

@@ -17,13 +17,12 @@ from repro.core.bruteforce import brute_force_cross_links, brute_force_links, co
 from repro.core.clusters import UnionFind, component_sizes, connected_components
 from repro.core.csj import csj, ncsj
 from repro.core.dual import compact_spatial_join, spatial_join
-from repro.core.egrid import egrid_join, egrid_sorted_join
+from repro.core.egrid import egrid_join
 from repro.core.groups import Group, GroupBuffer
 from repro.core.metricspace import (
     ObjectMetric,
     brute_force_object_links,
     build_metric_index,
-    metric_csj,
     metric_similarity_join,
 )
 from repro.core.outliers import find_outliers, group_size_profile, rank_by_isolation
@@ -47,7 +46,6 @@ __all__ = [
     "spatial_join",
     "compact_spatial_join",
     "egrid_join",
-    "egrid_sorted_join",
     "pbsm_join",
     "spatial_hash_join",
     "brute_force_links",
@@ -67,7 +65,6 @@ __all__ = [
     "GroupBuffer",
     "ObjectMetric",
     "build_metric_index",
-    "metric_csj",
     "metric_similarity_join",
     "brute_force_object_links",
     "find_outliers",

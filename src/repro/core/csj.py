@@ -19,7 +19,10 @@ two-point group is written as a plain link in the paper's output format.
 All three serial tree joins (SSJ too) are one loop, :func:`tree_join`:
 it walks the work units of :func:`repro.core.frontier.traverse` and runs
 each through :func:`tree_task_delta`, the executor checkpointed and pool
-runs use as well.
+runs use as well.  Over an M-tree of arbitrary objects
+(:class:`~repro.core.metricspace.ObjectMetric`) early-stopped groups are
+balls and :func:`make_window` picks the ball merge window; the walk is
+the same.
 
 Theorem 1 (completeness — every qualifying pair is implied by the output)
 and Theorem 2 (correctness — no non-qualifying pair is implied) hold by
@@ -35,7 +38,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.core.frontier import traverse
-from repro.core.groups import GroupBuffer, apply_events
+from repro.core.groups import GroupBuffer, apply_events, link_events
+from repro.core.metricspace import BallGroupBuffer, ObjectMetric
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import BudgetExceededError
 from repro.index.base import SpatialIndex
@@ -53,6 +57,7 @@ __all__ = [
     "ncsj",
     "tree_join",
     "tree_task_delta",
+    "make_window",
     "packed_node_group_delta",
     "packed_pair_group_delta",
     "leaf_self_delta",
@@ -75,9 +80,10 @@ def packed_node_group_delta(points: np.ndarray, packed, nid: int) -> list:
     """Events for one early-stopped subtree (Figure 3, lines 2-3).
 
     R-tree nodes already carry an MBR ("these shapes can be used
-    directly", Section V-A); ball-shaped nodes fall back to the exact
-    point MBR, which costs one pass over points we are about to write
-    out anyway.
+    directly", Section V-A); ball-shaped nodes over vectors fall back to
+    the exact point MBR, which costs one pass over points we are about to
+    write out anyway.  Over an :class:`ObjectMetric` the group is the
+    node's covering ball, ``("group", ids, center_row, radius)``.
     """
     ids = packed.subtree_entry_ids(nid)
     if len(ids) < 2:
@@ -85,6 +91,9 @@ def packed_node_group_delta(points: np.ndarray, packed, nid: int) -> list:
     if packed.kind == "rect":
         lo = packed.lo[nid].tolist()
         hi = packed.hi[nid].tolist()
+    elif isinstance(packed.metric, ObjectMetric):
+        center = packed.centers[nid].tolist()
+        return [("group", ids.tolist(), center, float(packed.radii[nid]))]
     else:
         pts = points[ids]
         lo = pts.min(axis=0).tolist()
@@ -97,7 +106,11 @@ def packed_pair_group_delta(
 ) -> list:
     """Events for one early-stopped node pair (Figure 3, lines 20-21).
 
-    The rect bounds are the union of the two packed MBR rows.
+    The rect bounds are the union of the two packed MBR rows.  Over an
+    :class:`ObjectMetric` the group is the ball around the first node's
+    center that covers both: radius ``max(r1, d(c1, c2) + r2)``.  That
+    center distance is not charged: the traversal's union-diameter test
+    evaluated it and charged an mbr check.
     """
     ids = np.concatenate(
         [packed.subtree_entry_ids(nid1), packed.subtree_entry_ids(nid2)]
@@ -107,6 +120,11 @@ def packed_pair_group_delta(
     if packed.kind == "rect":
         lo = np.minimum(packed.lo[nid1], packed.lo[nid2]).tolist()
         hi = np.maximum(packed.hi[nid1], packed.hi[nid2]).tolist()
+    elif isinstance(packed.metric, ObjectMetric):
+        c1 = packed.centers[nid1]
+        d = packed.metric.distance(c1, packed.centers[nid2])
+        radius = max(float(packed.radii[nid1]), d + float(packed.radii[nid2]))
+        return [("group", ids.tolist(), c1.tolist(), radius)]
     else:
         pts = points[ids]
         lo = pts.min(axis=0).tolist()
@@ -131,24 +149,9 @@ def leaf_self_delta(
     # Condensed upper-triangle distances: same values and pair order as
     # the full k x k matrix masked with triu, at ~half the peak memory.
     t_rows, t_cols, dists = metric.condensed_self(pts)
-    dc = k * (k - 1) // 2
     hit = np.flatnonzero(dists < eps)
-    if not len(hit):
-        return [], dc
-    rows, cols = t_rows[hit], t_cols[hit]
-    if g == 0:
-        return [("links", id_arr[rows], id_arr[cols])], dc
-    coords = pts.tolist()
-    id_list = id_arr.tolist()
-    rows = rows.tolist()
-    cols = cols.tolist()
-    return [(
-        "linkseq",
-        [id_list[r] for r in rows],
-        [id_list[c] for c in cols],
-        [coords[r] for r in rows],
-        [coords[c] for c in cols],
-    )], dc
+    events = link_events(id_arr, id_arr, pts, pts, t_rows[hit], t_cols[hit], g > 0)
+    return events, k * (k - 1) // 2
 
 
 def leaf_cross_delta(
@@ -161,26 +164,9 @@ def leaf_cross_delta(
         return [], 0
     pts1 = points[arr1]
     pts2 = points[arr2]
-    dists = metric.pairwise(pts1, pts2)
-    dc = len(arr1) * len(arr2)
-    rows, cols = np.nonzero(dists < eps)
-    if not len(rows):
-        return [], dc
-    if g == 0:
-        return [("links", arr1[rows], arr2[cols])], dc
-    coords1 = pts1.tolist()
-    coords2 = pts2.tolist()
-    id1 = arr1.tolist()
-    id2 = arr2.tolist()
-    rows = rows.tolist()
-    cols = cols.tolist()
-    return [(
-        "linkseq",
-        [id1[r] for r in rows],
-        [id2[c] for c in cols],
-        [coords1[r] for r in rows],
-        [coords2[c] for c in cols],
-    )], dc
+    rows, cols = np.nonzero(metric.pairwise(pts1, pts2) < eps)
+    events = link_events(arr1, arr2, pts1, pts2, rows, cols, g > 0)
+    return events, len(arr1) * len(arr2)
 
 
 def tree_task_delta(
@@ -206,6 +192,20 @@ def tree_task_delta(
         packed.leaf_entry_ids(task[1]), packed.leaf_entry_ids(task[2]), g,
     )
     return events, (dc, 0, 0)
+
+
+def make_window(g: int, eps: float, sink: JoinSink, metric, stats=None, dim=None):
+    """The CSJ(g) merge window for ``metric``.
+
+    An :class:`ObjectMetric` has no coordinates, so its groups are balls
+    (:class:`~repro.core.metricspace.BallGroupBuffer`); every vector
+    metric gets MBR groups (:class:`~repro.core.groups.GroupBuffer`).
+    Both take the events of :func:`tree_task_delta` through the same
+    ``create_group`` / ``add_link`` calls.
+    """
+    if isinstance(metric, ObjectMetric):
+        return BallGroupBuffer(g, eps, sink, metric, stats=stats)
+    return GroupBuffer(g, eps, sink, metric=metric, stats=stats, dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def tree_join(
     attrs = {}
     if compact:
         dim = tree.points.shape[1] if tree.points.ndim == 2 else None
-        buffer = GroupBuffer(g, radius, sink, metric=tree.metric, stats=stats, dim=dim)
+        buffer = make_window(g, radius, sink, tree.metric, stats=stats, dim=dim)
         attrs["g"] = g
     result_g = attrs.get("g")
     if budget is not None:

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.frontier import traverse
+from repro.core.metricspace import ObjectMetric
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import InvalidInputError
 from repro.index.base import SpatialIndex
@@ -59,10 +60,18 @@ def compact_spatial_join(
     """Compact dual-tree spatial join: group pairs plus residual links.
 
     ``g = 0`` gives the naive variant (early stop only, no link merging),
-    mirroring N-CSJ.
+    mirroring N-CSJ.  The pair-group window bounds groups by rectangles,
+    so over an :class:`~repro.core.metricspace.ObjectMetric` only
+    ``g = 0`` runs; ``g > 0`` raises
+    :class:`~repro.errors.InvalidInputError` before any work.
     """
     if g < 0:
         raise ValueError(f"window size g must be >= 0, got {g}")
+    if g > 0 and isinstance(tree_a.metric, ObjectMetric):
+        raise InvalidInputError(
+            f"object metric {tree_a.metric.name!r} has no coordinates for the "
+            "spatial join's rectangle merge window; run it with g=0"
+        )
     label = f"csj({g})-spatial" if g else "ncsj-spatial"
     return _dual_join(tree_a, tree_b, eps, sink, g=g, label=label)
 

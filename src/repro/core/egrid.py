@@ -15,10 +15,17 @@ case".  That is what :func:`egrid_join` does when ``compact=True``:
 * residual links flow through the same ``g``-recent-group merge window as
   CSJ(g).
 
+The join is one flat sequence of work units, :func:`grid_tasks`: each
+non-empty cell in epsilon grid order, then its pairs with its
+lexicographically larger neighbours.  :func:`grid_task_delta` runs one
+unit; :func:`egrid_join` walks the sequence in process, and the
+checkpointed and pool runs (:class:`~repro.parallel.tasks.TaskState`)
+address the same units by position.
+
 Substitution note: the original operates out-of-core over a sorted stream;
-our in-memory hash-grid performs the identical cell-pair joins (same
-candidate set, same output), which is the behaviour relevant to output
-compaction.
+our in-memory hash-grid performs the identical cell-pair joins in the same
+grid order (same candidate set, same output), which is the behaviour
+relevant to output compaction.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.groups import GroupBuffer, apply_events
+from repro.core.groups import GroupBuffer, apply_events, link_events
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import BudgetExceededError
 from repro.geometry.metrics import Metric, get_metric
@@ -39,14 +46,7 @@ from repro.obs.tracing import span as trace_span
 if TYPE_CHECKING:
     from repro.resilience.budget import Budget
 
-__all__ = [
-    "egrid_join",
-    "egrid_sorted_join",
-    "grid_cells",
-    "epsilon_grid_order",
-    "cell_self_delta",
-    "cell_pair_delta",
-]
+__all__ = ["egrid_join", "grid_cells", "grid_tasks", "grid_task_delta"]
 
 
 def grid_cells(points: np.ndarray, eps: float) -> dict[tuple[int, ...], np.ndarray]:
@@ -86,6 +86,67 @@ def _positive_neighbour_offsets(dim: int) -> list[tuple[int, ...]]:
     return offsets
 
 
+def grid_tasks(points: np.ndarray, eps: float) -> list[tuple]:
+    """The grid join's work units, in canonical order.
+
+    Each non-empty cell, in epsilon grid order, yields ``("self", ids)``
+    followed by ``("cross", ids, other)`` for each non-empty
+    lexicographically larger neighbour cell.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    cells = grid_cells(pts, eps)
+    offsets = _positive_neighbour_offsets(pts.shape[1])
+    tasks: list[tuple] = []
+    for key, ids in cells.items():
+        tasks.append(("self", ids))
+        for offset in offsets:
+            other = cells.get(tuple(k + o for k, o in zip(key, offset)))
+            if other is not None:
+                tasks.append(("cross", ids, other))
+    return tasks
+
+
+def grid_task_delta(
+    pts: np.ndarray, metric, eps: float, compact: bool, task: tuple
+) -> tuple[list, tuple[int, int, int]]:
+    """Run one grid work unit: ``(events, (dc, mbr_checks, early_stops))``.
+
+    ``task`` is a unit of :func:`grid_tasks`; the events are the
+    vocabulary of :func:`repro.core.groups.apply_events`.  In compact
+    mode a cell (or cell pair) whose point MBR has a diagonal below the
+    range is one group — early termination as a group — and residual
+    links are a ``linkseq`` (the JoinBuffer extension routes them through
+    the merge window even at ``g = 0``, where a two-point group
+    degenerates to a plain link).
+    """
+    ids_a = task[1]
+    pair = task[0] == "cross"
+    if not pair and len(ids_a) < 2:
+        return [], (0, 0, 0)
+    pts_a = pts[ids_a]
+    ids_b = task[2] if pair else ids_a
+    pts_b = pts[ids_b] if pair else pts_a
+    checks = 0
+    if compact:
+        both = np.vstack([pts_a, pts_b]) if pair else pts_a
+        lo = both.min(axis=0)
+        hi = both.max(axis=0)
+        if metric.norm(hi - lo) < eps:
+            ids = np.concatenate([ids_a, ids_b]) if pair else ids_a
+            return [("group", ids.tolist(), lo.tolist(), hi.tolist())], (0, 1, 1)
+        checks = 1
+    if pair:
+        rows, cols = np.nonzero(metric.pairwise(pts_a, pts_b) < eps)
+        dc = len(ids_a) * len(ids_b)
+    else:
+        t_rows, t_cols, dists = metric.condensed_self(pts_a)
+        hit = np.flatnonzero(dists < eps)
+        rows, cols = t_rows[hit], t_cols[hit]
+        dc = len(ids_a) * (len(ids_a) - 1) // 2
+    events = link_events(ids_a, ids_b, pts_a, pts_b, rows, cols, compact)
+    return events, (dc, checks, 0)
+
+
 def egrid_join(
     points: np.ndarray,
     eps: float,
@@ -115,228 +176,34 @@ def egrid_join(
     buffer = GroupBuffer(
         g if compact else 0, eps, sink, metric=m, stats=stats, dim=pts.shape[1]
     )
+    label = (f"egrid-csj({g})" if g else "egrid-ncsj") if compact else "egrid"
 
     if budget is not None:
         budget.start()
     start_time = time.perf_counter()
     with trace_span("grid", algorithm="egrid", points=len(pts)):
-        cells = grid_cells(pts, eps)
-    offsets = _positive_neighbour_offsets(pts.shape[1])
-
+        tasks = grid_tasks(pts, eps)
     try:
-        with trace_span("descend", algorithm="egrid", cells=len(cells)):
-            for key, ids in cells.items():
+        with trace_span("descend", algorithm="egrid", tasks=len(tasks)):
+            for task in tasks:
                 if budget is not None:
                     budget.check(stats)
-                _join_cell_self(pts, ids, eps, m, compact, buffer, sink, stats)
-                for offset in offsets:
-                    neighbour = tuple(k + o for k, o in zip(key, offset))
-                    other = cells.get(neighbour)
-                    if other is not None:
-                        _join_cell_pair(pts, ids, other, eps, m, compact, buffer, sink, stats)
+                events, (dc, mbr, stops) = grid_task_delta(pts, m, eps, compact, task)
+                stats.distance_computations += dc
+                stats.mbr_checks += mbr
+                stats.early_stops += stops
+                apply_events(events, sink, buffer)
         with trace_span("emit", algorithm="egrid"):
             buffer.flush()
     except BudgetExceededError as exc:
         buffer.flush()
         stats.compute_time += time.perf_counter() - start_time - stats.write_time
-        label = (f"egrid-csj({g})" if g else "egrid-ncsj") if compact else "egrid"
         exc.partial = JoinResult.from_sink(
             sink, eps=eps, algorithm=label, g=g if compact else None,
             index_name="egrid",
         )
         raise
     stats.compute_time += time.perf_counter() - start_time - stats.write_time
-    label = (f"egrid-csj({g})" if g else "egrid-ncsj") if compact else "egrid"
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g if compact else None, index_name="egrid"
     )
-
-
-def epsilon_grid_order(points: np.ndarray, eps: float) -> np.ndarray:
-    """The permutation sorting points into the epsilon grid order.
-
-    Points are ordered lexicographically by their grid-cell coordinates
-    (Boehm et al.'s total order); within a cell the original order is
-    kept.  The defining property: all join partners of a point lie within
-    a contiguous window of this order bounded by the cells at
-    lexicographic distance one — the basis of the external-memory
-    algorithm.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    coords = np.floor(pts / eps).astype(np.int64)
-    return np.lexsort(coords.T[::-1])
-
-
-def egrid_sorted_join(
-    points: np.ndarray,
-    eps: float,
-    compact: bool = False,
-    g: int = 10,
-    sink: Optional[JoinSink] = None,
-    metric: Optional[Metric] = None,
-) -> JoinResult:
-    """The sorted (sequential-scan) formulation of the grid-order join.
-
-    This is the shape of the original algorithm [2]: sort once by the
-    epsilon grid order, then sweep; each cell joins itself and, via the
-    lexicographic window, exactly its not-yet-visited neighbour cells.
-    Output and semantics are identical to :func:`egrid_join` (the test
-    suite asserts it); the hash variant is faster in memory, this one
-    reflects how the join streams from disk.  ``compact=True`` applies
-    the same Section VII early-termination extension.
-    """
-    if eps <= 0:
-        raise ValueError(f"query range must be positive, got {eps}")
-    m = get_metric(metric)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if sink is None:
-        sink = CollectSink(id_width=width_for(len(pts)))
-    stats = sink.stats
-    buffer = GroupBuffer(
-        g if compact else 0, eps, sink, metric=m, stats=stats, dim=pts.shape[1]
-    )
-
-    start_time = time.perf_counter()
-    if len(pts) > 1:
-        order = epsilon_grid_order(pts, eps)
-        coords = np.floor(pts / eps).astype(np.int64)
-        sorted_coords = coords[order]
-        # Cut the sorted sequence into cell runs.
-        boundaries = [0]
-        for i in range(1, len(order)):
-            if not np.array_equal(sorted_coords[i], sorted_coords[i - 1]):
-                boundaries.append(i)
-        boundaries.append(len(order))
-        runs = {
-            tuple(int(c) for c in sorted_coords[boundaries[k]]): order[
-                boundaries[k]:boundaries[k + 1]
-            ]
-            for k in range(len(boundaries) - 1)
-        }
-        offsets = _positive_neighbour_offsets(pts.shape[1])
-        # Sweep the cells in grid order; each joins itself and its
-        # lexicographically *following* neighbours (all within the
-        # bounded window ahead of the scan position).
-        for key in sorted(runs):
-            ids = runs[key]
-            _join_cell_self(pts, ids, eps, m, compact, buffer, sink, stats)
-            for offset in offsets:
-                neighbour = tuple(k + o for k, o in zip(key, offset))
-                other = runs.get(neighbour)
-                if other is not None:
-                    _join_cell_pair(
-                        pts, ids, other, eps, m, compact, buffer, sink, stats
-                    )
-    buffer.flush()
-    stats.compute_time += time.perf_counter() - start_time - stats.write_time
-    label = (
-        (f"egrid-sorted-csj({g})" if g else "egrid-sorted-ncsj")
-        if compact
-        else "egrid-sorted"
-    )
-    return JoinResult.from_sink(
-        sink,
-        eps=eps,
-        algorithm=label,
-        g=g if compact else None,
-        index_name="egrid-sorted",
-    )
-
-
-def cell_self_delta(
-    pts: np.ndarray, ids: np.ndarray, eps: float, metric, compact: bool
-) -> tuple[list, int, int, int]:
-    """Pure grid-cell self-join task.
-
-    Returns ``(events, distance_computations, mbr_checks, early_stops)``
-    — the event list is the vocabulary of
-    :func:`repro.core.groups.apply_events`.  In compact mode residual
-    links are a ``linkseq`` (the JoinBuffer extension routes them through
-    the merge window even at ``g = 0``, where a two-point group
-    degenerates to a plain link).
-    """
-    k = len(ids)
-    if k < 2:
-        return [], 0, 0, 0
-    cell_pts = pts[ids]
-    if compact:
-        lo = cell_pts.min(axis=0)
-        hi = cell_pts.max(axis=0)
-        if metric.norm(hi - lo) < eps:
-            # Early termination as a group: the whole cell qualifies.
-            return [("group", ids.tolist(), lo.tolist(), hi.tolist())], 0, 1, 1
-    t_rows, t_cols, dists = metric.condensed_self(cell_pts)
-    dc = k * (k - 1) // 2
-    hit = np.flatnonzero(dists < eps)
-    rows, cols = t_rows[hit], t_cols[hit]
-    if not compact:
-        if not len(rows):
-            return [], dc, 0, 0
-        return [("links", ids[rows], ids[cols])], dc, 0, 0
-    if not len(rows):
-        return [], dc, 1, 0
-    coords = cell_pts.tolist()
-    id_list = ids.tolist()
-    rows = rows.tolist()
-    cols = cols.tolist()
-    return [(
-        "linkseq",
-        [id_list[r] for r in rows],
-        [id_list[c] for c in cols],
-        [coords[r] for r in rows],
-        [coords[c] for c in cols],
-    )], dc, 1, 0
-
-
-def cell_pair_delta(
-    pts: np.ndarray, ids_a: np.ndarray, ids_b: np.ndarray, eps: float,
-    metric, compact: bool,
-) -> tuple[list, int, int, int]:
-    """Pure grid-cell pair-join twin of :func:`cell_self_delta`."""
-    pts_a = pts[ids_a]
-    pts_b = pts[ids_b]
-    if compact:
-        both = np.vstack([pts_a, pts_b])
-        lo = both.min(axis=0)
-        hi = both.max(axis=0)
-        if metric.norm(hi - lo) < eps:
-            ids = np.concatenate([ids_a, ids_b])
-            return [("group", ids.tolist(), lo.tolist(), hi.tolist())], 0, 1, 1
-    dists = metric.pairwise(pts_a, pts_b)
-    dc = len(ids_a) * len(ids_b)
-    rows, cols = np.nonzero(dists < eps)
-    if not compact:
-        if not len(rows):
-            return [], dc, 0, 0
-        return [("links", ids_a[rows], ids_b[cols])], dc, 0, 0
-    if not len(rows):
-        return [], dc, 1, 0
-    coords_a = pts_a.tolist()
-    coords_b = pts_b.tolist()
-    id_a = ids_a.tolist()
-    id_b = ids_b.tolist()
-    rows = rows.tolist()
-    cols = cols.tolist()
-    return [(
-        "linkseq",
-        [id_a[r] for r in rows],
-        [id_b[c] for c in cols],
-        [coords_a[r] for r in rows],
-        [coords_b[c] for c in cols],
-    )], dc, 1, 0
-
-
-def _join_cell_self(pts, ids, eps, metric, compact, buffer, sink, stats) -> None:
-    events, dc, checks, stops = cell_self_delta(pts, ids, eps, metric, compact)
-    stats.mbr_checks += checks
-    stats.early_stops += stops
-    stats.distance_computations += dc
-    apply_events(events, sink, buffer)
-
-
-def _join_cell_pair(pts, ids_a, ids_b, eps, metric, compact, buffer, sink, stats) -> None:
-    events, dc, checks, stops = cell_pair_delta(pts, ids_a, ids_b, eps, metric, compact)
-    stats.mbr_checks += checks
-    stats.early_stops += stops
-    stats.distance_computations += dc
-    apply_events(events, sink, buffer)

@@ -36,7 +36,34 @@ from repro.geometry.mbr import MBR
 from repro.geometry.metrics import Metric, get_metric
 from repro.stats.counters import JoinStats
 
-__all__ = ["Group", "GroupBuffer", "apply_events"]
+__all__ = ["Group", "GroupBuffer", "apply_events", "link_events"]
+
+
+def link_events(ids_a, ids_b, pts_a, pts_b, rows, cols, merge: bool) -> list:
+    """Events for the qualifying pairs ``(ids_a[rows[k]], ids_b[cols[k]])``.
+
+    ``pts_a`` / ``pts_b`` are the coordinate rows aligned with the id
+    arrays (the same arrays for a self-join block).  Without ``merge``
+    the links are one ``links`` event, written individually; with it a
+    ``linkseq`` carries each endpoint's row to the merge window.
+    """
+    if not len(rows):
+        return []
+    if not merge:
+        return [("links", ids_a[rows], ids_b[cols])]
+    coords_a = pts_a.tolist()
+    coords_b = coords_a if pts_b is pts_a else pts_b.tolist()
+    id_a = ids_a.tolist()
+    id_b = id_a if ids_b is ids_a else ids_b.tolist()
+    rows = rows.tolist()
+    cols = cols.tolist()
+    return [(
+        "linkseq",
+        [id_a[r] for r in rows],
+        [id_b[c] for c in cols],
+        [coords_a[r] for r in rows],
+        [coords_b[c] for c in cols],
+    )]
 
 
 def apply_events(events, sink: JoinSink, buffer: Optional["GroupBuffer"]) -> None:
@@ -337,6 +364,25 @@ class GroupBuffer:
         """Write every group still in the window (end of the join)."""
         while self._window:
             self._write_out(self._window.popleft())
+
+    def snapshot(self) -> list[list]:
+        """The window as JSON-ready ``[ids, lo, hi]`` rows (checkpoints)."""
+        return [
+            [sorted(int(i) for i in group.ids), list(group.lo), list(group.hi)]
+            for group in self._window
+        ]
+
+    def restore(self, state: list) -> None:
+        """Replace the window with a :meth:`snapshot`."""
+        self._window.clear()
+        for ids, lo, hi in state:
+            self._window.append(
+                Group(
+                    set(int(i) for i in ids),
+                    [float(x) for x in lo],
+                    [float(x) for x in hi],
+                )
+            )
 
     def __len__(self) -> int:
         return len(self._window)

@@ -2,20 +2,25 @@
 
 The paper's Discussion argues the algorithms "are equally applicable to
 metric space, and the gains carry over", because they only require the
-inclusion property and node-distance bounds.  For *vector* data our CSJ
-already runs on the M-tree; this module completes the claim for data with
-no coordinates at all — strings under edit distance, or any user metric:
+inclusion property and node-distance bounds.  This module supplies the
+two pieces data with no coordinates at all needs — strings under edit
+distance, or any user metric — and the tree joins do the rest:
 
 * :class:`ObjectMetric` adapts a ``distance(a, b)`` callable over
   arbitrary objects to the library's :class:`~repro.geometry.metrics.Metric`
-  interface by indexing: each "point" is its object id, so every existing
-  index and traversal works unchanged;
-* :class:`BallGroupBuffer` replaces the MBR group boundary with a metric
-  *ball* (center object + radius): all members mutually satisfy the range
-  whenever ``2 * radius < eps`` — the constant-time membership test of
-  Section V-A, minus the vector-space assumption;
-* :func:`metric_csj` runs N-CSJ / CSJ(g) over an M-tree of objects with
-  ball groups, and :func:`metric_similarity_join` is the one-call API.
+  interface by indexing: each "point" is its object id, so the M-tree,
+  the packed traversal and the leaf executors work unchanged;
+* :class:`BallGroupBuffer` is the CSJ(g) merge window with a metric
+  *ball* (center object + radius) as the group boundary instead of an
+  MBR: all members mutually satisfy the range whenever
+  ``2 * radius < eps`` — the constant-time membership test of Section
+  V-A, minus the vector-space assumption.
+
+:func:`metric_similarity_join` builds an M-tree over the objects
+(:func:`build_metric_index`) and runs
+:func:`~repro.api.similarity_join` on it, so ssj, ncsj and csj(g) over
+objects take the same serial, checkpointed and pool paths as vector
+joins.
 
 Ball groups are more conservative than MBRs (a ball of diameter < eps is
 the largest shape with a one-distance membership test), so compaction
@@ -25,18 +30,16 @@ discusses when rejecting bounding circles for vectors.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.results import CollectSink, JoinResult, JoinSink
+from repro.core.results import JoinResult, JoinSink
 from repro.errors import InvalidInputError
 from repro.geometry.metrics import Metric
 from repro.index import get_index_class
 from repro.index.mtree import MTree
-from repro.io.writer import width_for
 from repro.stats.counters import JoinStats
 
 __all__ = [
@@ -44,7 +47,6 @@ __all__ = [
     "check_object_metric",
     "BallGroupBuffer",
     "build_metric_index",
-    "metric_csj",
     "metric_similarity_join",
     "brute_force_object_links",
 ]
@@ -120,26 +122,25 @@ class ObjectMetric(Metric):
         return np.array([self._fn(target, self._resolve(r)) for r in rows])
 
 
-def check_object_metric(metric, algorithm: str, g: int, index) -> None:
+def check_object_metric(metric, algorithm: str, index) -> None:
     """Reject an :class:`ObjectMetric` wherever a join needs coordinates.
 
-    Object metrics have no coordinates, so grids, partitions, rectangle
-    trees and the CSJ(g) merge window cannot use them.  Only ssj and
-    ncsj (csj with ``g = 0``) on an M-tree run exactly over them;
+    Object metrics have no coordinates, so grids, partitions and
+    rectangle trees cannot use them.  The tree joins — ssj, ncsj and
+    csj(g) — on an M-tree run exactly over them, with ball groups;
     everything else raises :class:`~repro.errors.InvalidInputError`.
     ``index`` is an index name or a built index.
     """
     if not isinstance(metric, ObjectMetric):
         return
     cls = get_index_class(index) if isinstance(index, str) else type(index)
-    uncompacted = algorithm in ("ssj", "ncsj") or (algorithm == "csj" and g == 0)
-    if uncompacted and issubclass(cls, MTree):
+    if algorithm in ("ssj", "ncsj", "csj") and issubclass(cls, MTree):
         return
     raise InvalidInputError(
-        f"object metric {metric.name!r} has no coordinates: only ssj and ncsj "
-        f"(csj with g=0) on an mtree run over it, not {algorithm!r} with "
-        f"g={g} on {getattr(cls, 'name', cls.__name__)!r}; use "
-        "metric_similarity_join for compact joins over arbitrary objects"
+        f"object metric {metric.name!r} has no coordinates: only ssj, ncsj "
+        f"and csj on an mtree run over it, not {algorithm!r} on "
+        f"{getattr(cls, 'name', cls.__name__)!r}; metric_similarity_join "
+        "builds that M-tree over arbitrary objects"
     )
 
 
@@ -157,23 +158,28 @@ def build_metric_index(
 
 
 class _BallGroup:
-    """An in-flight metric-space group: member ids + covering ball."""
+    """An in-flight ball group: member ids, center row and object, radius."""
 
-    __slots__ = ("ids", "center", "radius")
+    __slots__ = ("ids", "center", "obj", "radius")
 
-    def __init__(self, ids: set[int], center: object, radius: float):
+    def __init__(self, ids: set[int], center: list, obj: object, radius: float):
         self.ids = ids
         self.center = center
+        self.obj = obj
         self.radius = radius
 
 
 class BallGroupBuffer:
     """The g-recent-group window with ball-bounded groups.
 
-    A group is valid when ``2 * radius < eps`` *or* when it was created
-    from an early-stopped node/node pair whose union diameter bound was
-    below the range (such groups may carry a looser descriptive radius;
-    links only merge in when the strict ball test passes).
+    The object-metric twin of :class:`~repro.core.groups.GroupBuffer`,
+    driven through the same two calls.  A group's center is a coordinate
+    row — the ``[object id]`` row of the router or link endpoint it was
+    seeded from — so events and checkpoint snapshots stay plain data;
+    the window resolves each row to its object once.  A group enters the
+    window only while ``2 * radius < eps``; a looser ball (an
+    early-stopped node pair, whose members qualify by the union-diameter
+    test) is written through at once.
     """
 
     def __init__(
@@ -181,7 +187,7 @@ class BallGroupBuffer:
         g: int,
         eps: float,
         sink: JoinSink,
-        distance_fn: Callable,
+        metric: ObjectMetric,
         stats: Optional[JoinStats] = None,
     ):
         if g < 0:
@@ -191,177 +197,85 @@ class BallGroupBuffer:
         self.g = int(g)
         self.eps = float(eps)
         self.sink = sink
-        self._fn = distance_fn
+        self._fn = metric._fn
+        self._resolve = metric._resolve
         self.stats = stats if stats is not None else sink.stats
         self._window: deque[_BallGroup] = deque()
 
     def create_group(
-        self, ids: Sequence[int], center: object, radius: float, mergeable: bool = True
+        self, ids: Sequence[int], center: Sequence[float], radius: float
     ) -> None:
-        group = _BallGroup(set(int(i) for i in ids), center, float(radius))
-        if self.g == 0 or not mergeable:
-            # Non-mergeable groups (loose radius) are written through.
-            self._write_out(group)
+        """Start a group bounded by the ball ``(center, radius)``."""
+        ids = set(int(i) for i in ids)
+        if self.g == 0 or not 2.0 * radius < self.eps:
+            self._write_out(ids)
             return
-        self._window.append(group)
-        if len(self._window) > self.g:
-            self._write_out(self._window.popleft())
+        self._push(_BallGroup(ids, list(center), self._resolve(center), float(radius)))
 
-    def add_link(self, i: int, j: int, obj_i: object, obj_j: object) -> None:
-        """mergeIntoPrevGroup with the ball membership test."""
+    def add_link(
+        self, i: int, j: int, p_i: Sequence[float], p_j: Sequence[float]
+    ) -> None:
+        """mergeIntoPrevGroup with the ball membership test.
+
+        ``p_i`` / ``p_j`` are the endpoints' coordinate rows.  A link no
+        recent ball absorbs seeds a ball of its own when its length is
+        below half the range, and is written as a plain link otherwise.
+        """
         if self.g > 0:
+            fn = self._fn
+            obj_i = self._resolve(p_i)
+            obj_j = self._resolve(p_j)
+            stats = self.stats
             half = self.eps / 2.0
             for group in reversed(self._window):
-                self.stats.merge_attempts += 1
-                d_i = self._fn(group.center, obj_i)
-                d_j = self._fn(group.center, obj_j)
-                self.stats.distance_computations += 2
-                new_radius = max(group.radius, d_i, d_j)
+                stats.merge_attempts += 1
+                stats.distance_computations += 2
+                center = group.obj
+                new_radius = max(group.radius, fn(center, obj_i), fn(center, obj_j))
                 if new_radius < half:
                     group.radius = new_radius
                     group.ids.add(int(i))
                     group.ids.add(int(j))
-                    self.stats.merge_successes += 1
+                    stats.merge_successes += 1
                     return
-            d = self._fn(obj_i, obj_j)
-            self.stats.distance_computations += 1
+            d = fn(obj_i, obj_j)
+            stats.distance_computations += 1
             if 2.0 * d < self.eps:
-                # The link itself seeds a valid mergeable ball.
-                self.create_group((i, j), obj_i, d)
+                self._push(_BallGroup({int(i), int(j)}, list(p_i), obj_i, float(d)))
                 return
         self.sink.write_link(int(i), int(j))
 
-    def _write_out(self, group: _BallGroup) -> None:
-        if len(group.ids) == 2:
-            i, j = group.ids
+    def _push(self, group: _BallGroup) -> None:
+        self._window.append(group)
+        if len(self._window) > self.g:
+            self._write_out(self._window.popleft().ids)
+
+    def _write_out(self, ids: set[int]) -> None:
+        if len(ids) == 2:
+            i, j = ids
             self.sink.write_link(i, j)
-        elif len(group.ids) > 2:
-            self.sink.write_group(sorted(group.ids))
+        elif len(ids) > 2:
+            self.sink.write_group(sorted(ids))
 
     def flush(self) -> None:
         while self._window:
-            self._write_out(self._window.popleft())
+            self._write_out(self._window.popleft().ids)
 
-
-def metric_csj(
-    tree: MTree,
-    eps: float,
-    g: int = 10,
-    sink: Optional[JoinSink] = None,
-) -> JoinResult:
-    """Compact similarity join over an object M-tree with ball groups.
-
-    ``g = 0`` gives the naive variant (early stopping only).  The tree
-    must have been built by :func:`build_metric_index` (its metric must be
-    an :class:`ObjectMetric`).
-    """
-    if eps <= 0:
-        raise ValueError(f"query range must be positive, got {eps}")
-    metric = tree.metric
-    if not isinstance(metric, ObjectMetric):
-        raise TypeError(
-            "metric_csj needs an ObjectMetric tree; for vector data use "
-            "repro.core.csj.csj, which produces tighter MBR groups"
-        )
-    if sink is None:
-        sink = CollectSink(id_width=width_for(tree.size))
-    objects = metric.objects
-    fn = metric._fn
-    stats = sink.stats
-    buffer = BallGroupBuffer(g, eps, sink, fn, stats=stats)
-
-    def object_of(node) -> object:
-        return objects[int(round(float(tree.points[node.router, 0])))]
-
-    def leaf_ids(node) -> list[int]:
-        return [int(round(float(tree.points[pid, 0]))) for pid in node.entry_ids]
-
-    def emit_node_group(node) -> None:
-        stats.early_stops += 1
-        ids = [int(round(float(tree.points[pid, 0]))) for pid in node.subtree_ids()]
-        if len(ids) >= 2:
-            buffer.create_group(
-                ids, object_of(node), node.radius, mergeable=2 * node.radius < eps
-            )
-
-    def emit_pair_group(n1, n2) -> None:
-        stats.early_stops += 1
-        ids = [
-            int(round(float(tree.points[pid, 0])))
-            for pid in np.concatenate([n1.subtree_ids(), n2.subtree_ids()])
+    def snapshot(self) -> list[list]:
+        """The window as JSON-ready ``[ids, center row, radius]`` rows."""
+        return [
+            [sorted(group.ids), list(group.center), group.radius]
+            for group in self._window
         ]
-        if len(ids) < 2:
-            return
-        d = fn(object_of(n1), object_of(n2))
-        stats.distance_computations += 1
-        radius = max(n1.radius, d + n2.radius)
-        buffer.create_group(
-            ids, object_of(n1), radius, mergeable=2 * radius < eps
-        )
 
-    def leaf_self(node) -> None:
-        ids = leaf_ids(node)
-        k = len(ids)
-        if k < 2:
-            return
-        objs = [objects[i] for i in ids]
-        stats.distance_computations += k * (k - 1) // 2
-        for a in range(k):
-            for b in range(a + 1, k):
-                if fn(objs[a], objs[b]) < eps:
-                    buffer.add_link(ids[a], ids[b], objs[a], objs[b])
-
-    def leaf_cross(n1, n2) -> None:
-        ids1, ids2 = leaf_ids(n1), leaf_ids(n2)
-        objs1 = [objects[i] for i in ids1]
-        objs2 = [objects[i] for i in ids2]
-        stats.distance_computations += len(ids1) * len(ids2)
-        for a, oa in zip(ids1, objs1):
-            for b, ob in zip(ids2, objs2):
-                if fn(oa, ob) < eps:
-                    buffer.add_link(a, b, oa, ob)
-
-    def join_node(node) -> None:
-        stats.nodes_visited += 1
-        stats.mbr_checks += 1
-        if node.diameter(metric) < eps:
-            emit_node_group(node)
-            return
-        if node.is_leaf:
-            leaf_self(node)
-            return
-        children = node.children
-        for child in children:
-            join_node(child)
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                stats.mbr_checks += 1
-                if children[a].min_dist(children[b], metric) < eps:
-                    join_pair(children[a], children[b])
-
-    def join_pair(n1, n2) -> None:
-        stats.node_pairs_visited += 1
-        stats.mbr_checks += 1
-        if n1.union_diameter(n2, metric) < eps:
-            emit_pair_group(n1, n2)
-            return
-        if n1.is_leaf and n2.is_leaf:
-            leaf_cross(n1, n2)
-            return
-        if n1.is_leaf:
-            n1, n2 = n2, n1
-        for child in n1.children:
-            stats.mbr_checks += 1
-            if child.min_dist(n2, metric) < eps:
-                join_pair(child, n2)
-
-    start = time.perf_counter()
-    if tree.root is not None and tree.size > 1:
-        join_node(tree.root)
-    buffer.flush()
-    stats.compute_time += time.perf_counter() - start - stats.write_time
-    label = f"metric-csj({g})" if g else "metric-ncsj"
-    return JoinResult.from_sink(sink, eps=eps, algorithm=label, g=g, index_name="mtree")
+    def restore(self, state: list) -> None:
+        """Replace the window with a :meth:`snapshot`."""
+        self._window.clear()
+        for ids, center, radius in state:
+            center = [float(x) for x in center]
+            obj = self._resolve(center)
+            ids = set(int(i) for i in ids)
+            self._window.append(_BallGroup(ids, center, obj, float(radius)))
 
 
 def metric_similarity_join(
@@ -375,6 +289,9 @@ def metric_similarity_join(
 ) -> JoinResult:
     """One-call compact similarity join over arbitrary metric objects.
 
+    Builds an M-tree over ``objects`` and runs CSJ(g) on it (``g = 0``
+    gives N-CSJ).
+
     >>> words = ["cat", "bat", "hat", "zzzzzz"]
     >>> def ham(a, b):
     ...     return sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
@@ -382,8 +299,12 @@ def metric_similarity_join(
     >>> sorted(result.expanded_links())
     [(0, 1), (0, 2), (1, 2)]
     """
+    from repro.api import similarity_join  # deferred: api imports this module
+
     tree = build_metric_index(objects, distance_fn, max_entries=max_entries, name=name)
-    return metric_csj(tree, eps, g=g, sink=sink)
+    return similarity_join(
+        tree.points, eps, algorithm="csj", g=g, index=tree, sink=sink
+    )
 
 
 def brute_force_object_links(

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.groups import GroupBuffer, apply_events
+from repro.core.groups import GroupBuffer, apply_events, link_events
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import BudgetExceededError
 from repro.geometry.metrics import Metric, get_metric
@@ -115,26 +115,10 @@ def partition_delta(
     # iff the partition of the *smaller id's home cell*... PBSM uses the
     # pair's reference point; we use the home cell of the pair's first
     # point by id, which is equivalent (each pair claimed exactly once).
-    id_rows = ids[rows]
-    id_cols = ids[cols]
-    first = np.minimum(id_rows, id_cols)
+    first = np.minimum(ids[rows], ids[cols])
     owned = (home_of[first] == key).all(axis=1)
-    id_rows, id_cols = id_rows[owned], id_cols[owned]
     rows, cols = rows[owned], cols[owned]
-    if not len(rows):
-        return [], dc
-    if not compact:
-        return [("links", id_rows, id_cols)], dc
-    coords = part_pts.tolist()
-    rows = rows.tolist()
-    cols = cols.tolist()
-    return [(
-        "linkseq",
-        id_rows.tolist(),
-        id_cols.tolist(),
-        [coords[r] for r in rows],
-        [coords[c] for c in cols],
-    )], dc
+    return link_events(ids, ids, part_pts, part_pts, rows, cols, compact), dc
 
 
 def pbsm_join(

@@ -40,6 +40,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.core.csj import csj as _csj
+from repro.core.metricspace import ObjectMetric
 from repro.core.results import CollectSink, JoinResult, normalized_link
 from repro.errors import InvalidInputError, validate_eps, validate_points
 from repro.geometry.metrics import get_metric
@@ -64,6 +65,16 @@ def dataset_fingerprint(points: np.ndarray, live_ids: Iterable[int]) -> str:
     digest.update(ids.tobytes())
     digest.update(np.ascontiguousarray(points[ids], dtype=float).tobytes())
     return digest.hexdigest()
+
+
+def _check_vector_metric(metric, index) -> None:
+    """Reject an object metric: maintenance keeps rectangle groups."""
+    for candidate in (metric, getattr(index, "metric", None)):
+        if isinstance(candidate, ObjectMetric):
+            raise InvalidInputError(
+                f"object metric {candidate.name!r} has no coordinates: a "
+                "maintained join bounds its groups by rectangles"
+            )
 
 
 class DynGroup:
@@ -110,6 +121,7 @@ class MaintainedJoin:
         self.eps = validate_eps(eps)
         if g < 0:
             raise InvalidInputError(f"window size g must be >= 0, got {g}")
+        _check_vector_metric(metric, index)
         self.g = int(g)
         self.metric = get_metric(metric)
         if isinstance(index, SpatialIndex):
@@ -162,6 +174,7 @@ class MaintainedJoin:
                 "from_result needs a self-join result; group pairs imply "
                 "a two-dataset spatial join"
             )
+        _check_vector_metric(metric, index)
         self = cls.__new__(cls)
         points = validate_points(points)
         self.eps = validate_eps(result.eps)

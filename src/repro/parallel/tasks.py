@@ -4,8 +4,8 @@ The parallel executor rests on one structural fact: every supported join
 is a deterministic, flat sequence of *work units* (leaf self/cross
 joins, early-stopped subtree groups, grid cells, PBSM partitions) whose
 canonical order is fixed by the data and the configuration alone —
-:func:`repro.core.frontier.traverse` enumerates the tree sequence, the
-checkpoint layer the grid sequence, and
+:func:`repro.core.frontier.traverse` enumerates the tree sequence,
+:func:`repro.core.egrid.grid_tasks` the grid sequence, and
 :func:`repro.core.partitioned.pbsm_plan` fixes the partition order.
 
 :class:`JoinSpec` is the picklable recipe for one join.  Every process —
@@ -28,10 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.csj import tree_task_delta
-from repro.core.egrid import cell_pair_delta, cell_self_delta
+from repro.core.csj import make_window, tree_task_delta
+from repro.core.egrid import grid_task_delta, grid_tasks
 from repro.core.frontier import traverse
-from repro.core.groups import GroupBuffer, apply_events
+from repro.core.groups import apply_events
 from repro.core.metricspace import check_object_metric
 from repro.core.partitioned import partition_delta, pbsm_plan
 from repro.core.results import JoinSink
@@ -99,7 +99,7 @@ class JoinSpec:
         if self.algorithm == "ncsj":
             self.g = 0
         self.g = int(self.g)
-        check_object_metric(self.metric, self.algorithm, self.g, self.index)
+        check_object_metric(self.metric, self.algorithm, self.index)
 
     @property
     def family(self) -> str:
@@ -271,10 +271,8 @@ class TaskState:
 
                 self.index_name = get_index_class(spec.index).name
         elif self.family == "egrid":
-            from repro.resilience.checkpoint import _enumerate_egrid_tasks
-
             self.tree = None
-            self.tasks = _enumerate_egrid_tasks(spec.points, self.eps)
+            self.tasks = grid_tasks(spec.points, self.eps)
             self.index_name = "egrid"
         else:  # pbsm
             self.tree = None
@@ -358,17 +356,10 @@ class TaskState:
             return tree_task_delta(
                 self.points, self.metric, self.eps, self.g, self.packed, task
             )
-        kind = task[0]
         if self.family == "egrid":
-            if kind == "self":
-                events, dc, mbr, stops = cell_self_delta(
-                    self.points, task[1], self.eps, self.metric, self.compact
-                )
-            else:
-                events, dc, mbr, stops = cell_pair_delta(
-                    self.points, task[1], task[2], self.eps, self.metric, self.compact
-                )
-            return events, (dc, mbr, stops)
+            return grid_task_delta(
+                self.points, self.metric, self.eps, self.compact, task
+            )
         events, dc = partition_delta(
             self.points, task[2], task[1], self.home_of, self.eps,
             self.metric, self.compact,
@@ -378,13 +369,12 @@ class TaskState:
     # ------------------------------------------------------------------
     # Ordered replay (parent)
     # ------------------------------------------------------------------
-    def make_buffer(self, sink: JoinSink, stats: JoinStats) -> Optional[GroupBuffer]:
+    def make_buffer(self, sink: JoinSink, stats: JoinStats):
         """The parent-side merge window (``None`` for plain-link joins)."""
         if not self.compact:
             return None
-        dim = self.points.shape[1]
-        return GroupBuffer(
-            self.g, self.eps, sink, metric=self.metric, stats=stats, dim=dim
+        return make_window(
+            self.g, self.eps, sink, self.metric, stats=stats, dim=self.points.shape[1]
         )
 
     @staticmethod
@@ -392,7 +382,7 @@ class TaskState:
         events: list,
         counters: tuple[int, int, int],
         sink: JoinSink,
-        buffer: Optional[GroupBuffer],
+        buffer,
         stats: JoinStats,
     ) -> None:
         """Replay one task's delta into the shared join state (parent only)."""

@@ -40,8 +40,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.core.egrid import _positive_neighbour_offsets, grid_cells
-from repro.core.groups import Group, GroupBuffer
 from repro.core.results import JoinResult
 from repro.errors import (
     BudgetExceededError,
@@ -136,44 +134,6 @@ def read_journal(path: str) -> tuple[dict, Optional[dict]]:
     if header is None:
         raise CheckpointCorruptError(path, "journal is empty")
     return header, last
-
-
-# ---------------------------------------------------------------------------
-# Grid work-unit enumeration (tree joins use repro.core.frontier.traverse)
-# ---------------------------------------------------------------------------
-
-def _enumerate_egrid_tasks(pts: np.ndarray, eps: float) -> list[tuple]:
-    """Cell work units in :func:`repro.core.egrid.egrid_join` order."""
-    cells = grid_cells(pts, eps)
-    offsets = _positive_neighbour_offsets(pts.shape[1])
-    tasks: list[tuple] = []
-    for key, ids in cells.items():
-        tasks.append(("self", ids))
-        for offset in offsets:
-            neighbour = tuple(k + o for k, o in zip(key, offset))
-            other = cells.get(neighbour)
-            if other is not None:
-                tasks.append(("cross", ids, other))
-    return tasks
-
-
-# ---------------------------------------------------------------------------
-# Group-window (de)serialization for resumable CSJ
-# ---------------------------------------------------------------------------
-
-def _serialize_window(buffer: GroupBuffer) -> list[list]:
-    return [
-        [sorted(int(i) for i in group.ids), list(group.lo), list(group.hi)]
-        for group in buffer._window
-    ]
-
-
-def _restore_window(buffer: GroupBuffer, state: list) -> None:
-    buffer._window.clear()
-    for ids, lo, hi in state:
-        buffer._window.append(
-            Group(set(int(i) for i in ids), [float(x) for x in lo], [float(x) for x in hi])
-        )
 
 
 class CheckpointedJoin:
@@ -320,7 +280,7 @@ class CheckpointedJoin:
         shared = share_dataset(spec) if pool else None
         state = spec.build_state()
         tasks = state.tasks
-        buffer: Optional[GroupBuffer] = state.make_buffer(sink, stats)
+        buffer = state.make_buffer(sink, stats)
         index_name = state.index_name
 
         if cursor > len(tasks):
@@ -329,7 +289,7 @@ class CheckpointedJoin:
                 f"cursor {cursor} beyond the {len(tasks)} work units of this run",
             )
         if window_state is not None and buffer is not None:
-            _restore_window(buffer, window_state)
+            buffer.restore(window_state)
 
         budget = self.budget
         if budget is not None:
@@ -509,7 +469,7 @@ class CheckpointedJoin:
         inner: DurableTextSink,
         cursor: int,
         stats: JoinStats,
-        buffer: Optional[GroupBuffer],
+        buffer,
         final: bool = False,
     ) -> None:
         # Order matters: the output bytes must be durable *before* the
@@ -524,7 +484,7 @@ class CheckpointedJoin:
                     "stats": stats.as_dict(),
                 }
                 if buffer is not None and buffer.g > 0:
-                    record["window"] = _serialize_window(buffer)
+                    record["window"] = buffer.snapshot()
                 if final:
                     record["done"] = True
                 journal.write(_encode_record(record))

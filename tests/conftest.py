@@ -33,6 +33,22 @@ def clustered_2d(rng) -> np.ndarray:
     return np.clip(centers[choice] + rng.normal(scale=0.01, size=(600, 2)), 0, 1)
 
 
+@pytest.fixture
+def mutated_words() -> list[str]:
+    """105 words: five seed words, each followed by twenty copies with one
+    letter replaced — Hamming clusters for the object-metric joins."""
+    rng = np.random.default_rng(3)
+    words = []
+    for seed_word in ("alpha", "bridge", "crystal", "domino", "eagle"):
+        words.append(seed_word)
+        for _ in range(20):
+            chars = list(seed_word)
+            pos = int(rng.integers(len(chars)))
+            chars[pos] = "abcdefghij"[int(rng.integers(10))]
+            words.append("".join(chars))
+    return words
+
+
 ALL_METRICS = [Euclidean(), Manhattan(), Chebyshev(), Minkowski(3)]
 
 

@@ -8,6 +8,8 @@ expanded link set, which equals the brute-force join.
 
 import filecmp
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import similarity_join
+from repro.core.metricspace import ObjectMetric, brute_force_object_links
 from repro.core.results import TextSink
 from repro.core.verify import brute_force_links
 from repro.errors import BudgetExceededError, CheckpointCorruptError
@@ -78,12 +81,12 @@ class TestFreshRuns:
         assert filecmp.cmp(str(direct), str(ck), shallow=False)
 
 
-def _run_until_done(pts, eps, algo, ck, seed, rate=0.004, cadence=9, g=10):
+def _run_until_done(pts, eps, algo, ck, seed, rate=0.004, cadence=9, g=10, **settings):
     """Crash-and-resume loop; returns (result, crash_count).
 
     The first attempt always dies (scheduled failure at op 3, well within
     even SSJ's batched-write op count); later attempts crash randomly at
-    ``rate`` until one runs clean.
+    ``rate`` until one runs clean.  ``settings`` go to every job.
     """
     crashes = 0
     while True:
@@ -92,7 +95,7 @@ def _run_until_done(pts, eps, algo, ck, seed, rate=0.004, cadence=9, g=10):
             inner, FailurePlan(seed=seed + crashes, rate=rate, fail_at=fail_at)
         )
         job = CheckpointedJoin(pts, eps, str(ck), algorithm=algo, g=g,
-                               cadence=cadence, sink_wrapper=wrapper)
+                               cadence=cadence, sink_wrapper=wrapper, **settings)
         try:
             return job.run(resume=crashes > 0), crashes
         except OSError:
@@ -141,6 +144,57 @@ class TestCrashAndResume:
         before = open(ck, "rb").read()
         CheckpointedJoin(pts, 0.06, str(ck), cadence=9).run(resume=True)
         assert open(ck, "rb").read() == before
+
+
+def hamming(a: str, b: str) -> float:
+    return float(sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b)))
+
+
+class TestObjectMetricResume:
+    """csj(10) over an object M-tree checkpoints its ball window."""
+
+    def test_crash_and_resume_byte_identical(self, mutated_words, tmp_path):
+        words = mutated_words
+        ids = np.arange(len(words), dtype=float).reshape(-1, 1)
+        settings = dict(
+            index="mtree", metric=ObjectMetric(words, hamming), max_entries=4,
+            bulk=None,
+        )
+        direct = tmp_path / "direct.txt"
+        sink = TextSink(str(direct), id_width=width_for(len(ids)))
+        similarity_join(ids, 2.5, algorithm="csj", g=10, sink=sink, **settings)
+        sink.close()
+        ck = tmp_path / "ck.txt"
+        result, crashes = _run_until_done(
+            ids, 2.5, "csj", ck, seed=4, rate=0.02, cadence=3, **settings
+        )
+        assert crashes > 1
+        assert filecmp.cmp(str(direct), str(ck), shallow=False)
+        assert result.expanded_links() == brute_force_object_links(words, 2.5, hamming)
+
+
+class TestJournalCompatibility:
+    def test_rectangle_window_journal_resumes(self, tmp_path):
+        """A csj(10) journal in the rectangle-window format, written by the
+        release before ball windows existed and cut by a crash with ten
+        groups in flight and a torn output tail, resumes byte-identically."""
+        fixture = Path(__file__).parent / "data" / "rect_window_journal"
+        for name in ("csj10.txt", "csj10.txt.journal"):
+            shutil.copy(fixture / name, tmp_path / name)
+        ck = tmp_path / "csj10.txt"
+        _, last = read_journal(str(ck) + ".journal")
+        assert len(last["window"]) == 10
+        assert os.path.getsize(ck) > last["offset"]
+        pts = np.random.default_rng(11).random((120, 2))
+        result = CheckpointedJoin(
+            pts, 0.1, str(ck), algorithm="csj", g=10, max_entries=8, cadence=25
+        ).run(resume=True)
+        direct = tmp_path / "direct.txt"
+        sink = TextSink(str(direct), id_width=width_for(len(pts)))
+        similarity_join(pts, 0.1, algorithm="csj", g=10, max_entries=8, sink=sink)
+        sink.close()
+        assert filecmp.cmp(str(direct), str(ck), shallow=False)
+        assert result.expanded_links() == brute_force_links(pts, 0.1)
 
 
 class TestJournalSafety:

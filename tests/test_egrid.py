@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bruteforce import brute_force_links
-from repro.core.egrid import (
-    _positive_neighbour_offsets,
-    egrid_join,
-    egrid_sorted_join,
-    epsilon_grid_order,
-    grid_cells,
-)
+from repro.core.egrid import _positive_neighbour_offsets, egrid_join, grid_cells
 from repro.core.verify import check_equivalence
 
 
@@ -110,53 +104,3 @@ class TestJoin:
         tree_links = csj(tree, 0.05, g=10).expanded_links()
         grid_links = egrid_join(clustered_2d, 0.05, compact=True, g=10).expanded_links()
         assert tree_links == grid_links
-
-
-class TestSortedVariant:
-    """The sequential-scan (Boehm-style) grid-order join."""
-
-    def test_order_is_lexicographic_by_cell(self, uniform_2d):
-        eps = 0.1
-        order = epsilon_grid_order(uniform_2d, eps)
-        import numpy as np
-
-        cells = np.floor(uniform_2d[order] / eps).astype(int)
-        keys = [tuple(c) for c in cells.tolist()]
-        assert keys == sorted(keys)
-
-    @pytest.mark.parametrize("eps", [0.02, 0.07, 0.2])
-    def test_standard_matches_brute_force(self, uniform_2d, eps):
-        result = egrid_sorted_join(uniform_2d, eps)
-        assert set(result.links) == brute_force_links(uniform_2d, eps)
-
-    @pytest.mark.parametrize("g", [0, 10])
-    def test_compact_lossless(self, clustered_2d, g):
-        result = egrid_sorted_join(clustered_2d, 0.05, compact=True, g=g)
-        check_equivalence(clustered_2d, 0.05, result).raise_if_failed()
-
-    def test_identical_output_to_hash_variant(self, clustered_2d):
-        """Same cells, same visiting order: byte-identical output."""
-        hashed = egrid_join(clustered_2d, 0.05, compact=True, g=10)
-        swept = egrid_sorted_join(clustered_2d, 0.05, compact=True, g=10)
-        assert hashed.expanded_links() == swept.expanded_links()
-        assert hashed.output_bytes == swept.output_bytes
-
-    def test_3d(self, uniform_3d):
-        result = egrid_sorted_join(uniform_3d, 0.15, compact=True, g=10)
-        check_equivalence(uniform_3d, 0.15, result).raise_if_failed()
-
-    def test_labels(self, uniform_2d):
-        assert egrid_sorted_join(uniform_2d, 0.1).algorithm == "egrid-sorted"
-        assert (
-            egrid_sorted_join(uniform_2d, 0.1, compact=True, g=10).algorithm
-            == "egrid-sorted-csj(10)"
-        )
-
-    def test_eps_validation(self, uniform_2d):
-        with pytest.raises(ValueError):
-            egrid_sorted_join(uniform_2d, -1.0)
-
-    def test_single_point(self):
-        import numpy as np
-
-        assert egrid_sorted_join(np.array([[0.4, 0.4]]), 0.1).links == []

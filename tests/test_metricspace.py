@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.api import similarity_join
+from repro.api import maintained_join, similarity_join
+from repro.core.dual import compact_spatial_join, spatial_join
 from repro.core.metricspace import (
     BallGroupBuffer,
     ObjectMetric,
     brute_force_object_links,
     build_metric_index,
-    metric_csj,
     metric_similarity_join,
 )
 from repro.core.results import CollectSink
 from repro.errors import InvalidInputError
+from repro.index.mtree import MTree
 from repro.parallel.tasks import JoinSpec
 from repro.resilience.checkpoint import CheckpointedJoin
 
@@ -114,20 +115,8 @@ class TestMetricCSJ:
         assert compact.output_bytes <= naive.output_bytes
 
     def test_labels(self, words):
-        assert metric_similarity_join(words, 2.0, hamming).algorithm == "metric-csj(10)"
-        assert metric_similarity_join(words, 2.0, hamming, g=0).algorithm == "metric-ncsj"
-
-    def test_rejects_vector_trees(self, rng):
-        from repro.index.mtree import MTree
-
-        tree = MTree(rng.random((30, 2)), max_entries=8)
-        with pytest.raises(TypeError, match="ObjectMetric"):
-            metric_csj(tree, 0.1)
-
-    def test_eps_validation(self, words):
-        tree = build_metric_index(words, hamming)
-        with pytest.raises(ValueError):
-            metric_csj(tree, 0.0)
+        assert metric_similarity_join(words, 2.0, hamming).algorithm == "csj(10)"
+        assert metric_similarity_join(words, 2.0, hamming, g=0).algorithm == "ncsj"
 
     def test_vector_data_through_object_interface(self, rng):
         """Sanity: a Euclidean callable gives the same links as the
@@ -143,38 +132,67 @@ class TestMetricCSJ:
 
 
 class TestBallGroupBuffer:
-    def test_merge_within_half_eps(self):
+    """Groups are balls around coordinate rows: ``[i]`` names object i."""
+
+    OBJECTS = ["cat", "bat", "cap", "car", "dddddd", "ddddddd", "ax", "ay"]
+
+    def make(self, g, eps):
         sink = CollectSink(id_width=2)
-        buffer = BallGroupBuffer(3, 4.0, sink, distance_fn=hamming)
-        buffer.create_group([0, 1], "cat", 1.0)
-        buffer.add_link(2, 3, "cap", "car")  # both within 1 of "cat"
+        metric = ObjectMetric(self.OBJECTS, hamming)
+        return BallGroupBuffer(g, eps, sink, metric), sink
+
+    def test_merge_within_half_eps(self):
+        buffer, sink = self.make(3, 4.0)
+        buffer.create_group([0, 1], [0.0], 1.0)
+        buffer.add_link(2, 3, [2.0], [3.0])  # both within 1 of "cat"
         buffer.flush()
         assert sink.groups == [(0, 1, 2, 3)]
 
     def test_reject_beyond_half_eps(self):
-        sink = CollectSink(id_width=2)
-        buffer = BallGroupBuffer(3, 4.0, sink, distance_fn=hamming)
-        buffer.create_group([0, 1], "cat", 1.0)
-        buffer.add_link(2, 3, "dddddd", "ddddddd")  # far from "cat", d=1
+        buffer, sink = self.make(3, 4.0)
+        buffer.create_group([0, 1], [0.0], 1.0)
+        buffer.add_link(4, 5, [4.0], [5.0])  # far from "cat", d=1
         buffer.flush()
-        # The far link seeds its own ball group (d = 1, 2*1 < 4).
-        assert (2, 3) in sink.links or (2, 3) in [tuple(sorted(g[:2])) for g in sink.groups]
+        # The far link seeds its own ball group (d = 1, 2*1 < 4); both
+        # two-member groups leave the window as plain links.
+        assert sink.links == [(0, 1), (4, 5)]
+        assert sink.groups == []
+        assert sink.stats.merge_attempts == 1
+        assert sink.stats.merge_successes == 0
 
     def test_unseedable_link_written_individually(self):
-        sink = CollectSink(id_width=2)
-        buffer = BallGroupBuffer(3, 2.0, sink, distance_fn=hamming)
-        # d("ab", "cd") = 2; 2*... wait strict: link qualifies at eps > 2.
-        buffer.add_link(0, 1, "ax", "ay")  # d=1; 2*1 = 2 >= eps -> no ball
+        buffer, sink = self.make(3, 2.0)
+        buffer.add_link(6, 7, [6.0], [7.0])  # d=1; 2*1 = 2 >= eps -> no ball
         buffer.flush()
-        assert sink.links == [(0, 1)]
+        assert sink.links == [(6, 7)]
         assert sink.groups == []
+
+    def test_loose_ball_written_through(self):
+        buffer, sink = self.make(3, 4.0)
+        buffer.create_group([0, 1, 2], [0.0], 2.0)  # 2 * 2 = 4, not < 4
+        assert sink.groups == [(0, 1, 2)]
+        assert len(buffer._window) == 0
+
+    def test_snapshot_round_trip(self):
+        buffer, _ = self.make(3, 4.0)
+        buffer.create_group([0, 1], [0.0], 1.0)
+        buffer.add_link(4, 5, [4.0], [5.0])
+        state = buffer.snapshot()
+        assert state == [[[0, 1], [0.0], 1.0], [[4, 5], [4.0], 1.0]]
+        restored, sink = self.make(3, 4.0)
+        restored.restore(state)
+        restored.add_link(2, 3, [2.0], [3.0])
+        restored.flush()
+        assert sink.groups == [(0, 1, 2, 3)]
+        assert sink.links == [(4, 5)]
 
     def test_validation(self):
         sink = CollectSink()
+        metric = ObjectMetric(self.OBJECTS, hamming)
         with pytest.raises(ValueError):
-            BallGroupBuffer(-1, 1.0, sink, distance_fn=hamming)
+            BallGroupBuffer(-1, 1.0, sink, metric)
         with pytest.raises(ValueError):
-            BallGroupBuffer(1, 0.0, sink, distance_fn=hamming)
+            BallGroupBuffer(1, 0.0, sink, metric)
 
 
 @pytest.fixture
@@ -192,13 +210,16 @@ def _ids(objects):
 
 
 class TestObjectMetricInTreeJoins:
-    """An ObjectMetric has no coordinates: only ssj and ncsj (csj with
-    g=0) on an M-tree are exact over it; everything else is rejected
-    before any index is built or any output written."""
+    """An ObjectMetric has no coordinates: the tree joins on an M-tree
+    (ssj, ncsj and csj(g), whose groups are balls) are exact over it;
+    everything else is rejected before any index is built or any output
+    written."""
 
     EPS = 1.5
 
-    @pytest.mark.parametrize("algorithm,g", [("ssj", 10), ("ncsj", 10), ("csj", 0)])
+    @pytest.mark.parametrize(
+        "algorithm,g", [("ssj", 10), ("ncsj", 10), ("csj", 0), ("csj", 10)]
+    )
     def test_mtree_joins_are_exact(self, repeated_words, algorithm, g):
         metric = ObjectMetric(repeated_words, hamming)
         result = similarity_join(
@@ -207,6 +228,16 @@ class TestObjectMetricInTreeJoins:
         )
         truth = brute_force_object_links(repeated_words, self.EPS, hamming)
         assert result.expanded_links() == truth
+
+    def test_mtree_alias_runs_merge_window(self, repeated_words):
+        metric = ObjectMetric(repeated_words, hamming)
+        result = similarity_join(
+            _ids(repeated_words), self.EPS, algorithm="csj", g=10,
+            index="m-tree", metric=metric, max_entries=8,
+        )
+        truth = brute_force_object_links(repeated_words, self.EPS, hamming)
+        assert result.expanded_links() == truth
+        assert result.stats.merge_successes > 0
 
     @pytest.mark.parametrize(
         "algorithm,g,index",
@@ -218,8 +249,6 @@ class TestObjectMetricInTreeJoins:
             ("ssj", 10, "rstar"),
             ("ncsj", 10, "rtree"),
             ("csj", 0, "rtree"),
-            ("csj", 10, "mtree"),
-            ("csj", 10, "m-tree"),
         ],
     )
     def test_rejected_before_output(self, repeated_words, algorithm, g, index):
@@ -232,17 +261,21 @@ class TestObjectMetricInTreeJoins:
             )
         assert sink.stats.bytes_written == 0
 
-    def test_prebuilt_object_tree_rejects_merge_window(self, repeated_words):
-        tree = build_metric_index(repeated_words[:50], hamming, max_entries=4)
-        with pytest.raises(InvalidInputError, match="metric_similarity_join"):
-            similarity_join(_ids(repeated_words[:50]), self.EPS, index=tree, g=10)
+    def test_prebuilt_object_tree_runs_merge_window(self, repeated_words):
+        words = repeated_words[:50]
+        tree = build_metric_index(words, hamming, max_entries=4)
+        result = similarity_join(_ids(words), self.EPS, index=tree, g=10)
+        assert result.algorithm == "csj(10)"
+        assert result.expanded_links() == brute_force_object_links(
+            words, self.EPS, hamming
+        )
 
     def test_join_spec_rejects(self, repeated_words, tmp_path):
         """JoinSpec guards the pool, checkpointed and served paths."""
         metric = ObjectMetric(repeated_words, hamming)
         ids = _ids(repeated_words)
         with pytest.raises(InvalidInputError, match="metric_similarity_join"):
-            JoinSpec(ids, self.EPS, algorithm="csj", g=10, index="mtree", metric=metric)
+            JoinSpec(ids, self.EPS, algorithm="egrid-csj", metric=metric)
         with pytest.raises(InvalidInputError, match="metric_similarity_join"):
             CheckpointedJoin(
                 ids, self.EPS, str(tmp_path / "out.txt"), algorithm="egrid",
@@ -250,3 +283,66 @@ class TestObjectMetricInTreeJoins:
             ).run()
         spec = JoinSpec(ids, self.EPS, algorithm="ncsj", index="mtree", metric=metric)
         assert spec.g == 0
+
+    def test_join_spec_runs_merge_window(self, repeated_words, tmp_path):
+        """The checkpointed path replays csj(10)'s ball window exactly."""
+        metric = ObjectMetric(repeated_words, hamming)
+        result = CheckpointedJoin(
+            _ids(repeated_words), self.EPS, str(tmp_path / "out.txt"),
+            algorithm="csj", g=10, index="mtree", metric=metric, max_entries=8,
+            bulk=None, cadence=5,
+        ).run()
+        truth = brute_force_object_links(repeated_words, self.EPS, hamming)
+        assert result.expanded_links() == truth
+        assert result.stats.merge_successes > 0
+
+
+class TestRectangleWindowsRejectObjectMetrics:
+    """Joins whose merge window bounds groups by rectangles reject an
+    object metric up front, before any index work or output."""
+
+    EPS = 2.5
+
+    @pytest.fixture
+    def trees(self, repeated_words):
+        metric = ObjectMetric(repeated_words, hamming)
+        ids = _ids(repeated_words)
+        tree_a = MTree(ids[:50], metric=metric, max_entries=4)
+        tree_b = MTree(ids[50:], metric=metric, max_entries=4)
+        return tree_a, tree_b
+
+    def test_compact_spatial_join_with_window(self, trees):
+        sink = CollectSink(id_width=3)
+        with pytest.raises(InvalidInputError, match="g=0"):
+            compact_spatial_join(*trees, self.EPS, g=10, sink=sink)
+        assert sink.stats.bytes_written == 0
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["plain", "ncsj"])
+    def test_spatial_joins_without_window_are_exact(
+        self, repeated_words, trees, compact
+    ):
+        if compact:
+            implied = compact_spatial_join(*trees, self.EPS, g=0).expanded_cross_links()
+        else:
+            implied = set(spatial_join(*trees, self.EPS).links)
+        left, right = repeated_words[:50], repeated_words[50:]
+        truth = {
+            (i, j)
+            for i, a in enumerate(left)
+            for j, b in enumerate(right)
+            if hamming(a, b) < self.EPS
+        }
+        assert implied == truth
+
+    @pytest.mark.parametrize("g", [0, 10])
+    def test_maintained_join(self, repeated_words, g):
+        metric = ObjectMetric(repeated_words, hamming)
+        with pytest.raises(InvalidInputError, match="rectangles"):
+            maintained_join(
+                _ids(repeated_words), self.EPS, g=g, index="mtree", metric=metric
+            )
+
+    def test_maintained_join_over_prebuilt_object_tree(self, repeated_words):
+        tree = build_metric_index(repeated_words, hamming, max_entries=4)
+        with pytest.raises(InvalidInputError, match="rectangles"):
+            maintained_join(_ids(repeated_words), self.EPS, g=0, index=tree)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import similarity_join
+from repro.core.metricspace import ObjectMetric, brute_force_object_links
 from repro.core.results import TextSink
 from repro.core.verify import brute_force_links
 from repro.errors import BudgetExceededError, InvalidInputError, PoisonTaskError
@@ -75,6 +76,38 @@ class TestDeterminismMatrix:
         assert par.stats.distance_computations == serial.stats.distance_computations
         assert par.stats.early_stops == serial.stats.early_stops
         assert par.algorithm == serial.algorithm
+
+
+def hamming(a: str, b: str) -> float:
+    return float(sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b)))
+
+
+class TestObjectMetricPool:
+    """csj(g) over an object M-tree: the pool replays the ball window."""
+
+    @pytest.mark.parametrize("g", [0, 10])
+    def test_byte_identical_to_serial(self, mutated_words, g, tmp_path):
+        words = mutated_words
+        ids = np.arange(len(words), dtype=float).reshape(-1, 1)
+        settings = dict(
+            algorithm="csj", g=g, index="mtree", metric=ObjectMetric(words, hamming),
+            max_entries=4, bulk=None,
+        )
+        results = []
+        for workers in (None, 2):
+            path = tmp_path / f"w{workers}.txt"
+            sink = TextSink(str(path), id_width=width_for(len(ids)))
+            results.append(
+                similarity_join(ids, 2.5, workers=workers, sink=sink, **settings)
+            )
+            sink.close()
+        assert filecmp.cmp(str(tmp_path / "wNone.txt"), str(tmp_path / "w2.txt"),
+                           shallow=False)
+        serial, pooled = results
+        for name in ("distance_computations", "merge_attempts", "early_stops",
+                     "links_emitted", "groups_emitted", "bytes_written"):
+            assert getattr(pooled.stats, name) == getattr(serial.stats, name), name
+        assert serial.expanded_links() == brute_force_object_links(words, 2.5, hamming)
 
 
 class TestHypothesisDeterminism:
