@@ -19,10 +19,13 @@ two-point group is written as a plain link in the paper's output format.
 All three serial tree joins (SSJ too) are one loop, :func:`tree_join`:
 it walks the work units of :func:`repro.core.frontier.traverse` and runs
 each through :func:`tree_task_delta`, the executor checkpointed and pool
-runs use as well.  Over an M-tree of arbitrary objects
+runs use as well, except that runs of consecutive leaf units are cut
+into *leaf windows* (:func:`leaf_windows`) and each window of two or
+more units is evaluated by one padded gather (:func:`leaf_window_delta`).
+Over an M-tree of arbitrary objects
 (:class:`~repro.core.metricspace.ObjectMetric`) early-stopped groups are
-balls and :func:`make_window` picks the ball merge window; the walk is
-the same.
+balls, :func:`make_window` picks the ball merge window, and every unit
+runs on its own; the walk is the same.
 
 Theorem 1 (completeness — every qualifying pair is implied by the output)
 and Theorem 2 (correctness — no non-qualifying pair is implied) hold by
@@ -32,8 +35,7 @@ for randomised inputs.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -62,9 +64,17 @@ __all__ = [
     "packed_pair_group_delta",
     "leaf_self_delta",
     "leaf_cross_delta",
+    "leaf_window_delta",
+    "leaf_windows",
+    "LEAF_WINDOW",
 ]
 
 logger = get_logger("core.csj")
+
+#: Most padded candidate pairs one leaf window evaluates.  It equals one
+#: 64 x 64 leaf pair, so a window never needs more scratch memory than a
+#: fanout-64 unit evaluated on its own.
+LEAF_WINDOW = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +179,49 @@ def leaf_cross_delta(
     return events, len(arr1) * len(arr2)
 
 
+def leaf_window_delta(
+    points: np.ndarray, metric, eps: float, packed, units: list, g: int
+) -> tuple[list, int]:
+    """Run a window of ``self`` / ``cross`` units at once: ``(events, dc)``.
+
+    The units' entry blocks are gathered into one ``(K, M, d)`` array per
+    side, ``M`` the window's largest leaf, with every short block padded
+    by repeating its own entries, and evaluated with one ``norm_rows``
+    call on the ``(K, M, M, d)`` differences.  That is the subtraction and
+    last-axis reduction of :meth:`Metric.pairwise` and
+    :meth:`Metric.condensed_self`, so the distances are bit-identical.
+    One mask drops the padding (and ``r >= c`` in self units), and one
+    ``np.nonzero`` lists the hits unit by unit, row-major: the order of
+    :func:`leaf_self_delta` / :func:`leaf_cross_delta` run one after
+    another.  ``dc`` is the sum of their charges.
+    """
+    is_self = np.array([unit[0] == "self" for unit in units])
+    a = np.array([unit[1] for unit in units], dtype=np.intp)
+    b = np.array([unit[-1] for unit in units], dtype=np.intp)
+    beg_a, beg_b = packed.entry_beg[a], packed.entry_beg[b]
+    len_a = packed.entry_end[a] - beg_a
+    len_b = packed.entry_end[b] - beg_b
+    m = int(max(len_a.max(), len_b.max()))
+    slot = np.arange(m)
+    ids_a = packed.entries[beg_a[:, None] + np.minimum(slot, len_a[:, None] - 1)]
+    ids_b = packed.entries[beg_b[:, None] + np.minimum(slot, len_b[:, None] - 1)]
+    pts_a = points[ids_a]
+    pts_b = points[ids_b]
+    hit = metric.norm_rows(pts_a[:, :, None, :] - pts_b[:, None, :, :]) < eps
+    hit &= (slot < len_a[:, None])[:, :, None]
+    hit &= (slot < len_b[:, None])[:, None, :]
+    hit &= (slot[:, None] < slot) | ~is_self[:, None, None]
+    k, rows, cols = np.nonzero(hit)
+    base = k * m
+    dc = np.where(is_self, len_a * (len_a - 1) // 2, len_a * len_b).sum()
+    events = link_events(
+        ids_a.ravel(), ids_b.ravel(),
+        pts_a.reshape(-1, pts_a.shape[-1]), pts_b.reshape(-1, pts_b.shape[-1]),
+        base + rows, base + cols, g > 0,
+    )
+    return events, int(dc)
+
+
 def tree_task_delta(
     points: np.ndarray, metric, eps: float, g: int, packed, task: tuple
 ) -> tuple[list, tuple[int, int, int]]:
@@ -192,6 +245,36 @@ def tree_task_delta(
         packed.leaf_entry_ids(task[1]), packed.leaf_entry_ids(task[2]), g,
     )
     return events, (dc, 0, 0)
+
+
+def leaf_windows(units: Iterator[tuple], packed) -> Iterator[list]:
+    """Cut a unit sequence into the batches :func:`tree_join` executes.
+
+    Consecutive ``self`` / ``cross`` units form one *leaf window*, closed
+    before a group unit (which follows alone), at the end of the
+    sequence, and before a unit that would lift the window's padded
+    candidate count, ``len(window) * M**2`` with ``M`` its largest leaf,
+    past :data:`LEAF_WINDOW`.  Concatenated, the batches are ``units``.
+    """
+    sizes = (packed.entry_end - packed.entry_beg).tolist()
+    window: list = []
+    width = 0
+    for unit in units:
+        if unit[0] in ("group", "pgroup"):
+            if window:
+                yield window
+                window, width = [], 0
+            yield [unit]
+            continue
+        m = max(sizes[unit[1]], sizes[unit[-1]])
+        grown = max(width, m)
+        if window and (len(window) + 1) * grown * grown > LEAF_WINDOW:
+            yield window
+            window, grown = [], m
+        window.append(unit)
+        width = grown
+    if window:
+        yield window
 
 
 def make_window(g: int, eps: float, sink: JoinSink, metric, stats=None, dim=None):
@@ -224,12 +307,22 @@ def tree_join(
 ) -> JoinResult:
     """Run SSJ (``compact=False``), N-CSJ or CSJ(g) serially on ``tree``.
 
-    Work units execute as the traversal yields them; counters are charged
-    exactly as :meth:`repro.parallel.tasks.TaskState.apply` charges a
-    replayed unit.  A breached ``budget`` flushes the group window first,
-    so the sink holds a valid prefix of the output, which is attached to
-    the raised :class:`~repro.errors.BudgetExceededError` as
-    ``exc.partial``.
+    Work units execute in the traversal's order: group units as they are
+    yielded, leaf units one :func:`leaf_windows` batch at a time.  The
+    sink and the merge window receive the calls of running every unit
+    through :func:`tree_task_delta`, and the counters end as
+    :meth:`repro.parallel.tasks.TaskState.apply` charges replayed units,
+    a window's ``distance_computations`` charged at once.
+
+    A breached ``budget`` flushes the group window first, so the sink
+    holds a valid prefix of the output, which is attached to the raised
+    :class:`~repro.errors.BudgetExceededError` as ``exc.partial``.  The
+    traversal checks the budget up to one leaf window ahead of the sink,
+    so a byte or group breach is seen up to one window (at most
+    :data:`LEAF_WINDOW` links) plus the unit that closed it later than
+    unit by unit.  The pending units of a window are dropped at a breach,
+    never half applied, and a breach first reached by the final window
+    is not raised, as one reached by the final unit never was.
     """
     radius = float(eps)
     stats = sink.stats
@@ -242,19 +335,29 @@ def tree_join(
     result_g = attrs.get("g")
     if budget is not None:
         budget.start()
-    start = time.perf_counter()
+    mark = stats.clock()
     try:
         with trace_span("descend", algorithm=label, eps=eps, **attrs):
             if tree.root is not None and tree.size > 1:
                 points, metric = tree.points, tree.metric
                 packed = pack_index(tree)
-                for task in traverse(packed, radius, compact, stats, budget, pager):
-                    events, (dc, mbr, stops) = tree_task_delta(
-                        points, metric, radius, g, packed, task
-                    )
+                units = traverse(packed, radius, compact, stats, budget, pager)
+                if isinstance(metric, ObjectMetric):  # no norm_rows to batch
+                    batches = ([unit] for unit in units)
+                else:
+                    batches = leaf_windows(units, packed)
+                for batch in batches:
+                    if len(batch) == 1:
+                        events, (dc, mbr, stops) = tree_task_delta(
+                            points, metric, radius, g, packed, batch[0]
+                        )
+                        stats.mbr_checks += mbr
+                        stats.early_stops += stops
+                    else:
+                        events, dc = leaf_window_delta(
+                            points, metric, radius, packed, batch, g
+                        )
                     stats.distance_computations += dc
-                    stats.mbr_checks += mbr
-                    stats.early_stops += stops
                     apply_events(events, sink, buffer)
         if buffer is not None:
             with trace_span("emit", algorithm=label):
@@ -262,7 +365,7 @@ def tree_join(
     except BudgetExceededError as exc:
         if buffer is not None:
             buffer.flush()
-        stats.compute_time += time.perf_counter() - start - stats.write_time
+        stats.charge_compute(mark)
         logger.warning(
             "tree join budget breach",
             extra={"algorithm": label, "kind": exc.kind, "limit": exc.limit},
@@ -271,7 +374,7 @@ def tree_join(
             sink, eps=eps, algorithm=label, g=result_g, index_name=type(tree).name
         )
         raise
-    stats.compute_time += time.perf_counter() - start - stats.write_time
+    stats.charge_compute(mark)
     if pager is not None:
         stats.page_reads += pager.cache.misses
         stats.cache_hits += pager.cache.hits
@@ -312,7 +415,8 @@ def csj(
     window is flushed first, so the sink holds a valid prefix of the
     output (every emitted link and group individually correct), which is
     attached to the raised :class:`~repro.errors.BudgetExceededError` as
-    ``exc.partial``.
+    ``exc.partial``.  Byte and group limits are seen up to one leaf
+    window late (see :func:`tree_join`).
     """
     if eps <= 0:
         raise ValueError(f"query range must be positive, got {eps}")

@@ -18,7 +18,6 @@ explosion to control either.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Optional
 
@@ -97,11 +96,11 @@ def _dual_join(tree_a, tree_b, eps, sink, g, label) -> JoinResult:
     if sink is None:
         sink = CollectSink(id_width=width_for(max(tree_a.size, tree_b.size)))
     runner = _DualRunner(tree_a, tree_b, eps, g, sink)
-    start = time.perf_counter()
+    mark = sink.stats.clock()
     if packed_a is not None and packed_b is not None:
         runner.run(packed_a, packed_b)
     runner.flush()
-    sink.stats.compute_time += time.perf_counter() - start - sink.stats.write_time
+    sink.stats.charge_compute(mark)
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g, index_name=type(tree_a).name
     )

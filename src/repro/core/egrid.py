@@ -31,7 +31,6 @@ relevant to output compaction.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -180,7 +179,7 @@ def egrid_join(
 
     if budget is not None:
         budget.start()
-    start_time = time.perf_counter()
+    mark = stats.clock()
     with trace_span("grid", algorithm="egrid", points=len(pts)):
         tasks = grid_tasks(pts, eps)
     try:
@@ -197,13 +196,13 @@ def egrid_join(
             buffer.flush()
     except BudgetExceededError as exc:
         buffer.flush()
-        stats.compute_time += time.perf_counter() - start_time - stats.write_time
+        stats.charge_compute(mark)
         exc.partial = JoinResult.from_sink(
             sink, eps=eps, algorithm=label, g=g if compact else None,
             index_name="egrid",
         )
         raise
-    stats.compute_time += time.perf_counter() - start_time - stats.write_time
+    stats.charge_compute(mark)
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g if compact else None, index_name="egrid"
     )

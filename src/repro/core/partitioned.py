@@ -23,7 +23,6 @@ CSJ(g) merge window.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -150,7 +149,7 @@ def pbsm_join(
 
     if budget is not None:
         budget.start()
-    start_time = time.perf_counter()
+    mark = stats.clock()
     if n > 1:
         with trace_span("plan", algorithm="pbsm", points=n):
             cells, home_of, partitions_per_axis = pbsm_plan(
@@ -167,7 +166,7 @@ def pbsm_join(
                     )
         except BudgetExceededError as exc:
             buffer.flush()
-            stats.compute_time += time.perf_counter() - start_time - stats.write_time
+            stats.charge_compute(mark)
             label = (f"pbsm-csj({g})" if g else "pbsm-ncsj") if compact else "pbsm"
             exc.partial = JoinResult.from_sink(
                 sink, eps=eps, algorithm=label, g=g if compact else None,
@@ -176,7 +175,7 @@ def pbsm_join(
             raise
     with trace_span("emit", algorithm="pbsm"):
         buffer.flush()
-    stats.compute_time += time.perf_counter() - start_time - stats.write_time
+    stats.charge_compute(mark)
     label = (f"pbsm-csj({g})" if g else "pbsm-ncsj") if compact else "pbsm"
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g if compact else None, index_name="pbsm"
@@ -217,7 +216,7 @@ def spatial_hash_join(
         sink = CollectSink(id_width=width_for(max(len(build), len(probe))))
     stats = sink.stats
 
-    start_time = time.perf_counter()
+    mark = stats.clock()
     buckets: dict[tuple[int, ...], np.ndarray] = {}
     if len(build):
         coords = np.floor(build / eps).astype(np.int64)
@@ -278,7 +277,7 @@ def spatial_hash_join(
                     emit(int(i), j, build[i].tolist(), p_list)
     while window:
         _write_pair_group(window.pop(0), sink)
-    stats.compute_time += time.perf_counter() - start_time - stats.write_time
+    stats.charge_compute(mark)
     label = (f"hash-csj({g})" if g else "hash-ncsj") if compact else "hash"
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g if compact else None, index_name="hash"

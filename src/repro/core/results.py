@@ -40,10 +40,11 @@ __all__ = [
 
 
 #: Most links a :class:`TextSink` holds before writing them as one batch.
-#: A Fig 7 N-CSJ work unit emits ~27 links, so a batch spans up to ~150
-#: units (any other line ends it sooner).  Formatting 4,096 links peaks
-#: near 0.5 MB, well inside the 16 bytes per implied pair that
-#: ``TestPeakMemory`` allows a 2,000-point Fig 7 join.
+#: A serial tree join hands over one call per leaf window, at most 4,096
+#: links (``repro.core.csj.LEAF_WINDOW``); checkpointed and pool runs
+#: hand over one per unit.  Any other line ends a batch sooner.
+#: Formatting 4,096 links peaks near 0.5 MB, well inside the 16 bytes per
+#: implied pair that ``TestPeakMemory`` allows a 2,000-point Fig 7 join.
 LINK_BATCH = 4096
 
 

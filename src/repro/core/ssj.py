@@ -9,8 +9,9 @@ triggers the output explosion the compact algorithms fix.
 
 The descent is the one shared by every tree join
 (:func:`repro.core.csj.tree_join`) with the early stops switched off.
-Leaf-level pair checks are vectorised with NumPy (one distance matrix per
-leaf or leaf pair), but the logical distance-computation count recorded in
+Leaf-level pair checks are vectorised with NumPy (one padded distance
+array per window of small leaf units, one matrix per larger leaf or leaf
+pair), but the logical distance-computation count recorded in
 :class:`~repro.stats.counters.JoinStats` matches the scalar algorithm.
 """
 

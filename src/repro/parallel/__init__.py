@@ -12,7 +12,6 @@ output is byte-identical to the serial run for any worker count.  See
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -129,8 +128,7 @@ def parallel_join(
         def finish() -> JoinResult:
             if buffer is not None:
                 buffer.flush()
-            elapsed = time.perf_counter() - start
-            stats.compute_time += elapsed - (stats.write_time - write_time_before)
+            stats.charge_compute(mark)
             return JoinResult.from_sink(
                 sink,
                 eps=spec.eps,
@@ -139,8 +137,7 @@ def parallel_join(
                 index_name=state.index_name,
             )
 
-        write_time_before = stats.write_time
-        start = time.perf_counter()
+        mark = stats.clock()
         try:
             scheduler.run()
         except (BudgetExceededError, PoisonTaskError) as exc:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import zlib
 from dataclasses import fields as dataclass_fields
 from typing import Callable, Optional, Union
@@ -294,8 +293,7 @@ class CheckpointedJoin:
         budget = self.budget
         if budget is not None:
             budget.start()
-        write_time_before = stats.write_time
-        start = time.perf_counter()
+        mark = stats.clock()
         idx = cursor
         scheduler = None
         emitted_mark = stats.links_emitted + stats.groups_emitted
@@ -342,7 +340,7 @@ class CheckpointedJoin:
                         scheduler.run(on_task_merged=maybe_checkpoint)
                     except PoisonTaskError as exc:
                         self._checkpoint(journal, inner, scheduler.merged, stats, buffer)
-                        self._finalize_timing(stats, start, write_time_before)
+                        stats.charge_compute(mark)
                         exc.partial = JoinResult.from_sink(
                             inner, eps=self.eps, algorithm=spec.label(),
                             g=self.g if compact else None, index_name=index_name,
@@ -364,7 +362,7 @@ class CheckpointedJoin:
                 # later, then surface the partial result on the exception.
                 safe = scheduler.merged if scheduler is not None else idx
                 self._checkpoint(journal, inner, safe, stats, buffer)
-                self._finalize_timing(stats, start, write_time_before)
+                stats.charge_compute(mark)
                 exc.partial = JoinResult.from_sink(
                     inner, eps=self.eps, algorithm=spec.label(),
                     g=self.g if compact else None, index_name=index_name,
@@ -388,7 +386,7 @@ class CheckpointedJoin:
             if shared is not None:
                 shared.close()
 
-        self._finalize_timing(stats, start, write_time_before)
+        stats.charge_compute(mark)
         return JoinResult.from_sink(
             inner,
             eps=self.eps,
@@ -457,11 +455,6 @@ class CheckpointedJoin:
                 ) from exc
             raise
         return journal, 0, None
-
-    @staticmethod
-    def _finalize_timing(stats: JoinStats, start: float, write_time_before: float) -> None:
-        elapsed = time.perf_counter() - start
-        stats.compute_time += elapsed - (stats.write_time - write_time_before)
 
     def _checkpoint(
         self,

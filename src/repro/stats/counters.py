@@ -73,6 +73,22 @@ class JoinStats:
         """Wall-clock total: computation plus output writing."""
         return self.compute_time + self.write_time
 
+    def clock(self) -> tuple[float, float]:
+        """Start one run's compute clock: ``(now, write_time so far)``.
+
+        Hand the mark to :meth:`charge_compute` when the run ends.
+        """
+        return time.perf_counter(), self.write_time
+
+    def charge_compute(self, mark: tuple[float, float]) -> None:
+        """Add the wall time since ``mark`` less the writes charged since.
+
+        Only this run's write time is subtracted, not the cumulative
+        ``write_time``, so one stats object can span several runs.
+        """
+        start, written = mark
+        self.compute_time += time.perf_counter() - start - (self.write_time - written)
+
     @property
     def pairs_reported(self) -> int:
         """Number of links implied by the output.

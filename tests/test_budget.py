@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from repro.api import build_index, similarity_join
-from repro.core.csj import csj
+from repro.core.csj import LEAF_WINDOW, csj, make_window, ncsj, tree_task_delta
 from repro.core.egrid import egrid_join
+from repro.core.frontier import traverse
+from repro.core.groups import apply_events
 from repro.core.partitioned import pbsm_join
+from repro.core.results import CountingSink, TextSink
 from repro.core.ssj import ssj
 from repro.core.verify import brute_force_links
+from repro.datasets import load_dataset
 from repro.errors import BudgetExceededError
+from repro.index.packed import pack_index
+from repro.io.writer import line_bytes, width_for
 from repro.resilience.budget import Budget
 from repro.stats.counters import JoinStats
 
@@ -143,6 +149,54 @@ class TestGracefulDegradation:
         budgeted = csj(tree, 0.07, g=10, budget=Budget())
         assert budgeted.expanded_links() == plain.expanded_links()
         assert budgeted.stats.groups_emitted == plain.stats.groups_emitted
+
+
+class TestSerialBreachPoint:
+    """Serial tree joins see a byte breach up to one leaf window late.
+
+    The traversal checks the budget while the sink still lacks the
+    pending window, so the run stops at the first check after the window
+    that crossed the cap is applied.  The output is then a prefix of the
+    unbudgeted output, cut at a unit boundary, and between the unit that
+    crossed the cap and the last unit applied lie at most the links of
+    one window.
+    """
+
+    def test_ncsj_byte_breach_is_a_prefix_within_one_window(self, tmp_path):
+        eps = 0.125
+        pts = load_dataset("sierpinski3d", 2000, seed=0)
+        tree = build_index(pts, "rstar", max_entries=8, bulk="str")
+        width = width_for(len(pts))
+        full_path = tmp_path / "full.txt"
+        with TextSink(str(full_path), id_width=width) as sink:
+            ncsj(tree, eps, sink=sink)
+        full = full_path.read_bytes()
+
+        # Bytes written after each unit, units applied one by one.
+        packed = pack_index(tree)
+        counting = CountingSink(id_width=width)
+        window = make_window(0, eps, counting, tree.metric)
+        ends = []
+        for unit in traverse(packed, eps, True):
+            events, _ = tree_task_delta(pts, tree.metric, eps, 0, packed, unit)
+            apply_events(events, counting, window)
+            ends.append(counting.stats.bytes_written)
+        assert ends[-1] == len(full)
+
+        cap = len(full) // 3
+        budget = Budget(max_output_bytes=cap, check_every=1)
+        part_path = tmp_path / "part.txt"
+        with TextSink(str(part_path), id_width=width) as sink:
+            with pytest.raises(BudgetExceededError) as info:
+                ncsj(tree, eps, sink=sink, budget=budget)
+        written = info.value.partial.stats.bytes_written
+        part = part_path.read_bytes()
+        assert len(part) == written > cap
+        assert full.startswith(part)
+        crossing = next(i for i, end in enumerate(ends) if end > cap)
+        last = ends.index(written)  # the last unit that wrote bytes
+        assert last >= crossing
+        assert ends[last - 1] - ends[crossing] <= LEAF_WINDOW * line_bytes(2, width)
 
 
 class TestRunnerIntegration:

@@ -10,7 +10,9 @@ checks the end-to-end consequence against the Figure 3 recursion.
 
 Also covers the condensed self-distance path (``Metric.condensed_self``)
 including its memory shape: the whole point of the condensed form is
-that no ``k x k`` intermediate is ever materialised.
+that no ``k x k`` intermediate is ever materialised.  The serial join's
+leaf windows are held to the same kind of bound: one window needs about
+the scratch memory of one 64 x 64 leaf pair.
 """
 
 import tracemalloc
@@ -20,10 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import build_index
+from repro.core.csj import (
+    LEAF_WINDOW,
+    leaf_cross_delta,
+    leaf_window_delta,
+    leaf_windows,
+)
+from repro.core.frontier import traverse
 from repro.geometry import kernels
 from repro.geometry.ball import Ball
 from repro.geometry.mbr import MBR
 from repro.geometry.metrics import Minkowski, get_metric, triu_pair_indices
+from repro.index.packed import pack_index
 
 METRICS = ["manhattan", "euclidean", "chebyshev", Minkowski(3)]
 
@@ -199,6 +210,76 @@ def test_condensed_self_memory_shape():
         return peak
 
     assert condensed_peak() < 0.7 * full_matrix_peak()
+
+
+def _peak(fn) -> int:
+    fn()  # lazy imports and caches load outside the measurement
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_leaf_window_memory_shape():
+    """A full leaf window needs about the scratch of one 64 x 64 unit.
+
+    The window is the 64 cross units between two sets of eight 8-entry
+    leaves; the unit joins the same 64 points with the same 64 points.
+    Both evaluate the same 4,096 candidate pairs, so they differ only in
+    the window's padding masks and per-unit index arithmetic.
+    """
+    rng = np.random.default_rng(0)
+    pts = rng.random((640, 3))
+    packed = pack_index(build_index(pts, "rstar", max_entries=8, bulk="str"))
+    sizes = packed.entry_end - packed.entry_beg
+    full = [int(nid) for nid in np.flatnonzero(packed.leaf & (sizes == 8))]
+    left, right = full[:8], full[8:16]
+    window = [("cross", a, b) for a in left for b in right]
+    assert len(window) * 8 * 8 == LEAF_WINDOW
+    ids1 = np.concatenate([packed.leaf_entry_ids(a) for a in left])
+    ids2 = np.concatenate([packed.leaf_entry_ids(b) for b in right])
+    metric = get_metric("euclidean")
+    for eps in (0.2, 2.0):  # some hits; every candidate a hit
+        window_peak = _peak(
+            lambda: leaf_window_delta(pts, metric, eps, packed, window, 0)
+        )
+        unit_peak = _peak(lambda: leaf_cross_delta(pts, metric, eps, ids1, ids2, 0))
+        assert window_peak < 1.5 * unit_peak, (eps, window_peak, unit_peak)
+
+
+def test_leaf_windows_stay_within_the_padded_limit():
+    """Windows over ragged insertion-built leaves: bounded, maximal, in order."""
+    rng = np.random.default_rng(4)
+    tree = build_index(rng.random((900, 2)), "rstar", max_entries=12)
+    packed = pack_index(tree)
+    sizes = (packed.entry_end - packed.entry_beg).tolist()
+    units = list(traverse(packed, 0.08, True))
+    batches = list(leaf_windows(iter(units), packed))
+    assert [unit for batch in batches for unit in batch] == units
+
+    def width(unit):
+        return max(sizes[unit[1]], sizes[unit[-1]])
+
+    def is_leaf_batch(batch):
+        return batch[0][0] in ("self", "cross")
+
+    assert len(set(sizes[nid] for nid in np.flatnonzero(packed.leaf))) > 1
+    assert any(len(batch) > 1 for batch in batches)
+    for batch, following in zip(batches, batches[1:] + [None]):
+        if not is_leaf_batch(batch):
+            assert len(batch) == 1
+            continue
+        assert all(unit[0] in ("self", "cross") for unit in batch)
+        m = max(width(unit) for unit in batch)
+        if len(batch) > 1:
+            assert len(batch) * m * m <= LEAF_WINDOW
+        if following is not None and is_leaf_batch(following):
+            # Closed only because the next unit would not fit.
+            grown = max(m, width(following[0]))
+            assert (len(batch) + 1) * grown * grown > LEAF_WINDOW
 
 
 def test_mbr_stack_and_of_mbrs():

@@ -2,8 +2,15 @@
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.api import build_index
+from repro.core.csj import ncsj
+from repro.core.dual import spatial_join
+from repro.core.egrid import egrid_join
+from repro.core.partitioned import pbsm_join, spatial_hash_join
+from repro.core.results import JoinSink
 from repro.stats.counters import JoinStats, Timer
 
 
@@ -138,3 +145,52 @@ class TestTimer:
         with timer:
             time.sleep(0.01)
         assert timer.elapsed >= first + 0.009
+
+
+class SlowSink(JoinSink):
+    """A timed sink whose every stored line takes half a millisecond."""
+
+    timed = True
+
+    def _store_link(self, i, j):
+        time.sleep(0.0005)
+
+    def _store_group(self, ids):
+        time.sleep(0.0005)
+
+    def _store_group_pair(self, ids_a, ids_b):
+        time.sleep(0.0005)
+
+
+EPS = 0.12
+POINTS = np.random.default_rng(11).random((150, 2))
+OTHER = np.random.default_rng(12).random((120, 2))
+DRIVERS = {
+    "tree": lambda sink: ncsj(build_index(POINTS, bulk="str", max_entries=8), EPS, sink=sink),
+    "egrid": lambda sink: egrid_join(POINTS, EPS, compact=True, sink=sink),
+    "pbsm": lambda sink: pbsm_join(POINTS, EPS, compact=True, sink=sink),
+    "hash": lambda sink: spatial_hash_join(POINTS, OTHER, EPS, sink=sink),
+    "dual": lambda sink: spatial_join(
+        build_index(POINTS, bulk="str", max_entries=8),
+        build_index(OTHER, bulk="str", max_entries=8),
+        EPS,
+        sink=sink,
+    ),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_compute_time_when_one_stats_spans_two_runs(driver):
+    """Each run adds its own compute time: never negative, never above its wall.
+
+    The second run must not subtract the first run's write time, which
+    with slow writes would exceed the second run's whole computation.
+    """
+    stats = JoinStats()
+    for _ in range(2):
+        before = stats.compute_time
+        start = time.perf_counter()
+        DRIVERS[driver](SlowSink(stats=stats))
+        wall = time.perf_counter() - start
+        assert stats.write_time > 0.02
+        assert 0.0 <= stats.compute_time - before <= wall

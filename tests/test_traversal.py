@@ -19,7 +19,13 @@ import pytest
 
 from repro.api import build_index
 from repro.core.bruteforce import brute_force_cross_links, brute_force_links
-from repro.core.csj import csj, ncsj
+from repro.core.csj import (
+    LEAF_WINDOW,
+    csj,
+    leaf_window_delta,
+    ncsj,
+    tree_task_delta,
+)
 from repro.core.dual import compact_spatial_join, spatial_join
 from repro.core.frontier import traverse
 from repro.core.groups import GroupBuffer
@@ -33,6 +39,7 @@ from repro.core.results import CollectSink
 from repro.core.ssj import ssj
 from repro.core.verify import check_equivalence
 from repro.datasets import load_dataset
+from repro.geometry.metrics import Minkowski
 from repro.index.packed import PackedIndex, pack_index
 from repro.index.rtree import RectNode
 from repro.io.writer import width_for
@@ -311,3 +318,109 @@ def test_every_index_packs():
     packed = pack_index(build_metric_index(words, hamming, max_entries=2))
     assert isinstance(packed, PackedIndex)
     assert packed.kind == "ball"
+
+
+# Leaf windows: the serial join evaluates runs of leaf units in one padded
+# gather.  Its reference is the per-unit executors, run one after another.
+WINDOW_DIMS = [1, 2, 3, 7, 8, 9, 17]  # NumPy's sum unrolls from 8 elements
+WINDOW_METRICS = {
+    "euclidean": "euclidean",
+    "manhattan": "manhattan",
+    "chebyshev": "chebyshev",
+    "minkowski3": Minkowski(3),
+}
+WINDOW_TREES = {  # (bulk, fanout): insertion-built trees have ragged leaves
+    "insert-f6": (None, 6),
+    "insert-f16": (None, 16),
+    "str-f8": ("str", 8),
+}
+
+
+def _flat_events(events):
+    """Events as one ``(kind, ids_i, ids_j, coords_i, coords_j)`` row."""
+    kinds = {event[0] for event in events}
+    assert len(kinds) <= 1
+    ids_i, ids_j, coords_i, coords_j = [], [], [], []
+    for event in events:
+        ids_i += list(map(int, event[1]))
+        ids_j += list(map(int, event[2]))
+        if event[0] == "linkseq":
+            coords_i += event[3]
+            coords_j += event[4]
+    return (kinds.pop() if kinds else None, ids_i, ids_j, coords_i, coords_j)
+
+
+def _random_window(packed, rng):
+    """Mixed self/cross units within ``LEAF_WINDOW`` padded slots."""
+    leaves = np.flatnonzero(packed.leaf).tolist()
+    sizes = (packed.entry_end - packed.entry_beg).tolist()
+    window, width = [], 0
+    for _ in range(int(rng.integers(2, 24))):
+        a = leaves[int(rng.integers(len(leaves)))]
+        b = leaves[int(rng.integers(len(leaves)))]
+        unit = ("self", a) if a == b or rng.random() < 0.25 else ("cross", a, b)
+        grown = max(width, sizes[a], sizes[b])
+        if (len(window) + 1) * grown * grown > LEAF_WINDOW:
+            break
+        window.append(unit)
+        width = grown
+    return window
+
+
+def _realised_eps(points, packed, metric, window, rng):
+    """A distance some unit of ``window`` evaluates: a tie for ``<``."""
+    unit = window[int(rng.integers(len(window)))]
+    block_a = points[packed.leaf_entry_ids(unit[1])]
+    block_b = points[packed.leaf_entry_ids(unit[-1])]
+    dists = metric.pairwise(block_a, block_b)
+    return float(dists.flat[int(rng.integers(dists.size))])
+
+
+@pytest.mark.parametrize("metric_name", sorted(WINDOW_METRICS))
+@pytest.mark.parametrize("dim", WINDOW_DIMS)
+def test_leaf_window_matches_per_unit(dim, metric_name):
+    """One padded window gives the per-unit events and charges, bit for bit.
+
+    Half the points sit on a quarter lattice, so realised distances tie
+    often; eps is always a distance some unit of the window evaluates,
+    so the strict ``<`` and the last bit of every reduction are tested.
+    """
+    rng = np.random.default_rng(100 * dim + len(metric_name))
+    n = 240
+    lattice = rng.integers(0, 5, size=(n // 2, dim)) * 0.25
+    jitter = rng.random((n - n // 2, dim)) * 1.25
+    points = np.vstack([lattice, jitter])
+    checked = 0
+    for bulk, fanout in WINDOW_TREES.values():
+        tree = build_index(
+            points, "rstar", metric=WINDOW_METRICS[metric_name],
+            max_entries=fanout, bulk=bulk,
+        )
+        packed = pack_index(tree)
+        metric = tree.metric
+        if packed.leaf.sum() < 2:
+            continue
+        for _ in range(10):
+            window = _random_window(packed, rng)
+            if len(window) < 2:
+                continue
+            for eps in {_realised_eps(points, packed, metric, window, rng)
+                        for _ in range(3)}:
+                if eps <= 0:
+                    continue
+                for g in (0, 10):
+                    expected, charged = [], 0
+                    for unit in window:
+                        events, (dc, _, _) = tree_task_delta(
+                            points, metric, eps, g, packed, unit
+                        )
+                        expected += events
+                        charged += dc
+                    events, dc = leaf_window_delta(
+                        points, metric, eps, packed, window, g
+                    )
+                    assert dc == charged
+                    assert len(events) <= 1
+                    assert _flat_events(events) == _flat_events(expected)
+                    checked += 1
+    assert checked > 0
