@@ -174,10 +174,11 @@ class SpatialIndex(ABC):
         #: resurrected by a direct ``insert``; consumers re-check
         #: membership in :attr:`_deleted`.
         self._free_slots: list[int] = sorted(self._deleted)
-        #: Monotonic counter of structural mutations (delete / add_point /
-        #: compact / rebuild).  Derived flattened views — the memoized
-        #: :func:`repro.index.packed.pack_index` result — key on it, so a
-        #: stale pack can never be served after the tree changes shape.
+        #: Monotonic counter of structural mutations (insert / delete /
+        #: add_point / compact / rebuild).  Derived flattened views — the
+        #: memoized :func:`repro.index.packed.pack_index` result — key on
+        #: it, so a stale pack can never be served after the tree changes
+        #: shape.
         self._structure_version = getattr(self, "_structure_version", 0) + 1
         #: ``(structure_version, PackedIndex | None)`` memo; see
         #: :func:`repro.index.packed.pack_index`.
@@ -189,8 +190,22 @@ class SpatialIndex(ABC):
         """Populate :attr:`root` from :attr:`points`."""
 
     # -- incremental maintenance --------------------------------------------
-    def insert(self, pid: int) -> None:  # pragma: no cover - interface
-        """Insert the point with id ``pid`` (a row of :attr:`points`)."""
+    def insert(self, pid: int) -> None:
+        """Insert the point with id ``pid`` (a row of :attr:`points`).
+
+        Template method, like :meth:`delete`: the concrete tree's
+        :meth:`_insert` does the structural work, while the tombstone is
+        cleared and the structure version bumped here, so a direct insert
+        (the resurrection of a deleted id) never leaves a stale memoized
+        pack behind.
+        """
+        pid = int(pid)
+        self._deleted.discard(pid)
+        self._structure_version += 1
+        self._insert(pid)
+
+    def _insert(self, pid: int) -> None:  # pragma: no cover - interface
+        """Physically insert ``pid`` into the tree."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support incremental insertion"
         )
@@ -258,7 +273,6 @@ class SpatialIndex(ABC):
         if not self._owns_backing:
             self._own_backing()
         self.points[pid] = coords
-        self._structure_version += 1
         self.insert(pid)
         return pid
 

@@ -123,9 +123,8 @@ class MTree(SpatialIndex):
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def insert(self, pid: int) -> None:
+    def _insert(self, pid: int) -> None:
         """Insert the point with id ``pid`` (a row of :attr:`points`)."""
-        self._deleted.discard(pid)
         if self.root is None:
             self.root = self._new_node(level=0, router=pid)
             self.root.entry_ids.append(pid)

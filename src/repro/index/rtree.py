@@ -20,7 +20,7 @@ from repro.geometry.mbr import MBR
 from repro.geometry.metrics import Metric
 from repro.index.base import IndexNode, SpatialIndex
 
-__all__ = ["RectNode", "RTree"]
+__all__ = ["RectNode", "RTree", "least_enlargement"]
 
 
 class RectNode(IndexNode):
@@ -61,6 +61,21 @@ class RectNode(IndexNode):
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "node"
         return f"RectNode({kind}, level={self.level}, fanout={self.fanout})"
+
+
+def least_enlargement(
+    children: list[RectNode], lo: np.ndarray, hi: np.ndarray
+) -> RectNode:
+    """The child whose MBR grows least in area to cover the box ``[lo, hi]``.
+
+    Ties go to the smaller area, then to the first child.  Row products
+    multiply in the same order as :meth:`MBR.area`, so the keys are the
+    per-child ``union(...).area() - area()`` values bit for bit.
+    """
+    lows, highs = MBR.stack(child.mbr for child in children)
+    areas = np.prod(highs - lows, axis=1)
+    growth = np.prod(np.maximum(highs, hi) - np.minimum(lows, lo), axis=1) - areas
+    return children[int(np.lexsort((areas, growth))[0])]
 
 
 class RTree(SpatialIndex):
@@ -134,9 +149,8 @@ class RTree(SpatialIndex):
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def insert(self, pid: int) -> None:
+    def _insert(self, pid: int) -> None:
         """Insert the point with id ``pid`` (a row of :attr:`points`)."""
-        self._deleted.discard(pid)
         point = self.points[pid]
         if self.root is None:
             self.root = RectNode(level=0, mbr=MBR.of_point(point))
@@ -177,14 +191,7 @@ class RTree(SpatialIndex):
 
     def _choose_subtree(self, node: RectNode, point: np.ndarray) -> RectNode:
         """Guttman's ChooseLeaf: least enlargement, ties by least area."""
-        best = None
-        best_key = None
-        for child in node.children:
-            enlarged = child.mbr.union_point(point)
-            key = (enlarged.area() - child.mbr.area(), child.mbr.area())
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        return best
+        return least_enlargement(node.children, point, point)
 
     # ------------------------------------------------------------------
     # Splitting

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.ssj import ssj
 from repro.errors import InvalidInputError
 from repro.index import MTree, RStarTree, RTree
 
@@ -58,6 +59,21 @@ class TestUnifiedTombstones:
         tree.insert(11)
         assert 11 not in tree._deleted
         tree.validate()
+
+    def test_join_after_resurrection_sees_the_point(self, tree_class):
+        """Regression: a direct insert must retire the memoized pack.
+
+        Only delete and add_point bumped the structure version, so a join
+        after ``insert(5)`` reused the pack built while 5 was deleted and
+        lost its links (Theorem 1).
+        """
+        pts = np.random.default_rng(0).random((300, 2))
+        tree = tree_class(pts, max_entries=8)
+        full = set(ssj(tree_class(pts, max_entries=8), 0.08).links)
+        assert tree.delete(5)
+        assert set(ssj(tree, 0.08).links) == {l for l in full if 5 not in l}
+        tree.insert(5)
+        assert set(ssj(tree, 0.08).links) == full
 
 
 class TestSlotReuse:
