@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fault-injection demos: crash a join, recover it, verify exactness.
 
-Three scenarios, selected with ``--scenario``:
+Five scenarios, selected with ``--scenario``:
 
 ``sink`` (default)
     The original demo: a checkpointed serial join whose sink fails on a
@@ -13,11 +13,11 @@ Three scenarios, selected with ``--scenario``:
     tasks; the supervisor respawns them and retries, and the output is
     still byte-identical to the serial run.
 
-``pool``
-    The hardest case: a checkpointed *parallel* join is SIGKILLed as a
-    whole process group mid-run (supervisor and workers all die at
-    once), then resumed with a *different* worker count — and the
-    recovered file is byte-identical to the uninterrupted reference.
+``kill``
+    A checkpointed join's process group is SIGKILLed as soon as its
+    journal holds a first checkpoint record — no cleanup, no flush —
+    then resumed from the journal, and the recovered file is
+    byte-identical to the uninterrupted reference.
 
 ``disk``
     The disk fills mid-join (an injected ``ENOSPC`` at the sink).  The
@@ -45,7 +45,7 @@ queue, healed breaker.
 Usage::
 
     PYTHONPATH=src python scripts/chaos_demo.py
-        [--scenario sink|worker|pool|disk|overload] [--seed 7] [--n 2000]
+        [--scenario sink|worker|kill|disk|overload] [--seed 7] [--n 2000]
 """
 
 import argparse
@@ -125,15 +125,15 @@ def _scenario_worker(args, pts, reference, recovered):
     return _verify(pts, args.eps, reference, recovered, result)
 
 
-def _scenario_pool(args, pts, reference, recovered):
-    """SIGKILL the whole pool mid-run; resume with fewer workers."""
+def _scenario_kill(args, pts, reference, recovered):
+    """SIGKILL a checkpointed run mid-join; resume it from the journal."""
     journal = recovered + ".journal"
     code = (
         "import numpy as np\n"
         "from repro.resilience.checkpoint import CheckpointedJoin\n"
         f"pts = np.random.default_rng({args.seed}).random(({args.n}, 2))\n"
         f"CheckpointedJoin(pts, {args.eps}, {recovered!r}, algorithm='csj',"
-        " g=10, cadence=4, workers=4).run()\n"
+        " g=10, cadence=4).run()\n"
     )
     proc = subprocess.Popen(
         [sys.executable, "-c", code],
@@ -153,15 +153,14 @@ def _scenario_pool(args, pts, reference, recovered):
     if proc.poll() is None:
         os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
         proc.wait()
-        print("chaos run      : pool of 4 workers SIGKILLed mid-join "
-              "(supervisor and workers died together)")
+        print("chaos run      : checkpointed join SIGKILLed mid-join")
     else:
-        print("chaos run      : pool finished before the kill landed "
+        print("chaos run      : join finished before the kill landed "
               "(resume below is a no-op)")
     result = CheckpointedJoin(
-        pts, args.eps, recovered, algorithm="csj", g=10, cadence=4, workers=2,
+        pts, args.eps, recovered, algorithm="csj", g=10, cadence=4,
     ).run(resume=True)
-    print("resume         : journal replayed, finished with 2 workers")
+    print("resume         : journal replayed, run finished")
     return _verify(pts, args.eps, reference, recovered, result)
 
 
@@ -288,7 +287,7 @@ def _scenario_overload(args, pts, reference, recovered):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", default="sink",
-                        choices=["sink", "worker", "pool", "disk", "overload"],
+                        choices=["sink", "worker", "kill", "disk", "overload"],
                         help="which failure mode to inject")
     parser.add_argument("--seed", type=int, default=7, help="chaos seed")
     parser.add_argument("--n", type=int, default=2000, help="points")
@@ -312,7 +311,7 @@ def main() -> int:
     runner = {
         "sink": _scenario_sink,
         "worker": _scenario_worker,
-        "pool": _scenario_pool,
+        "kill": _scenario_kill,
         "disk": _scenario_disk,
         "overload": _scenario_overload,
     }[args.scenario]

@@ -27,7 +27,7 @@ Usage::
 
     PYTHONPATH=src python scripts/verify_crash_consistency.py
         [--n 48] [--eps 0.15] [--max-states-per-cell 80]
-        [--min-states 200] [--workers 0] [--json report.json]
+        [--min-states 200] [--json report.json]
 """
 
 import argparse
@@ -56,9 +56,6 @@ def main() -> int:
                         help="cap on states verified per matrix cell")
     parser.add_argument("--min-states", type=int, default=200,
                         help="fail if fewer distinct states explored in total")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="also run one checkpointed cell with this many "
-                             "workers (0 = serial only)")
     parser.add_argument("--json", default=None,
                         help="write the report as JSON to this path")
     args = parser.parse_args()
@@ -89,10 +86,6 @@ def main() -> int:
             cadence=args.cadence)
         run(f"atomic-sink/{algorithm}", verify_atomic_sink,
             points=pts, eps=args.eps, algorithm=algorithm)
-    if args.workers > 1:
-        run(f"checkpoint/csj@w{args.workers}", verify_checkpointed_join,
-            points=pts, eps=args.eps, algorithm="csj",
-            cadence=args.cadence, workers=args.workers)
     run("index-save/rstar", verify_index_save, points=pts)
 
     total_states = sum(r.states_verified for r in reports)

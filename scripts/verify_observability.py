@@ -31,6 +31,9 @@ CHECK_FIELDS = (
     "bytes_written",
     "early_stops",
     "distance_computations",
+    "nodes_visited",
+    "node_pairs_visited",
+    "mbr_checks",
 )
 
 

@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--checkpoint",
         metavar="PATH",
-        help="journal progress to PATH for crash-safe, resumable execution "
-        "(requires --output)",
+        help="journal progress to PATH for crash-safe, resumable serial "
+        "execution (requires --output; takes no --workers or --task-timeout)",
     )
     join.add_argument(
         "--resume",
@@ -344,7 +344,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     from repro.api import similarity_join
     from repro.core.results import CollectSink, TextSink
     from repro.core.verify import check_equivalence
-    from repro.errors import ReproError
+    from repro.errors import InvalidInputError, ReproError
     from repro.io.writer import width_for
     from repro.obs.logging import (
         configure_logging,
@@ -363,6 +363,13 @@ def _cmd_join(args: argparse.Namespace) -> int:
         raise SystemExit("csj join: --resume requires --checkpoint")
     if args.checkpoint and not args.output:
         raise SystemExit("csj join: --checkpoint requires --output")
+    if args.checkpoint and (
+        args.workers not in (None, 0, 1) or args.task_timeout is not None
+    ):
+        raise InvalidInputError(
+            "usage: a --checkpoint run is serial; drop --workers and "
+            "--task-timeout (its crash recovery is the journal)"
+        )
 
     # Observability wiring.  Logging goes to stderr so stdout stays clean
     # for piped consumers; --progress implies a visible logger.
@@ -419,8 +426,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     metric=args.metric,
                     journal_path=args.checkpoint,
                     budget=budget,
-                    workers=args.workers,
-                    task_timeout=args.task_timeout,
                     stats=live_stats,
                 )
                 if args.progress is not None:
@@ -472,6 +477,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 "bytes_written": stats.bytes_written,
                 "early_stops": stats.early_stops,
                 "distance_computations": stats.distance_computations,
+                "nodes_visited": stats.nodes_visited,
+                "node_pairs_visited": stats.node_pairs_visited,
+                "mbr_checks": stats.mbr_checks,
                 "total_time_seconds": round(stats.total_time, 6),
                 "compute_seconds": round(stats.compute_time, 6),
                 "write_seconds": round(stats.write_time, 6),

@@ -121,7 +121,6 @@ def parallel_join(
             buffer=buffer,
             budget=budget,
             fault=fault,
-            skip_poisoned=True,
             breaker=breaker,
         )
 
@@ -143,6 +142,7 @@ def parallel_join(
         except (BudgetExceededError, PoisonTaskError) as exc:
             exc.partial = finish()
             raise
+        state.charge_walk(stats)
         return finish()
     finally:
         if owned is not None:

@@ -15,11 +15,8 @@
   affects *timing only*, never output.
 * **Poison quarantine** — a task whose failures exceed
   ``MAX_TASK_RETRIES`` is quarantined instead of retried forever and the
-  run surfaces :class:`~repro.errors.PoisonTaskError`.  With
-  ``skip_poisoned=True`` (the API path) every other task still completes
-  and merges first, so the partial result is maximal; with ``False``
-  (the checkpointed path) the merge halts at the poisoned task so the
-  journal cursor remains exact.
+  run surfaces :class:`~repro.errors.PoisonTaskError`.  Every other task
+  still completes and merges first, so the partial result is maximal.
 * **Budget enforcement** — the parent checks its
   :class:`~repro.resilience.budget.Budget` at every merge and publishes
   totals to :class:`~repro.parallel.shared.SharedCounters` so workers
@@ -34,7 +31,7 @@ import heapq
 import random
 import time
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.groups import GroupBuffer
 from repro.core.results import JoinSink
@@ -62,11 +59,11 @@ logger = get_logger("parallel.scheduler")
 
 
 class WorkScheduler:
-    """Run ``state``'s tasks [start_cursor, n) through a supervised pool.
+    """Run ``state``'s tasks through a supervised pool.
 
     :meth:`run` drives the pool to completion (or a raised budget/poison/
-    pool error).  ``self.merged`` is always the contiguous merged prefix
-    of the canonical sequence — the resumable cursor.
+    pool error).  ``self.merged`` is always the merged prefix of the
+    canonical sequence, quarantined holes included.
     """
 
     def __init__(
@@ -79,8 +76,6 @@ class WorkScheduler:
         buffer: Optional[GroupBuffer] = None,
         budget: Optional[Budget] = None,
         fault: Optional[FlakyWorker] = None,
-        start_cursor: int = 0,
-        skip_poisoned: bool = True,
         breaker: object = None,
     ):
         self.state = state
@@ -93,16 +88,15 @@ class WorkScheduler:
         self.buffer = buffer
         self.budget = budget
         self.fault = fault
-        self.skip_poisoned = skip_poisoned
         #: Optional :class:`~repro.service.breaker.CircuitBreaker`
         #: guarding the pool.  Worker deaths feed it, so a respawn storm
         #: opens the circuit mid-run instead of thrashing the host.
         self.breaker = breaker
-        self.merged = int(start_cursor)
+        self.merged = 0
 
         n = len(state.tasks)
         self._n = n
-        self._pending: deque[int] = deque(range(self.merged, n))
+        self._pending: deque[int] = deque(range(n))
         self._delayed: list[tuple[float, int]] = []  # (ready_at, task_id) heap
         self._completed: dict[int, tuple[list, tuple]] = {}
         self._failures: dict[int, int] = {}
@@ -118,12 +112,8 @@ class WorkScheduler:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, on_task_merged: Optional[Callable[[int], None]] = None) -> None:
-        """Execute and merge every remaining task.
-
-        ``on_task_merged(cursor)`` fires after each task's delta lands in
-        the sink (cursor = tasks merged so far) — the checkpoint hook.
-        """
+    def run(self) -> None:
+        """Execute and merge every task."""
         # Health check only: when the serving layer drives this run it
         # already holds the half-open probe slot, so the entry gate must
         # refuse an open circuit without consuming a second probe.
@@ -182,7 +172,7 @@ class WorkScheduler:
                         self._on_message(handle, payload)
                 for handle, reason in supervisor.reap_unresponsive():
                     self._on_worker_killed(supervisor, handle, reason)
-                self._merge(on_task_merged)
+                self._merge()
                 queue_depth.set(len(self._pending) + len(self._delayed))
                 heartbeat_age.set(supervisor.max_heartbeat_age())
                 if self.budget is not None:
@@ -251,13 +241,7 @@ class WorkScheduler:
     # Completion predicates
     # ------------------------------------------------------------------
     def _done(self) -> bool:
-        if self.merged >= self._n:
-            return True
-        if not self.skip_poisoned and self.merged in self._quarantined:
-            # The checkpointed path cannot merge past a poisoned task;
-            # stop as soon as the cursor hits it.
-            return True
-        return False
+        return self.merged >= self._n
 
     def _runnable(self, task_id: int) -> bool:
         return (
@@ -361,13 +345,11 @@ class WorkScheduler:
     # ------------------------------------------------------------------
     # Canonical-order merge
     # ------------------------------------------------------------------
-    def _merge(self, on_task_merged: Optional[Callable[[int], None]]) -> None:
+    def _merge(self) -> None:
         shared = self._shared
         if self.merged >= self._n:
             return
-        if self.merged not in self._completed and not (
-            self.skip_poisoned and self.merged in self._quarantined
-        ):
+        if self.merged not in self._completed and self.merged not in self._quarantined:
             return  # nothing at the cursor yet; skip the span entirely
         progressed = False
         start_cursor = self.merged
@@ -383,9 +365,7 @@ class WorkScheduler:
                     )
                     self.merged += 1
                     progressed = True
-                    if on_task_merged is not None:
-                        on_task_merged(self.merged)
-                elif self.skip_poisoned and task_id in self._quarantined:
+                elif task_id in self._quarantined:
                     self.merged += 1  # hole acknowledged; partial result only
                     progressed = True
                 else:

@@ -14,8 +14,8 @@ parent will discard:
   compare against the same clock.
 
 Workers poll :meth:`breached` before each task; the authoritative breach
-(with the exception, the checkpoint, the partial result) is still raised
-by the parent from its own ``Budget``.
+(with the exception and the partial result) is still raised by the
+parent from its own ``Budget``.
 """
 
 from __future__ import annotations

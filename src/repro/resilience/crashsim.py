@@ -315,7 +315,6 @@ def verify_checkpointed_join(
     algorithm: str = "csj",
     g: int = 10,
     cadence: int = 4,
-    workers: Optional[int] = None,
     max_states: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> CrashReport:
@@ -339,7 +338,7 @@ def verify_checkpointed_join(
     def job() -> "CheckpointedJoin":
         return CheckpointedJoin(
             points, eps, out, algorithm=algorithm, g=g, cadence=cadence,
-            journal_path=journal, workers=workers,
+            journal_path=journal,
         )
 
     # Reference: an uninterrupted traced run; its sandbox output is the

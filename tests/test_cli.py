@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,22 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit):
             main(["join", "--input", pts, "--eps", "0.1",
                   "--checkpoint", str(tmp_path / "j")])
+
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "2"], ["--task-timeout", "5"]]
+    )
+    def test_checkpoint_rejects_pool_flags_before_any_file(
+        self, tmp_path, capsys, flags
+    ):
+        pts = self._pts_file(tmp_path)
+        code = main(
+            ["join", "--input", pts, "--eps", "0.1",
+             "--output", str(tmp_path / "out.txt"),
+             "--checkpoint", str(tmp_path / "j.journal"), *flags]
+        )
+        assert code == 2
+        assert "--checkpoint run is serial" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["pts.txt"]
 
     def test_resume_requires_checkpoint(self, tmp_path):
         pts = self._pts_file(tmp_path)

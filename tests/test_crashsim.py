@@ -124,13 +124,6 @@ class TestVerifiers:
         assert report.states_verified >= 10
         assert report.recovered_resume > 0
 
-    def test_parallel_run_recovers_from_every_state(self, pts, tmp_path):
-        report = verify_checkpointed_join(
-            pts, 0.2, str(tmp_path), algorithm="ssj", cadence=2, workers=2,
-            max_states=10,
-        )
-        assert report.ok, report.failures
-
     def test_atomic_sink_never_shows_a_torn_hybrid(self, pts, tmp_path):
         report = verify_atomic_sink(
             pts, 0.2, str(tmp_path), algorithm="csj", max_states=50

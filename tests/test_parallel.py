@@ -24,7 +24,6 @@ from repro.obs.metrics import reset_registry
 from repro.parallel import parallel_join
 from repro.resilience.budget import Budget
 from repro.resilience.chaos import FlakyWorker
-from repro.resilience.checkpoint import CheckpointedJoin, read_journal
 
 ALGORITHMS = ["ssj", "csj", "egrid", "pbsm"]
 
@@ -211,23 +210,6 @@ class TestFailurePolicy:
         sink.close()
         assert filecmp.cmp(str(serial_path), str(par_path), shallow=False)
         assert registry.snapshot()["repro_pool_kills_total"] >= 1
-
-    def test_task_timeout_rescues_hung_worker_in_checkpointed_pool(
-        self, pts, tmp_path
-    ):
-        # Task 0 hangs once (budget 1) while its worker keeps
-        # heartbeating: only the per-task timeout can rescue the run.
-        serial_path = tmp_path / "serial.txt"
-        _serial_file(pts, 0.06, "csj", serial_path)
-        out = tmp_path / "ck.txt"
-        fault = FlakyWorker(hang_at=(0,), max_failures=1, hang_seconds=60.0)
-        CheckpointedJoin(
-            pts, 0.06, str(out), algorithm="csj", g=10, workers=2,
-            task_timeout=0.4, fault=fault,
-        ).run()
-        assert filecmp.cmp(str(serial_path), str(out), shallow=False)
-        _, last = read_journal(str(out) + ".journal")
-        assert last["done"] is True
 
     def test_deadline_breach_raises_with_partial(self, pts):
         budget = Budget(deadline_seconds=0.0, check_every=1)

@@ -12,8 +12,6 @@ Every guarantee the plane makes is asserted here:
   shipping the array, with the same bytes and nothing left owned;
 * **no leaks** — worker SIGKILL chaos ends with zero owned segments and
   nothing matching ``repro-shm-*`` left in ``/dev/shm``;
-* **resumability** — a checkpointed run killed under one data plane
-  resumes to byte-identical output under the other;
 * **integrity** — a fingerprint mismatch on attach fails loudly;
 * **reuse** — warm ``TaskState`` s are adopted (not rebuilt), spec bytes
   are pickled once, and ``pack_index`` memoizes until the tree changes.
@@ -31,7 +29,7 @@ import pytest
 from repro.api import similarity_join
 from repro.core.results import TextSink
 from repro.core.verify import brute_force_links
-from repro.errors import BudgetExceededError, WorkerPoolError
+from repro.errors import WorkerPoolError
 from repro.io.writer import width_for
 from repro.obs.metrics import get_registry, reset_registry
 from repro.parallel import parallel_join, shm
@@ -44,9 +42,7 @@ from repro.parallel.shm import (
     shm_available,
 )
 from repro.parallel.tasks import JoinSpec
-from repro.resilience.budget import Budget
 from repro.resilience.chaos import FlakyWorker
-from repro.resilience.checkpoint import CheckpointedJoin
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -175,31 +171,6 @@ class TestChaosNoLeak:
         ds.close()  # second close is a no-op
         assert owned_segments() == []
         assert _devshm_segments() == before
-
-
-@needs_shm
-class TestKillAndResumeAcrossPlanes:
-    @pytest.mark.parametrize("first,second", [("shm", "pickle"),
-                                              ("pickle", "shm")])
-    def test_resume_under_the_other_plane(
-        self, pts, first, second, tmp_path, use_plane
-    ):
-        serial = tmp_path / "serial.txt"
-        _serial_file(pts, 0.06, "csj", serial)
-        ck = tmp_path / "ck.txt"
-        use_plane(first)
-        job = CheckpointedJoin(
-            pts, 0.06, str(ck), algorithm="csj", g=10, cadence=3, workers=2,
-            budget=Budget(max_output_bytes=400, check_every=1),
-        )
-        with pytest.raises(BudgetExceededError):
-            job.run()
-        use_plane(second)
-        CheckpointedJoin(
-            pts, 0.06, str(ck), algorithm="csj", g=10, cadence=3, workers=2,
-        ).run(resume=True)
-        assert filecmp.cmp(str(serial), str(ck), shallow=False)
-        assert owned_segments() == []
 
 
 @needs_shm
