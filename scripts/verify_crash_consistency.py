@@ -26,7 +26,7 @@ coverage is also a bug).
 Usage::
 
     PYTHONPATH=src python scripts/verify_crash_consistency.py
-        [--n 48] [--eps 0.15] [--max-states-per-cell 80]
+        [--n 300] [--eps 0.15] [--max-states-per-cell 80]
         [--min-states 200] [--json report.json]
 """
 
@@ -47,7 +47,7 @@ ALGORITHMS = ("ssj", "csj", "egrid")
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=48, help="points per run")
+    parser.add_argument("--n", type=int, default=300, help="points per run")
     parser.add_argument("--eps", type=float, default=0.15, help="query range")
     parser.add_argument("--seed", type=int, default=0, help="dataset seed")
     parser.add_argument("--cadence", type=int, default=2,

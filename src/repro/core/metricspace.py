@@ -255,7 +255,7 @@ class BallGroupBuffer:
             i, j = ids
             self.sink.write_link(i, j)
         elif len(ids) > 2:
-            self.sink.write_group(sorted(ids))
+            self.sink.write_group(ids)
 
     def flush(self) -> None:
         while self._window:

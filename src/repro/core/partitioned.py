@@ -265,4 +265,4 @@ def _write_pair_group(group, sink: JoinSink) -> None:
         (i,), (j,) = ids_build, ids_probe
         sink.write_link_raw(i, j)
         return
-    sink.write_group_pair(sorted(ids_build), sorted(ids_probe))
+    sink.write_group_pair(ids_build, ids_probe)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.io.writer import FixedWidthWriter, line_bytes, read_output
+from repro.io.writer import FixedWidthWriter, check_range, line_bytes, read_output
 from repro.stats.counters import JoinStats
 
 __all__ = [
@@ -39,13 +39,14 @@ __all__ = [
 ]
 
 
-#: Most links a :class:`TextSink` holds before writing them as one batch.
-#: A serial tree join hands over one call per leaf window, at most 4,096
-#: links (``repro.core.csj.LEAF_WINDOW``); checkpointed and pool runs
-#: hand over one per unit.  Any other line ends a batch sooner.
-#: Formatting 4,096 links peaks near 0.5 MB, well inside the 16 bytes per
-#: implied pair that ``TestPeakMemory`` allows a 2,000-point Fig 7 join.
+#: A :class:`TextSink` writes a pure link stream in batches of this many links.
 LINK_BATCH = 4096
+#: Most ids a :class:`TextSink` holds pending, whatever lines hold them:
+#: those of ``LINK_BATCH`` links.  Each line costs its id count, so a run
+#: of long group lines never holds more ids than one link batch.
+#: Formatting 8,192 ids peaks near 0.5 MB, well inside the 16 bytes per
+#: implied pair that ``TestPeakMemory`` allows a 2,000-point Fig 7 join.
+PENDING_IDS = 2 * LINK_BATCH
 
 
 def normalized_link(i: int, j: int) -> tuple[int, int]:
@@ -61,9 +62,10 @@ class JoinSink:
     comparable numbers.
     """
 
-    #: Set by sinks whose storage is real I/O worth timing per call
-    #: (TextSink).  Memory sinks skip the clock: two ``perf_counter``
-    #: calls per link would dominate the very quantity being measured.
+    #: Set by sinks whose every stored line is real I/O worth timing per
+    #: call.  Memory sinks skip the clock: two ``perf_counter`` calls per
+    #: link would dominate the very quantity being measured, and
+    #: :class:`TextSink` times its batched writes itself.
     timed = False
 
     def __init__(self, stats: Optional[JoinStats] = None, id_width: int = 8):
@@ -254,16 +256,17 @@ class TextSink(JoinSink):
     ``stats.write_time`` measures real output I/O — this is the sink used
     to reproduce Experiment 3 (computation vs. disk-write time).
 
-    Link batches (:meth:`write_links`) stay NumPy arrays across calls, up
-    to :data:`LINK_BATCH` links, and go out as one digit-matrix text
-    (:func:`repro.io.writer.format_lines`) in one file write.  Counters
-    and ``bytes_written`` are charged when a call queues its links.  The
-    pending batch is written before any other line, and before
-    :meth:`close` (and a durable sink's ``sync``/``tell``), so the file
-    bytes and their order are those of writing every call at once.
+    Every line — link batches (:meth:`write_links`), single and raw
+    links, group lines — is queued in one pending buffer of ids and line
+    lengths, up to :data:`PENDING_IDS` ids, and goes out as one
+    digit-matrix text (:func:`repro.io.writer.format_lines`) in one file
+    write.  A call's ids are range-checked, and its counters and
+    ``bytes_written`` charged, when it queues its line.  The pending lines
+    are written before a call queues a line that would cross the bound,
+    before a group pair's line, and by :meth:`close` (and a durable
+    sink's ``sync``/``tell``), so the file bytes and their order are
+    those of writing every call at once.
     """
-
-    timed = True
 
     def __init__(
         self,
@@ -276,60 +279,100 @@ class TextSink(JoinSink):
         self._writer = FixedWidthWriter(target, width=id_width, mode=mode)
         #: Destination path (``None`` when writing to an open stream).
         self.path = self._writer.path
-        self._pending_lo: list[np.ndarray] = []
-        self._pending_hi: list[np.ndarray] = []
-        self._pending_links = 0
+        self._limit = 10**id_width
+        # Pending lines in order: (ids, lengths) pieces, where a link
+        # batch's lengths is None (every line two ids), plus the open run
+        # of single lines queued since the last piece.
+        self._pieces: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
+        self._run_ids: list[int] = []
+        self._run_lengths: list[int] = []
+        self._pending = 0
 
     def write_links(self, ids_i: Sequence[int], ids_j: Sequence[int]) -> None:
         lo = np.minimum(ids_i, ids_j)
         hi = np.maximum(ids_i, ids_j)
         k = len(lo)
-        # Write the pending batch *before* queueing: if that write fails,
-        # this call has charged nothing and a retry of it is exact.
-        if self._pending_links + k > LINK_BATCH:
-            self._flush_links()
-        self._pending_lo.append(lo)
-        self._pending_hi.append(hi)
-        self._pending_links += k
+        if not k:
+            return
+        check_range(int(lo.min()), int(hi.max()), self.id_width)
+        if self._pending + 2 * k > PENDING_IDS:
+            self._flush()
+        self._end_run()
+        self._pieces.append((np.column_stack((lo, hi)).ravel(), None))
+        self._pending += 2 * k
         self.stats.links_emitted += k
         self.stats.bytes_written += k * self._link_bytes
 
-    def _write_pending(self) -> None:
-        """Write the pending link batch; it stays pending if the write fails."""
-        if self._pending_lo:
-            self._writer.write_links(
-                np.concatenate(self._pending_lo), np.concatenate(self._pending_hi)
-            )
-            self._drop_pending()
+    def write_group(self, ids: Sequence[int]) -> None:
+        ids = sorted(ids)
+        n = len(ids)
+        if n < 2:
+            return
+        self._queue(ids, ids[0], ids[-1])
+        self.stats.groups_emitted += 1
+        self.stats.group_members_emitted += n
+        self.stats.bytes_written += line_bytes(n, self.id_width)
 
-    def _flush_links(self) -> None:
-        """:meth:`_write_pending`, timed, for callers outside JoinSink's timed calls."""
-        if self._pending_lo:
-            start = time.perf_counter()
-            self._write_pending()
-            self.stats.write_time += time.perf_counter() - start
-
-    def _drop_pending(self) -> None:
-        self._pending_lo.clear()
-        self._pending_hi.clear()
-        self._pending_links = 0
-
-    # The store hooks run inside JoinSink's timed calls, so the pending
-    # batch they write first is charged once, with their own line.
     def _store_link(self, i: int, j: int) -> None:
-        self._write_pending()
-        self._writer.write_link(i, j)
-
-    def _store_group(self, ids: tuple[int, ...]) -> None:
-        self._write_pending()
-        self._writer.write_group(ids)
+        # write_link hands over (min, max); write_link_raw keeps its order.
+        self._queue((i, j), min(i, j), max(i, j))
 
     def _store_group_pair(self, ids_a: tuple[int, ...], ids_b: tuple[int, ...]) -> None:
-        self._write_pending()
+        check_range(min(ids_a[0], ids_b[0]), max(ids_a[-1], ids_b[-1]), self.id_width)
+        self._flush()
+        start = time.perf_counter()
         self._writer.write_group_pair(ids_a, ids_b)
+        self.stats.write_time += time.perf_counter() - start
+
+    def _queue(self, ids: Sequence[int], low: int, high: int) -> None:
+        """Queue one line whose ids lie in ``low .. high``."""
+        if low < 0 or high >= self._limit:
+            check_range(low, high, self.id_width)
+        n = len(ids)
+        if self._pending + n > PENDING_IDS:
+            self._flush()
+        self._run_ids.extend(ids)
+        self._run_lengths.append(n)
+        self._pending += n
+
+    def _end_run(self) -> None:
+        """Close the open run of single lines into a piece."""
+        if self._run_lengths:
+            ids = np.fromiter(self._run_ids, np.int64, len(self._run_ids))
+            self._pieces.append((ids, np.array(self._run_lengths)))
+            self._run_ids = []
+            self._run_lengths = []
+
+    def _flush(self) -> None:
+        """Write the pending lines, timed; they stay pending if the write fails.
+
+        A queueing call flushes *before* it queues, so if this write fails
+        that call has charged nothing and a retry of it is exact.
+        """
+        if not self._pending:
+            return
+        start = time.perf_counter()
+        self._end_run()
+        pieces = self._pieces
+        ids = np.concatenate([piece for piece, _ in pieces])
+        if all(lengths is None for _, lengths in pieces):
+            self._writer.write_lines(ids, 2)
+        else:
+            self._writer.write_lines(ids, np.concatenate([
+                np.full(len(piece) // 2, 2) if lengths is None else lengths
+                for piece, lengths in pieces
+            ]))
+        self._drop_pending()
+        self.stats.write_time += time.perf_counter() - start
+
+    def _drop_pending(self) -> None:
+        self._pieces.clear()
+        self._run_ids = []
+        self._run_lengths = []
+        self._pending = 0
 
     def close(self) -> None:
-        self._flush_links()
+        self._flush()
         self._writer.close()
 
 

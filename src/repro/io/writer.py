@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import InvalidInputError
 
-__all__ = ["FixedWidthWriter", "format_lines", "line_bytes", "read_output"]
+__all__ = ["FixedWidthWriter", "check_range", "format_lines", "line_bytes", "read_output"]
 
 
 def line_bytes(n_ids: int, width: int) -> int:
@@ -42,7 +42,7 @@ def width_for(n_points: int) -> int:
     return max(1, len(str(max(0, n_points - 1))))
 
 
-def _check_range(low: int, high: int, width: int) -> None:
+def check_range(low: int, high: int, width: int) -> None:
     """Reject ids that a ``width``-digit column cannot hold exactly.
 
     An f-string would write a negative id's sign, or a wide id's extra
@@ -77,7 +77,7 @@ def format_lines(ids, lengths, width: int) -> str:
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
         return ""
-    _check_range(int(ids.min()), int(ids.max()), width)
+    check_range(int(ids.min()), int(ids.max()), width)
     text = np.empty((len(ids), width + 1), dtype=np.uint8)
     # int64 ids have at most 19 digits; wider columns lead with zeros.
     digits = min(width, 19)
@@ -135,41 +135,30 @@ class FixedWidthWriter:
             self._file = target
             self._owns_file = False
 
-    def _format_ids(self, ids: Sequence[int]) -> str:
-        # One short line: an f-string per id costs less than the NumPy
-        # dispatch of format_lines.  An in-range id is exactly ``width``
-        # digits, so the text's length and sign show a bad id without a
-        # per-id comparison.
-        width = self.width
-        text = " ".join(f"{int(i):0{width}d}" for i in ids)
-        if len(text) != len(ids) * (width + 1) - 1 or "-" in text:
-            _check_range(min(ids, default=0), max(ids, default=0), width)
-        return text
-
-    def write_link(self, i: int, j: int) -> None:
-        """One link line: two ids."""
-        line = self._format_ids((i, j)) + "\n"
-        self._file.write(line)
-        self.bytes_written += len(line)
-
-    def write_links(self, ids_i, ids_j) -> None:
-        """Many link lines in one write, formatted as one digit matrix."""
-        pairs = np.column_stack((ids_i, ids_j))
-        text = format_lines(pairs.ravel(), 2, self.width)
+    def write_lines(self, ids, lengths) -> None:
+        """Consecutive lines in one write: :func:`format_lines` of ``ids``."""
+        text = format_lines(ids, lengths, self.width)
         self._file.write(text)
         self.bytes_written += len(text)
 
+    def write_link(self, i: int, j: int) -> None:
+        """One link line: two ids."""
+        self.write_lines((i, j), 2)
+
+    def write_links(self, ids_i, ids_j) -> None:
+        """Many link lines in one write, formatted as one digit matrix."""
+        self.write_lines(np.column_stack((ids_i, ids_j)).ravel(), 2)
+
     def write_group(self, ids: Sequence[int]) -> None:
         """One group line: all member ids."""
-        if not len(ids):
-            return
-        line = self._format_ids(ids) + "\n"
-        self._file.write(line)
-        self.bytes_written += len(line)
+        if len(ids):
+            self.write_lines(ids, len(ids))
 
     def write_group_pair(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> None:
         """A spatial-join group: both sides on one line, ``|``-separated."""
-        line = self._format_ids(ids_a) + " | " + self._format_ids(ids_b) + "\n"
+        left = format_lines(ids_a, len(ids_a), self.width)[:-1]
+        right = format_lines(ids_b, len(ids_b), self.width)[:-1]
+        line = left + " | " + right + "\n"
         self._file.write(line)
         self.bytes_written += len(line)
 

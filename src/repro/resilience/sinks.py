@@ -63,12 +63,12 @@ class DurableTextSink(TextSink):
 
     def sync(self) -> None:
         """Flush and fsync: everything written so far survives a crash."""
-        self._flush_links()
+        self._flush()
         self._writer.sync()
 
     def tell(self) -> int:
         """Current byte offset in the output file."""
-        self._flush_links()
+        self._flush()
         return self._writer.tell()
 
 
@@ -94,8 +94,9 @@ class AtomicTextSink(TextSink):
         """Publish atomically: flush → fsync → rename over the target."""
         if self._closed:
             return
-        # Before marking closed: a retried close must still write the batch.
-        self._flush_links()
+        # Before marking closed: a retried close must still write the
+        # pending lines.
+        self._flush()
         self._closed = True
         fs = self._writer.fs
         self._writer.sync()

@@ -108,12 +108,14 @@ class TestAtomicTextSink:
 
 
 class TestDeferredLinkWrites:
-    """A link batch is written by a later call than the one that queued it.
+    """Pending lines are written by a later call than the one that queued them.
 
     Nine calls of a quarter :data:`LINK_BATCH` each cross the bound twice:
     the fifth and ninth calls write the batch before them, and close
     writes the last.  Op 0 of the trace opens the file, so op 1 is the
-    first output write, the fifth call's coalesced batch.
+    first output write, the fifth call's coalesced batch.  Four calls fill
+    the bound exactly, so a group line queued after them writes their
+    batch first, in op 1.
     """
 
     CALLS, PER_CALL = 9, LINK_BATCH // 4
@@ -170,6 +172,39 @@ class TestDeferredLinkWrites:
         assert self._output(fs) == self._output(clean_fs)
         assert len(self._output(fs)) == inner.stats.bytes_written
 
+    def test_transient_fault_on_a_group_line_flush_is_retried_exactly(self, tmp_path):
+        clean_fs, _, clean = self._traced(tmp_path / "clean")
+        fs, inner, sink = self._traced(tmp_path / "eio", fail_at={1: errno.EIO})
+        for target in (clean, sink):
+            for ids_i, ids_j in self._batches()[:4]:
+                target.write_links(ids_i, ids_j)
+            target.write_group({9, 3, 5})
+            target.close()
+        assert sink.retries == 1
+        assert fs.ops[1].injected == "eio"
+        assert self._output(fs) == self._output(clean_fs)
+        assert len(self._output(fs)) == inner.stats.bytes_written
+        assert inner.stats.groups_emitted == 1
+
+    def test_disk_full_on_a_group_line_flush_charges_nothing(self, tmp_path):
+        clean_fs, _, clean = self._traced(tmp_path / "clean")
+        fs, inner, sink = self._traced(tmp_path / "full", fail_at={1: errno.ENOSPC})
+        for target in (clean, sink):
+            for ids_i, ids_j in self._batches()[:4]:
+                target.write_links(ids_i, ids_j)
+        charged = inner.stats.as_dict()
+        with pytest.raises(DiskFullError):
+            sink.write_group({9, 3, 5})
+        assert sink.retries == 0
+        assert inner.stats.as_dict() == charged
+        # Space freed: the failed call, repeated, is exact.
+        fs.fail_at = {}
+        for target in (clean, sink):
+            target.write_group({9, 3, 5})
+            target.close()
+        assert self._output(fs) == self._output(clean_fs)
+        assert len(self._output(fs)) == inner.stats.bytes_written
+
     def test_a_nested_write_is_timed_once(self):
         class SlowTarget(io.StringIO):
             def write(self, text):
@@ -178,8 +213,9 @@ class TestDeferredLinkWrites:
 
         sink = TextSink(SlowTarget(), id_width=4)
         start = time.perf_counter()
-        sink.write_links(np.array([1, 2]), np.array([3, 4]))
-        sink.write_group([5, 6, 7])  # writes the pending batch, then its line
+        ids = np.arange(LINK_BATCH)
+        sink.write_links(ids, ids + 1)  # fills the bound
+        sink.write_group([5, 6, 7])  # writes the pending batch, then queues its line
         sink.close()
         wall = time.perf_counter() - start
         assert 0.04 <= sink.stats.write_time <= wall

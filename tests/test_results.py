@@ -17,7 +17,7 @@ from repro.core.results import (
     normalized_link,
 )
 from repro.errors import InvalidInputError
-from repro.io.writer import line_bytes
+from repro.io.writer import line_bytes, read_output
 
 
 class TestNormalizedLink:
@@ -172,17 +172,77 @@ class TestTextSink:
         assert sink.stats.bytes_written == 6
         assert sink.stats.links_emitted == 1 and sink.stats.groups_emitted == 0
 
-    def test_bad_id_in_a_pending_batch_is_rejected_when_written(self):
-        """A batch is range-checked once, when formatted: no byte of it lands."""
+    def test_bad_id_in_a_link_batch_is_rejected_when_queued(self):
+        """A batch is range-checked by the call that offers it: no byte lands."""
         buf = io.StringIO()
         sink = TextSink(buf, id_width=2)
-        sink.write_links(np.array([1, 5]), np.array([2, 123]))
         with pytest.raises(InvalidInputError):
-            sink.write_group([3, 4, 6])
-        with pytest.raises(InvalidInputError):
-            sink.close()
-        assert buf.getvalue() == ""
+            sink.write_links(np.array([1, 5]), np.array([2, 123]))
+        assert sink.stats.links_emitted == 0 and sink.stats.bytes_written == 0
+        sink.write_group([3, 4, 6])
+        sink.write_links(np.array([9]), np.array([8]))
+        sink.close()
+        assert buf.getvalue() == "03 04 06\n08 09\n"
+        assert len(buf.getvalue()) == sink.stats.bytes_written
 
+    def test_a_too_narrow_width_fails_the_join_at_its_first_wide_id(self, tmp_path):
+        """Ids up to 299 into a 2-digit file: the join raises, nothing of
+        the offending call is charged, and the sink still closes cleanly."""
+        from repro.core.csj import ncsj
+        from repro.index.bulk import bulk_load
+
+        pts = np.random.default_rng(5).random((300, 2))
+        pts = pts[np.argsort(pts[:, 0])]  # low ids on the side walked first
+        path = tmp_path / "out.txt"
+        sink = TextSink(str(path), id_width=2)
+        with pytest.raises(InvalidInputError):
+            ncsj(bulk_load(pts, max_entries=8), 0.1, sink=sink)
+        sink.close()
+        links, groups, _ = read_output(str(path))
+        assert links and groups
+        assert max(max(line) for line in links + groups) < 100
+        assert path.stat().st_size == sink.stats.bytes_written
+        assert sink.stats.links_emitted == len(links)
+        assert sink.stats.groups_emitted == len(groups)
+
+    def test_every_line_kind_shares_one_pending_buffer(self):
+        """Mixed calls cross the bound at uneven points: the text is the
+        f-string reference, and it goes out in a few large writes."""
+
+        class CountingTarget(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        def line(*sides):
+            return " | ".join(" ".join(f"{i:04d}" for i in side) for side in sides) + "\n"
+
+        rng = np.random.default_rng(2)
+        target = CountingTarget()
+        sink = TextSink(target, id_width=4)
+        expected, ids, pairs = [], 0, 0
+        for step in range(24):
+            k = LINK_BATCH // 9 + 37 * step
+            i, j = rng.integers(0, 10**4, (2, k))
+            sink.write_links(i, j)
+            expected += [line((a, b)) for a, b in zip(np.minimum(i, j), np.maximum(i, j))]
+            members = set(rng.integers(0, 10**4, 2 + step % 7).tolist())
+            sink.write_group(members)
+            expected.append(line(sorted(members)))
+            sink.write_link(9, 4)
+            sink.write_link_raw(8, 1)
+            expected += [line((4, 9)), line((8, 1))]
+            ids += 2 * k + len(members) + 4
+            if step % 8 == 5:
+                sink.write_group_pair({7, 2}, [5])
+                expected.append(line((2, 7), (5,)))
+                pairs += 1
+        sink.close()
+        assert target.getvalue() == "".join(expected)
+        assert len(target.getvalue()) == sink.stats.bytes_written
+        assert target.writes <= -(-ids // (2 * LINK_BATCH)) + 1 + 2 * pairs
 
 class TestMakeSink:
     def test_kinds(self, tmp_path):
