@@ -19,14 +19,16 @@ path on each state:
 
 An index-persistence workload (atomic :func:`save_index` /
 :func:`load_index` round trip) rides along.  The run fails — exit 1 —
-if any state recovers wrongly, or if fewer than ``--min-states``
-distinct disk states were explored in total (a regression in trace
-coverage is also a bug).
+if any state recovers wrongly, if fewer than ``--min-states`` distinct
+disk states were explored in total, or if any atomic-sink cell explored
+fewer than :data:`MIN_ATOMIC_STATES` (a regression in trace coverage is
+also a bug: an output written in one or two writes leaves atomic
+publication nearly unexercised).
 
 Usage::
 
     PYTHONPATH=src python scripts/verify_crash_consistency.py
-        [--n 300] [--eps 0.15] [--max-states-per-cell 80]
+        [--n 1000] [--eps 0.15] [--max-states-per-cell 80]
         [--min-states 200] [--json report.json]
 """
 
@@ -43,11 +45,13 @@ from repro.resilience.crashsim import (
 )
 
 ALGORITHMS = ("ssj", "csj", "egrid")
+#: Fewest distinct states each atomic-sink cell must explore.
+MIN_ATOMIC_STATES = 10
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=300, help="points per run")
+    parser.add_argument("--n", type=int, default=1000, help="points per run")
     parser.add_argument("--eps", type=float, default=0.15, help="query range")
     parser.add_argument("--seed", type=int, default=0, help="dataset seed")
     parser.add_argument("--cadence", type=int, default=2,
@@ -65,11 +69,15 @@ def main() -> int:
 
     import tempfile
 
+    thin_cells = []
+
     def run(label, fn, **kwargs):
         with tempfile.TemporaryDirectory(prefix="crashgate_") as workdir:
             report = fn(workdir=workdir, max_states=args.max_states_per_cell,
                         **kwargs)
         reports.append(report)
+        if fn is verify_atomic_sink and report.states_verified < MIN_ATOMIC_STATES:
+            thin_cells.append(f"{label} ({report.states_verified})")
         status = "ok" if report.ok else "FAIL"
         print(f"{label:<28s} ops={report.ops:<5d} "
               f"states={report.states_verified:<4d} "
@@ -91,13 +99,16 @@ def main() -> int:
     total_states = sum(r.states_verified for r in reports)
     total_failures = sum(len(r.failures) for r in reports)
     verdict = "PASS" if (
-        total_failures == 0 and total_states >= args.min_states
+        total_failures == 0 and total_states >= args.min_states and not thin_cells
     ) else "FAIL"
     print(f"\ntotal: {total_states} distinct post-crash disk states across "
           f"{len(reports)} workloads, {total_failures} recovery failure(s)")
     if total_states < args.min_states:
         print(f"coverage regression: explored {total_states} states, "
               f"gate requires >= {args.min_states}")
+    if thin_cells:
+        print(f"coverage regression: atomic-sink cells below "
+              f"{MIN_ATOMIC_STATES} states: {', '.join(thin_cells)}")
     print(verdict)
 
     if args.json:
@@ -106,6 +117,7 @@ def main() -> int:
             "eps": args.eps,
             "seed": args.seed,
             "min_states": args.min_states,
+            "min_atomic_states": MIN_ATOMIC_STATES,
             "total_states": total_states,
             "total_failures": total_failures,
             "verdict": verdict,

@@ -119,8 +119,9 @@ def similarity_join(
     ``workers`` > 1 executes the join across a supervised worker pool
     (:func:`repro.parallel.parallel_join`) with ``task_timeout`` as the
     per-task wall-clock limit; output is byte-identical to the serial
-    run.  ``workers`` of ``None``, 0 or 1 stays in-process.  Both
-    settings are validated up front, on the serial path too.
+    run, with a prebuilt index too.  ``workers`` of ``None``, 0 or 1
+    stays in-process.  Both settings are validated up front, on the
+    serial path too.
 
     ``metric`` may be an :class:`~repro.core.metricspace.ObjectMetric`
     for the tree joins (``ssj``, ``ncsj``, ``csj``) on an M-tree, whose
@@ -153,11 +154,6 @@ def similarity_join(
     if workers is not None and workers > 1:
         from repro.parallel import parallel_join  # deferred: heavy machinery
 
-        if isinstance(index, SpatialIndex):
-            raise InvalidInputError(
-                "parallel execution rebuilds the index per worker; pass the "
-                "index *name*, not a prebuilt index"
-            )
         return parallel_join(
             points,
             eps,

@@ -243,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--preload", action="store_true",
-        help="register the dataset before the storm: publish it (and its "
-        "packed index) to shared memory once and reuse the warm state "
-        "across every request",
+        help="register the dataset before the storm: build and pack its "
+        "tree once and run every tree-join request over it, serial or "
+        "pooled",
     )
 
     update = sub.add_parser(
@@ -583,8 +583,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     service.chaos = chaos
     if args.preload:
-        # One shared segment + one packed index for the whole storm;
-        # requests match the registered array by identity.
+        # One packed tree for the whole storm; requests match the
+        # registered array by identity.
         points = service.register_dataset(points).points
     if args.repeats < 1:
         from repro.errors import ValidationError

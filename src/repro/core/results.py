@@ -11,9 +11,10 @@ A similarity-join result is a stream of
 
 Algorithms emit into a :class:`JoinSink`.  Every sink maintains the
 paper's space metric — bytes of the fixed-width output text file — through
-:func:`repro.io.writer.line_bytes`, and charges its writing time to
-``stats.write_time`` so Experiment 3's computation/write split is
-measurable with any sink.
+:func:`repro.io.writer.line_bytes`.  :class:`TextSink` charges the time of
+its batched writes to ``stats.write_time``, which is what makes
+Experiment 3's computation/write split measurable; memory sinks write
+nothing and charge nothing.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class JoinSink:
     comparable numbers.
     """
 
-    #: Set by sinks whose every stored line is real I/O worth timing per
-    #: call.  Memory sinks skip the clock: two ``perf_counter`` calls per
-    #: link would dominate the very quantity being measured, and
-    #: :class:`TextSink` times its batched writes itself.
-    timed = False
-
     def __init__(self, stats: Optional[JoinStats] = None, id_width: int = 8):
         self.stats = stats if stats is not None else JoinStats()
         self.id_width = id_width
@@ -77,12 +72,7 @@ class JoinSink:
     def write_link(self, i: int, j: int) -> None:
         if i > j:
             i, j = j, i
-        if self.timed:
-            start = time.perf_counter()
-            self._store_link(i, j)
-            self.stats.write_time += time.perf_counter() - start
-        else:
-            self._store_link(i, j)
+        self._store_link(i, j)
         self.stats.links_emitted += 1
         self.stats.bytes_written += self._link_bytes
 
@@ -103,12 +93,7 @@ class JoinSink:
         swapping them would change the meaning; self-joins should use
         :meth:`write_link` instead.
         """
-        if self.timed:
-            start = time.perf_counter()
-            self._store_link(int(i), int(j))
-            self.stats.write_time += time.perf_counter() - start
-        else:
-            self._store_link(int(i), int(j))
+        self._store_link(int(i), int(j))
         self.stats.links_emitted += 1
         self.stats.bytes_written += self._link_bytes
 
@@ -116,12 +101,7 @@ class JoinSink:
         ids = sorted(int(i) for i in ids)
         if len(ids) < 2:
             return
-        if self.timed:
-            start = time.perf_counter()
-            self._store_group(tuple(ids))
-            self.stats.write_time += time.perf_counter() - start
-        else:
-            self._store_group(tuple(ids))
+        self._store_group(tuple(ids))
         self.stats.groups_emitted += 1
         self.stats.group_members_emitted += len(ids)
         self.stats.bytes_written += line_bytes(len(ids), self.id_width)
@@ -131,12 +111,7 @@ class JoinSink:
         ids_b = tuple(sorted(int(i) for i in ids_b))
         if not ids_a or not ids_b:
             return
-        if self.timed:
-            start = time.perf_counter()
-            self._store_group_pair(ids_a, ids_b)
-            self.stats.write_time += time.perf_counter() - start
-        else:
-            self._store_group_pair(ids_a, ids_b)
+        self._store_group_pair(ids_a, ids_b)
         self.stats.groups_emitted += 1
         self.stats.group_members_emitted += len(ids_a) + len(ids_b)
         # One line: both sides plus the " | " separator (3 bytes, of which

@@ -17,9 +17,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.csj import csj
+from repro.api import similarity_join
 from repro.core.results import CountingSink, JoinResult, TextSink
-from repro.core.ssj import ssj
 from repro.errors import BudgetExceededError
 from repro.experiments.estimate import RuntimeCalibration, estimate_ssj
 from repro.index import SpatialIndex
@@ -158,38 +157,19 @@ def run_algorithm(
             max_output_bytes=config.ssj_byte_budget if algorithm == "ssj" else None,
         )
         try:
-            if config.workers is not None and config.workers > 1:
-                if algorithm not in ("ssj", "ncsj", "csj"):
-                    raise ValueError(f"unknown algorithm {algorithm!r}")
-                # The pool rebuilds the index per worker from the recipe,
-                # so the prebuilt tree only supplies the points here.
-                from repro.api import similarity_join
-
-                result = similarity_join(
-                    tree.points,
-                    eps,
-                    algorithm=algorithm,
-                    g=g,
-                    index=config.index,
-                    metric=config.metric,
-                    sink=sink,
-                    max_entries=config.max_entries,
-                    bulk=config.bulk if config.index != "mtree" else None,
-                    budget=budget,
-                    workers=config.workers,
-                    task_timeout=config.task_timeout,
-                )
-            elif algorithm == "ssj":
-                result = ssj(tree, eps, sink=sink, budget=budget)
-            elif algorithm == "ncsj":
-                result = csj(
-                    tree, eps, g=0, sink=sink, budget=budget,
-                    _algorithm_label="ncsj",
-                )
-            elif algorithm == "csj":
-                result = csj(tree, eps, g=g, sink=sink, budget=budget)
-            else:
+            if algorithm not in ("ssj", "ncsj", "csj"):
                 raise ValueError(f"unknown algorithm {algorithm!r}")
+            result = similarity_join(
+                tree.points,
+                eps,
+                algorithm=algorithm,
+                g=g,
+                index=tree,
+                sink=sink,
+                budget=budget,
+                workers=config.workers,
+                task_timeout=config.task_timeout,
+            )
         except BudgetExceededError as exc:
             # Deadline breach: report the valid partial measurements
             # rather than hanging the sweep (SSJ byte breaches never land

@@ -41,12 +41,7 @@ from repro.geometry import kernels
 from repro.geometry.mbr import MBR
 from repro.index.base import IndexNode, SpatialIndex
 
-__all__ = [
-    "PackedIndex",
-    "adopt_packed_arrays",
-    "export_packed_arrays",
-    "pack_index",
-]
+__all__ = ["PackedIndex", "pack_index"]
 
 
 class PackedIndex:
@@ -89,11 +84,10 @@ class PackedIndex:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes) if self.nodes else len(self.leaf)
+        return len(self.nodes)
 
     # ------------------------------------------------------------------
-    # Id-based entry access (works without the node-object list, e.g. on
-    # a worker that adopted the arrays from shared memory)
+    # Id-based entry access
     # ------------------------------------------------------------------
     def leaf_entry_ids(self, nid: int) -> np.ndarray:
         """Entry ids of leaf ``nid`` (a view into :attr:`entries`)."""
@@ -263,62 +257,4 @@ def _pack_index_uncached(index: SpatialIndex) -> Optional[PackedIndex]:
             packed.centers[nid] = node.center
             packed.radii[nid] = node.radius
         packed.diam = kernels.ball_diameter(packed.radii)
-    return packed
-
-
-#: Array fields shipped through the shared-memory data plane, per kind.
-#: (``points`` and ``nodes`` are deliberately absent: points travel in
-#: their own segment; the node-object list never leaves the owner.)
-_EXPORT_FIELDS = {
-    "rect": (
-        "leaf", "child_beg", "child_end", "entry_beg", "entry_end",
-        "entries", "lo", "hi", "diam",
-    ),
-    "ball": (
-        "leaf", "child_beg", "child_end", "entry_beg", "entry_end",
-        "entries", "centers", "radii", "diam",
-    ),
-}
-
-
-def export_packed_arrays(
-    packed: PackedIndex,
-) -> Optional[list[tuple[str, np.ndarray]]]:
-    """The packed arrays as an ordered ``(name, array)`` list, or ``None``.
-
-    This is the owner side of the shared-memory data plane: the returned
-    arrays are copied verbatim into one segment and rebuilt on workers by
-    :func:`adopt_packed_arrays`, so the pair must stay inverse to each
-    other field-for-field.
-    """
-    fields = _EXPORT_FIELDS.get(packed.kind)
-    if fields is None:  # pragma: no cover - only rect/ball kinds exist
-        return None
-    out = []
-    for name in fields:
-        arr = getattr(packed, name)
-        if arr is None:
-            return None
-        out.append((name, np.ascontiguousarray(arr)))
-    return out
-
-
-def adopt_packed_arrays(
-    kind: str, points: np.ndarray, metric, arrays: dict[str, np.ndarray]
-) -> PackedIndex:
-    """Rebuild a :class:`PackedIndex` over externally provided arrays.
-
-    The inverse of :func:`export_packed_arrays` — used by workers to
-    adopt arrays mapped from shared memory without touching the tree
-    code.  The resulting index has an empty :attr:`PackedIndex.nodes`
-    list; only id-based accessors work, which is all the packed-id task
-    path needs.
-    """
-    fields = _EXPORT_FIELDS[kind]
-    missing = [name for name in fields if name not in arrays]
-    if missing:
-        raise ValueError(f"packed arrays missing fields: {missing}")
-    packed = PackedIndex(kind, points, metric)
-    for name in fields:
-        setattr(packed, name, arrays[name])
     return packed

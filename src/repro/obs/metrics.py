@@ -283,44 +283,6 @@ class MetricsRegistry:
             f"repro_cache_{plural}_total", f"Result-cache {kind} events"
         ).inc()
 
-    def data_plane_event(self, kind: str, amount: Union[int, float] = 1) -> None:
-        """Count one shared-memory data-plane event.
-
-        ``kind`` is one of ``segment`` (segment created), ``attach``
-        (worker mapped a published segment), ``fallback`` (shm requested
-        but pickling used instead), ``rebuild`` (a ``TaskState`` was
-        built from scratch), ``warm_hit`` (a ``TaskState`` was adopted
-        from the per-process warm cache) or ``spec_bytes`` (bytes of
-        pickled spec shipped to workers, ``amount`` = byte count).
-        """
-        names = {
-            "segment": ("repro_shm_segments_total", "Shared-memory segments created"),
-            "attach": ("repro_shm_attach_total", "Shared-memory segment attaches"),
-            "fallback": (
-                "repro_shm_fallback_total",
-                "Joins that fell back from the shm to the pickle data plane",
-            ),
-            "rebuild": (
-                "repro_taskstate_rebuilds_total",
-                "TaskStates built from scratch (index build + task enumeration)",
-            ),
-            "warm_hit": (
-                "repro_taskstate_warm_hits_total",
-                "TaskStates adopted from the per-process warm cache",
-            ),
-            "spec_bytes": (
-                "repro_spec_bytes_total",
-                "Bytes of pickled JoinSpec shipped to worker processes",
-            ),
-        }
-        try:
-            name, help_text = names[kind]
-        except KeyError:
-            raise ValueError(
-                f"unknown data-plane event {kind!r}; known: {sorted(names)}"
-            ) from None
-        self.counter(name, help_text).inc(amount)
-
     def service_pressure(
         self, queue_len: int, queue_depth: int, deadline_slack: Optional[float]
     ) -> None:

@@ -12,7 +12,7 @@ output is byte-identical to the serial run for any worker count.  See
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.errors import (
     PoisonTaskError,
     validate_execution,
 )
+from repro.index.base import SpatialIndex
 from repro.io.writer import width_for
 from repro.parallel.scheduler import WorkScheduler
 from repro.parallel.supervisor import Supervisor
@@ -47,7 +48,7 @@ def parallel_join(
     g: int = 10,
     workers: int = 2,
     sink: Optional[JoinSink] = None,
-    index: str = "rstar",
+    index: Union[str, SpatialIndex] = "rstar",
     metric: object = None,
     max_entries: int = 64,
     bulk: Optional[str] = "str",
@@ -56,7 +57,6 @@ def parallel_join(
     task_timeout: Optional[float] = None,
     fault: Optional[FlakyWorker] = None,
     breaker: object = None,
-    shared: Optional["SharedDataset"] = None,
 ) -> JoinResult:
     """Run a similarity self-join across a supervised worker pool.
 
@@ -66,20 +66,20 @@ def parallel_join(
     worker failures for testing.  ``breaker`` (a
     :class:`~repro.service.CircuitBreaker`) guards the pool: worker
     deaths feed it and an open circuit aborts with
-    :class:`~repro.errors.CircuitOpenError`.
+    :class:`~repro.errors.CircuitOpenError`.  ``index`` may be a
+    prebuilt index, which brings its own points and metric to the tree
+    joins, as on the serial path.
 
     Deadline propagation: a ``budget`` with a deadline binds the whole
     pool.  The scheduler starts its clock, caps the per-task timeout at
     the remaining slack, and shares the deadline with the workers, which
     refuse tasks once it passes, even mid-queue.
 
-    Where POSIX shared memory works, workers map one shared copy of
-    ``points`` (and, for tree joins, of the packed index) instead of
-    receiving a pickled array; the plane never affects output bytes.
-    ``shared`` passes a pre-published
-    :class:`~repro.parallel.shm.SharedDataset` (e.g. a service-registered
-    dataset) to reuse across calls; without it an ephemeral one is
-    created and torn down around the join.
+    The parent builds the join's :class:`TaskState` once, before the
+    first worker starts.  Workers are forked and inherit it, respawns
+    included, so nothing is pickled or rebuilt per worker.  Where the
+    ``fork`` start method does not exist the run raises
+    :class:`~repro.errors.WorkerPoolError` before any process starts.
 
     Guarantees: output is byte-identical to the serial algorithm for any
     worker count; a task that repeatedly kills its workers raises
@@ -92,8 +92,6 @@ def parallel_join(
     validate_execution(workers, task_timeout)
     if workers < 1:
         raise InvalidInputError(f"parallel_join needs workers >= 1, got {workers}")
-    from repro.parallel.shm import share_dataset
-
     spec = JoinSpec(
         points=points,
         eps=eps,
@@ -105,45 +103,40 @@ def parallel_join(
         metric=metric,
         partitions_per_axis=partitions_per_axis,
     )
-    owned = share_dataset(spec, shared)
-    try:
-        state = spec.build_state()
-        if sink is None:
-            sink = CollectSink(id_width=width_for(len(spec.points)))
-        stats = sink.stats
-        buffer = state.make_buffer(sink, stats)
-        scheduler = WorkScheduler(
-            state,
+    state = spec.build_state()
+    if sink is None:
+        sink = CollectSink(id_width=width_for(len(spec.points)))
+    stats = sink.stats
+    buffer = state.make_buffer(sink, stats)
+    scheduler = WorkScheduler(
+        state,
+        sink,
+        workers,
+        stats=stats,
+        task_timeout=task_timeout,
+        buffer=buffer,
+        budget=budget,
+        fault=fault,
+        breaker=breaker,
+    )
+
+    def finish() -> JoinResult:
+        if buffer is not None:
+            buffer.flush()
+        stats.charge_compute(mark)
+        return JoinResult.from_sink(
             sink,
-            workers,
-            stats=stats,
-            task_timeout=task_timeout,
-            buffer=buffer,
-            budget=budget,
-            fault=fault,
-            breaker=breaker,
+            eps=spec.eps,
+            algorithm=spec.label(),
+            g=spec.g if spec.compact else None,
+            index_name=state.index_name,
         )
 
-        def finish() -> JoinResult:
-            if buffer is not None:
-                buffer.flush()
-            stats.charge_compute(mark)
-            return JoinResult.from_sink(
-                sink,
-                eps=spec.eps,
-                algorithm=spec.label(),
-                g=spec.g if spec.compact else None,
-                index_name=state.index_name,
-            )
-
-        mark = stats.clock()
-        try:
-            scheduler.run()
-        except (BudgetExceededError, PoisonTaskError) as exc:
-            exc.partial = finish()
-            raise
-        state.charge_walk(stats)
-        return finish()
-    finally:
-        if owned is not None:
-            owned.close()
+    mark = stats.clock()
+    try:
+        scheduler.run()
+    except (BudgetExceededError, PoisonTaskError) as exc:
+        exc.partial = finish()
+        raise
+    state.charge_walk(stats)
+    return finish()

@@ -135,7 +135,7 @@ class WorkScheduler:
 
         self._shared = SharedCounters.from_budget(mp_context(), self.budget)
         supervisor = Supervisor(
-            self.state.spec,
+            self.state,
             self.workers,
             task_timeout,
             shared=self._shared,
@@ -155,11 +155,7 @@ class WorkScheduler:
         )
         logger.info(
             "pool started",
-            extra={
-                "workers": self.workers,
-                "tasks": self._n - self.merged,
-                "shm": self.state.spec.dataset_ref is not None,
-            },
+            extra={"workers": self.workers, "tasks": self._n - self.merged},
         )
         try:
             while not self._done():
@@ -193,8 +189,7 @@ class WorkScheduler:
         except WorkerPoolError:
             # Worker deaths already fed the breaker one failure each via
             # _on_worker_died/_on_worker_killed; only a death-free pool
-            # error (e.g. a spawn or initialisation failure) is a fresh
-            # incident to count.
+            # error (e.g. a spawn failure) is a fresh incident to count.
             if self.breaker is not None and not self._breaker_fed:
                 self.breaker.record_failure()
             raise
@@ -298,7 +293,7 @@ class WorkScheduler:
     # ------------------------------------------------------------------
     def _on_message(self, handle, payload) -> None:
         kind = payload[0]
-        if kind in ("hb", "ready", "fatal"):
+        if kind in ("hb", "ready"):
             if kind == "ready":
                 handle.ready = True
             return

@@ -2,9 +2,11 @@
 
 The :class:`Supervisor` owns the *processes* of the parallel executor —
 the dispatch/retry/merge policy lives in
-:class:`~repro.parallel.scheduler.WorkScheduler`.  Each worker runs
-:func:`_worker_main`: it rebuilds the join's :class:`TaskState` from the
-picklable spec, then serves ``("task", id)`` requests over a duplex
+:class:`~repro.parallel.scheduler.WorkScheduler`.  Workers are forked
+from the parent after it has built the join's :class:`TaskState`, so
+each inherits that state and nothing is pickled or rebuilt; a respawn
+forks again and inherits the same object.  Each worker runs
+:func:`_worker_main`: it serves ``("task", id)`` requests over a duplex
 pipe, replying with the task's serializable delta.  A daemon thread
 heartbeats over the same pipe so the parent can distinguish a *frozen*
 process (no heartbeats — e.g. SIGSTOP, a stuck syscall) from a *slow
@@ -13,9 +15,9 @@ task* (heartbeats continue; the per-task timeout governs instead).
 Worker death is a normal event: the parent observes the process
 sentinel / a dropped pipe, reassigns the in-flight task and respawns a
 replacement.  Fault injection for tests rides along: a
-:class:`~repro.resilience.chaos.FlakyWorker` is shipped to every worker,
-with its kill budget bound to a shared counter so the budget survives
-the very process deaths it causes.
+:class:`~repro.resilience.chaos.FlakyWorker` is inherited by every
+worker, with its kill budget bound to a shared counter so the budget
+survives the very process deaths it causes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.obs.logging import bind_context, get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import trace_event
 from repro.parallel.shared import SharedCounters
-from repro.parallel.tasks import JoinSpec
+from repro.parallel.tasks import TaskState
 from repro.resilience.chaos import FlakyWorker
 
 __all__ = ["Supervisor", "mp_context"]
@@ -54,36 +56,29 @@ JITTER_SEED = 0
 
 
 def mp_context():
-    """The pool's multiprocessing context: ``fork`` where it exists."""
-    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+    """The pool's multiprocessing context: ``fork``.
+
+    Workers inherit the parent's :class:`TaskState` through fork, so
+    where the start method does not exist a pool run raises
+    :class:`~repro.errors.WorkerPoolError` before any process starts.
+    """
+    if "fork" not in mp.get_all_start_methods():
+        raise WorkerPoolError(
+            "the worker pool needs the 'fork' start method, which this "
+            "platform does not provide"
+        )
+    return mp.get_context("fork")
 
 
 def _worker_main(
     conn,
-    spec,
+    state: TaskState,
     shared: Optional[SharedCounters],
     fault: Optional[FlakyWorker],
     wid: int = -1,
 ) -> None:
-    """Entry point of one worker process.
-
-    ``spec`` is either a :class:`~repro.parallel.tasks.JoinSpec` (fork
-    start method: the object is inherited, nothing is serialized) or its
-    pickled bytes (spawn/forkserver: the parent serializes once and ships
-    the same buffer to every worker and respawn).
-    """
+    """Entry point of one forked worker; ``state`` is the parent's, inherited."""
     bind_context(worker=wid)  # stamps every log record from this process
-    if isinstance(spec, (bytes, bytearray)):
-        import pickle
-
-        try:
-            spec = pickle.loads(spec)
-        except BaseException as exc:  # noqa: BLE001 - reported, then exit
-            try:
-                conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
-            except OSError:
-                pass
-            return
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -97,16 +92,8 @@ def _worker_main(
 
     heart = threading.Thread(target=beat, daemon=True)
     heart.start()
-
-    try:
-        state = spec.build_state()
-    except BaseException as exc:  # noqa: BLE001 - reported, then exit
-        with send_lock:
-            conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
-        return
-
     with send_lock:
-        conn.send(("ready", len(state.tasks)))
+        conn.send(("ready",))
 
     while True:
         try:
@@ -165,13 +152,13 @@ class Supervisor:
 
     def __init__(
         self,
-        spec: JoinSpec,
+        state: TaskState,
         workers: int,
         task_timeout: Optional[float] = None,
         shared: Optional[SharedCounters] = None,
         fault: Optional[FlakyWorker] = None,
     ):
-        self.spec = spec
+        self.state = state
         self.n_workers = workers
         #: Per-task wall-clock limit; ``None`` disables the timeout.
         self.task_timeout = task_timeout
@@ -184,7 +171,6 @@ class Supervisor:
         self.workers: list[_WorkerHandle] = []
         self.respawns = 0
         self._next_wid = 0
-        self._fatal: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -196,25 +182,9 @@ class Supervisor:
     def _spawn(self) -> _WorkerHandle:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         wid = self._next_wid
-        if self.ctx.get_start_method() == "fork":
-            # Forked children inherit the spec's memory; pickling it
-            # here would only waste the copy-on-write pages.
-            payload = self.spec
-        else:
-            # Serialize exactly once — every worker and every respawn
-            # ships the same cached buffer (with a DatasetRef this is
-            # ~200 bytes instead of the whole dataset).
-            payload = self.spec.to_bytes()
-            get_registry().data_plane_event("spec_bytes", len(payload))
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn,
-                payload,
-                self.shared,
-                self.fault,
-                wid,
-            ),
+            args=(child_conn, self.state, self.shared, self.fault, wid),
             daemon=True,
         )
         try:
@@ -321,8 +291,6 @@ class Supervisor:
                 while handle.conn.poll():
                     payload = handle.conn.recv()
                     handle.last_seen = now
-                    if payload[0] == "fatal":
-                        self._fatal = payload[1]
                     events.append(("msg", handle, payload))
             except (EOFError, OSError):
                 if handle not in dead:
@@ -336,8 +304,6 @@ class Supervisor:
                 except OSError:  # pragma: no cover
                     pass
                 events.append(("died", handle, ()))
-        if self._fatal is not None:
-            raise WorkerPoolError(f"worker failed to initialise: {self._fatal}")
         return events
 
     def reap_unresponsive(self) -> list[tuple[_WorkerHandle, str]]:

@@ -56,6 +56,8 @@ from repro.errors import (
     validate_execution,
     validate_points,
 )
+from repro.geometry.metrics import get_metric
+from repro.index.base import SpatialIndex
 from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
@@ -231,8 +233,8 @@ class JoinService:
         self._seq = 0
         #: Completed outcomes in completion order (audit trail).
         self.outcomes: list[RequestOutcome] = []
-        #: Datasets registered for cross-request reuse (identity-matched).
-        self._registered: list = []
+        #: Trees registered for cross-request reuse (identity-matched).
+        self._registered: list[SpatialIndex] = []
         #: High-water mark of the waiting queue (the gate asserts
         #: ``peak_queue <= config.queue_depth``).
         self.peak_queue = 0
@@ -481,7 +483,7 @@ class JoinService:
         )
 
     # ------------------------------------------------------------------
-    # Dataset registration (cross-request warm state)
+    # Dataset registration (cross-request index reuse)
     # ------------------------------------------------------------------
     def register_dataset(
         self,
@@ -490,56 +492,53 @@ class JoinService:
         index: str = "rstar",
         max_entries: int = 64,
         bulk: Optional[str] = "str",
-    ):
-        """Pre-publish a dataset for zero-copy, warm-state serving.
+    ) -> SpatialIndex:
+        """Build and pack one tree over ``points`` now, for every later request.
 
-        Builds and packs the tree (publishing the packed-index arrays
-        alongside the points into shared memory) *now*, so every
-        subsequent request whose ``points`` is this same array reuses
-        one segment and one packed index — across requests, executors,
-        worker respawns and the brownout ladder.  Returns the owning
-        :class:`~repro.parallel.shm.SharedDataset`; it is closed with
-        the service.
+        A tree-join request whose ``points`` is this same array and whose
+        metric equals the tree's runs over the registered tree, on the
+        serial and the pool path alike, instead of building its own;
+        any other request takes the ordinary path.  Returns the tree
+        (``tree.points`` is the registered array); the service drops it
+        on :meth:`close`.
         """
+        from repro.api import build_index  # deferred: api imports service
         from repro.index.packed import pack_index
-        from repro.parallel.shm import SharedDataset
 
-        shared = SharedDataset(points, metric=metric)
-        tree = shared.get_tree(
-            index, max_entries=max_entries, bulk=bulk, metric=metric
+        tree = build_index(
+            points, index, metric=metric, max_entries=max_entries, bulk=bulk
         )
-        packed = pack_index(tree)  # warms the memo even on the pickle plane
-        if packed is not None and shared.ref is not None:
-            shared.publish_packed(
-                (index, max_entries, bulk, repr(metric)), packed
-            )
+        pack_index(tree)  # memoized on the tree: requests reuse the pack
         with self._lock:
             if self._closed:
-                shared.close()
                 raise RuntimeError("JoinService is closed")
-            self._registered.append(shared)
+            self._registered.append(tree)
         logger.info(
             "dataset registered",
-            extra={
-                "n": int(shared.points.shape[0]),
-                "shm": shared.ref is not None,
-                "fingerprint": shared.fingerprint[:12],
-            },
+            extra={"n": int(tree.size), "index": type(tree).name},
         )
-        return shared
+        return tree
 
-    def _find_registered(self, points: np.ndarray):
-        """The registered dataset whose array *is* ``points``, if any."""
+    def _find_registered(self, request: JoinRequest) -> Optional[SpatialIndex]:
+        """The registered tree for a tree-join ``request``, if any.
+
+        Matches the request's array by identity and its metric by
+        equality, so a request never runs under another metric's tree.
+        """
+        family = FAMILIES.get(str(request.algorithm).lower(), (None, None))[0]
+        if family != "tree":
+            return None
+        metric = get_metric(request.metric)
         with self._lock:
-            for shared in self._registered:
-                if shared.points is points:
-                    return shared
+            for tree in self._registered:
+                if tree.points is request.points and tree.metric == metric:
+                    return tree
         return None
 
     def _run_join(self, request: JoinRequest, budget: Budget) -> JoinResult:
         from repro.api import similarity_join  # deferred: api imports service
 
-        registered = self._find_registered(request.points)
+        index = self._find_registered(request) or "rstar"
         if self.config.workers > 1:
             return parallel_join(
                 request.points,
@@ -547,30 +546,18 @@ class JoinService:
                 algorithm=request.algorithm,
                 g=request.g,
                 workers=self.config.workers,
+                index=index,
                 metric=request.metric,
                 budget=budget,
                 task_timeout=self.config.task_timeout,
                 breaker=self.pool_breaker,
-                shared=registered,
-            )
-        family = FAMILIES.get(str(request.algorithm).lower(), (None, None))[0]
-        if registered is not None and family == "tree":
-            # Serial fast path: the registered tree replaces the
-            # per-request index build (same configuration, same bytes).
-            return similarity_join(
-                request.points,
-                request.eps,
-                algorithm=request.algorithm,
-                g=request.g,
-                index=registered.get_tree(metric=request.metric),
-                metric=request.metric,
-                budget=budget,
             )
         return similarity_join(
             request.points,
             request.eps,
             algorithm=request.algorithm,
             g=request.g,
+            index=index,
             metric=request.metric,
             budget=budget,
         )
@@ -688,12 +675,8 @@ class JoinService:
             self._available.release()
         for t in self._threads:
             t.join(timeout=60.0)
-        # Executors are quiet: safe to unlink the registered datasets'
-        # shared-memory segments (part of the guaranteed-cleanup path).
         with self._lock:
-            registered, self._registered = self._registered, []
-        for shared in registered:
-            shared.close()
+            self._registered = []
         get_registry().service_pressure(0, self.config.queue_depth, None)
 
     def __enter__(self) -> "JoinService":

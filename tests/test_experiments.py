@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro.api import build_index
 from repro.experiments import (
     DEFAULT_QUERY_RANGES,
     ExperimentConfig,
@@ -94,6 +95,21 @@ class TestRunAlgorithm:
         tree = tiny_config.build_tree(clustered_2d)
         with pytest.raises(ValueError):
             run_algorithm("hash", tree, 0.1, config=tiny_config)
+
+    @pytest.mark.parametrize("algorithm", ["ssj", "ncsj", "csj"])
+    def test_pool_run_joins_the_given_tree(self, clustered_2d, algorithm):
+        # The tree's recipe (Manhattan, fanout 8) is not the config's, so
+        # only a pool run over this very tree matches the serial row.
+        tree = build_index(clustered_2d, "rstar", metric="manhattan",
+                           max_entries=8, bulk="str")
+        keys = ("algorithm", "g", "index", "links", "groups", "output_bytes",
+                "distance_computations", "early_stops")
+        serial, pooled = (
+            run_algorithm(algorithm, tree, 0.05, g=10,
+                          config=ExperimentConfig(iterations=1, workers=workers))
+            for workers in (None, 2)
+        )
+        assert {k: pooled[k] for k in keys} == {k: serial[k] for k in keys}
 
 
 class TestRunSuite:

@@ -298,3 +298,27 @@ def test_mbr_stack_and_of_mbrs():
         MBR.stack([])
     with pytest.raises(ValueError):
         MBR.of_mbrs([])
+
+
+@pytest.fixture
+def pts():
+    return np.random.default_rng(11).random((220, 2))
+
+
+class TestPackMemoization:
+    def test_pack_cached_until_structure_changes(self, pts):
+        from repro.api import build_index
+        from repro.index.packed import pack_index
+
+        tree = build_index(pts, "rstar", bulk="str")
+        p1 = pack_index(tree)
+        assert p1 is not None
+        assert pack_index(tree) is p1  # memoized
+        pid = tree.add_point(np.array([0.5, 0.5]))
+        p2 = pack_index(tree)
+        assert p2 is not p1  # add_point invalidated the cache
+        assert pack_index(tree) is p2
+        tree.delete(pid)
+        p3 = pack_index(tree)
+        assert p3 is not p2  # delete invalidated it again
+        assert pack_index(tree) is p3

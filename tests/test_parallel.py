@@ -8,24 +8,35 @@ with deterministic fault injection.
 """
 
 import filecmp
+import gc
+import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import similarity_join
+from repro.api import build_index, open_service, similarity_join
+from repro.cli import main
 from repro.core.metricspace import ObjectMetric, brute_force_object_links
 from repro.core.results import TextSink
 from repro.core.verify import brute_force_links
-from repro.errors import BudgetExceededError, InvalidInputError, PoisonTaskError
+from repro.errors import (
+    BudgetExceededError,
+    InvalidInputError,
+    PoisonTaskError,
+    WorkerPoolError,
+)
+from repro.geometry.metrics import get_metric
 from repro.io.writer import width_for
-from repro.obs.metrics import reset_registry
+from repro.obs.metrics import MetricsRegistry, reset_registry
 from repro.parallel import parallel_join
 from repro.resilience.budget import Budget
 from repro.resilience.chaos import FlakyWorker
+from repro.service import JoinRequest
 
-ALGORITHMS = ["ssj", "csj", "egrid", "pbsm"]
+ALGORITHMS = ["ssj", "csj", "egrid", "pbsm", "pbsm-csj"]
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +49,17 @@ def _serial_file(pts, eps, algo, path, g=10):
     result = similarity_join(pts, eps, algorithm=algo, g=g, sink=sink)
     sink.close()
     return result
+
+
+def _join_counters(stats):
+    """The integer ``repro_join_*`` counters a run exports (times excluded)."""
+    registry = MetricsRegistry()
+    registry.record_join_stats(stats)
+    return {
+        name: value
+        for name, value in registry.snapshot().items()
+        if name.startswith("repro_join_") and "seconds" not in name
+    }
 
 
 class TestDeterminismMatrix:
@@ -68,6 +90,7 @@ class TestDeterminismMatrix:
             assert r_par.stats.links_emitted == r_serial.stats.links_emitted
             assert r_par.stats.groups_emitted == r_serial.stats.groups_emitted
             assert r_par.stats.bytes_written == r_serial.stats.bytes_written
+            assert _join_counters(r_par.stats) == _join_counters(r_serial.stats)
 
     def test_compact_counters_match_serial(self, pts):
         serial = similarity_join(pts, 0.06, algorithm="csj", g=10)
@@ -134,12 +157,22 @@ class TestApiRouting:
         r1 = similarity_join(pts, 0.06, algorithm="csj", workers=1)
         assert sorted(r0.expanded_links()) == sorted(r1.expanded_links())
 
-    def test_prebuilt_index_rejected_in_parallel(self, pts):
-        from repro.api import build_index
-
-        tree = build_index(pts, "rstar")
-        with pytest.raises(InvalidInputError, match="prebuilt"):
-            similarity_join(pts, 0.06, index=tree, workers=2)
+    def test_prebuilt_manhattan_tree_in_pool_writes_serial_bytes(
+        self, pts, tmp_path
+    ):
+        # The prebuilt tree brings its metric; the metric argument is unset.
+        tree = build_index(pts, "rstar", metric="manhattan", bulk="str")
+        for workers in (None, 2):
+            path = tmp_path / f"w{workers}.txt"
+            sink = TextSink(str(path), id_width=width_for(len(pts)))
+            similarity_join(pts, 0.06, index=tree, sink=sink, workers=workers)
+            sink.close()
+        assert filecmp.cmp(str(tmp_path / "wNone.txt"), str(tmp_path / "w2.txt"),
+                           shallow=False)
+        pooled = similarity_join(pts, 0.06, index=tree, workers=2)
+        assert pooled.expanded_links() == brute_force_links(
+            pts, 0.06, metric=get_metric("manhattan")
+        )
 
     def test_bad_worker_config_rejected(self, pts):
         with pytest.raises(InvalidInputError):
@@ -165,6 +198,16 @@ class TestFailurePolicy:
         )
         sink.close()
         assert filecmp.cmp(str(serial_path), str(par_path), shallow=False)
+
+    def test_one_state_per_run_respawns_included(self, pts):
+        # The parent builds the TaskState once, before the first spawn;
+        # a respawn forks again and inherits the same object.
+        registry = reset_registry()
+        fault = FlakyWorker(kill_at=(1,), max_failures=1)
+        parallel_join(pts, 0.06, algorithm="csj", g=10, workers=2, fault=fault)
+        snap = registry.snapshot()
+        assert snap["repro_pool_respawns_total"] >= 1
+        assert snap["repro_taskstate_rebuilds_total"] == 1
 
     def test_poison_task_quarantined_with_partial(self, pts):
         fault = FlakyWorker(error_at=(2,))  # fails on every attempt
@@ -234,3 +277,40 @@ class TestFailurePolicy:
         prefix = open(par_path, "rb").read()
         assert prefix  # made progress before the cap
         assert whole.startswith(prefix)
+
+
+class TestForkOnly:
+    """Workers inherit the parent's state through fork; without fork a
+    pool run fails typed, before any process starts."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+
+    def test_pool_run_raises_before_any_process_starts(self, pts, no_fork):
+        registry = reset_registry()
+        with pytest.raises(WorkerPoolError, match="fork"):
+            parallel_join(pts, 0.06, algorithm="csj", workers=2)
+        assert registry.snapshot().get("repro_pool_spawns_total", 0) == 0
+
+    def test_service_degrades_and_cli_exits_7(self, pts, no_fork):
+        with open_service(workers=2) as svc:
+            outcome = svc.submit(JoinRequest(pts, 0.06)).wait(60.0)
+        assert outcome.status == "degraded"
+        argv = ["join", "--dataset", "uniform", "-n", "200", "--eps", "0.05",
+                "--workers", "2"]
+        assert main(argv) == 7
+
+
+class TestInputsReleased:
+    def test_pool_join_does_not_pin_its_points(self):
+        # validate_points passes a float64 array through, so the weakref
+        # watches the very object the pool ran on.
+        arr = np.random.default_rng(8).random((500, 2))
+        ref = weakref.ref(arr)
+        parallel_join(arr, 0.06, algorithm="csj", workers=2)
+        del arr
+        gc.collect()
+        assert ref() is None

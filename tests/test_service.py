@@ -7,8 +7,10 @@ byte-identical admitted answers, and ``degraded=True`` estimator
 answers instead of failures.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -540,6 +542,66 @@ class TestOpenService:
         with open_service(workers=0) as svc:
             outcome = svc.submit(JoinRequest(points=pts, eps=0.05)).wait(10.0)
             assert outcome.status == "admitted"
+
+
+class TestServiceRegistration:
+    """A registered tree serves the requests over its array, serial or
+    pooled, and only under its own metric."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_registered_dataset_served_identically(self, pts, workers):
+        offline = similarity_join(pts, 0.05, algorithm="csj")
+        svc = JoinService(ServiceConfig(queue_depth=4, executors=1, workers=workers))
+        try:
+            tree = svc.register_dataset(pts)
+            assert tree.points is pts
+            outcome = svc.submit(JoinRequest(points=tree.points, eps=0.05)).wait(60.0)
+            assert outcome.status == "admitted"
+            assert outcome.result.links == offline.links
+            assert outcome.result.groups == offline.groups
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_registered_tree_serves_only_its_metric(self, pts, workers):
+        # Fanout 8 changes the compact output, so the bytes show which
+        # tree served each request.
+        registered = similarity_join(pts, 0.05, metric="manhattan", max_entries=8)
+        ordinary = similarity_join(pts, 0.05)
+        assert registered.groups != ordinary.groups
+        svc = JoinService(ServiceConfig(queue_depth=4, executors=1, workers=workers))
+        try:
+            svc.register_dataset(pts, metric="manhattan", max_entries=8)
+            same, other = svc.serve(
+                [
+                    JoinRequest(points=pts, eps=0.05, metric="manhattan"),
+                    JoinRequest(points=pts, eps=0.05),
+                ]
+            )
+        finally:
+            svc.close()
+        assert same.status == other.status == "admitted"
+        assert (same.result.links, same.result.groups) == (
+            registered.links, registered.groups,
+        )
+        assert (other.result.links, other.result.groups) == (
+            ordinary.links, ordinary.groups,
+        )
+
+    def test_closed_service_releases_registered_and_served_points(self):
+        rng = np.random.default_rng(4)
+        registered, fresh = rng.random((500, 2)), rng.random((500, 2))
+        refs = [weakref.ref(registered), weakref.ref(fresh)]
+        svc = JoinService(ServiceConfig(queue_depth=4, executors=1, workers=2))
+        svc.register_dataset(registered)
+        outcomes = svc.serve(
+            [JoinRequest(points=arr, eps=0.05) for arr in (registered, fresh)]
+        )
+        assert [o.status for o in outcomes] == ["admitted", "admitted"]
+        svc.close()
+        del registered, fresh
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestMetricsSurface:
