@@ -9,9 +9,10 @@ Five scenarios, selected with ``--scenario``:
     journal.
 
 ``worker``
-    A parallel join whose worker processes are SIGKILLed on chosen
-    tasks; the supervisor respawns them and retries, and the output is
-    still byte-identical to the serial run.
+    A pooled join whose first worker is SIGKILLed: the request is
+    retried once on a fresh fork and answers with the serial payload.
+    A request whose worker is killed on both attempts ends in
+    :class:`~repro.errors.PoisonTaskError` (exit code 6).
 
 ``kill``
     A checkpointed join's process group is SIGKILLed as soon as its
@@ -37,8 +38,9 @@ Five scenarios, selected with ``--scenario``:
     and a post-cooldown probe heals it.
 
 Every recovery scenario ends with the same verification pass:
-byte-identical output and an expanded link set equal to the brute-force
-join (Theorems 1 and 2 across a crash).  The overload scenario instead
+byte-identical output (the worker scenario: the serial file's payload)
+and an expanded link set equal to the brute-force join (Theorems 1 and
+2 across a crash).  The overload scenario instead
 verifies the serving contract: one typed outcome per request, bounded
 queue, healed breaker.
 
@@ -62,7 +64,8 @@ import numpy as np
 from repro.api import similarity_join
 from repro.core.results import TextSink
 from repro.core.verify import brute_force_links
-from repro.io.writer import width_for
+from repro.errors import PoisonTaskError
+from repro.io.writer import read_output, width_for
 from repro.resilience.chaos import FailurePlan, FlakySink, FlakyWorker
 from repro.resilience.checkpoint import CheckpointedJoin
 
@@ -110,19 +113,34 @@ def _scenario_sink(args, pts, reference, recovered):
 
 
 def _scenario_worker(args, pts, reference, recovered):
-    """SIGKILL individual workers mid-task; the supervisor recovers."""
+    """SIGKILL a request's worker; the retry on a fresh fork answers exactly."""
     from repro.parallel import parallel_join
 
-    fault = FlakyWorker(kill_at=(1, 3), seed=args.seed, max_failures=2)
-    sink = TextSink(recovered, id_width=width_for(len(pts)))
     result = parallel_join(
-        pts, args.eps, algorithm="csj", g=10, workers=2, sink=sink,
-        fault=fault,
+        pts, args.eps, algorithm="csj", g=10, fault=FlakyWorker(kill_at={0})
     )
-    sink.close()
-    print("chaos run      : workers SIGKILLed on tasks 1 and 3; "
-          "pool respawned and retried")
-    return _verify(pts, args.eps, reference, recovered, result)
+    print("chaos run      : first attempt's worker SIGKILLed; "
+          "retried on a fresh fork")
+    try:
+        parallel_join(pts, args.eps, algorithm="csj", g=10,
+                      fault=FlakyWorker(kill_at={0, 1}))
+        poisoned = False
+    except PoisonTaskError as exc:
+        poisoned = exc.attempts == 2 and exc.exit_code == 6
+    print(f"killed twice   : PoisonTaskError after 2 attempts: {poisoned}")
+    identical = (
+        read_output(reference) == (result.links, result.groups, result.group_pairs)
+        and os.path.getsize(reference) == result.stats.bytes_written
+    )
+    exact = brute_force_links(pts, args.eps)
+    lossless = result.expanded_links() == exact
+    print(f"serial payload : {identical}")
+    print(f"links lossless : {lossless} ({len(exact)} pairs vs brute force)")
+    if identical and lossless and poisoned:
+        print("PASS: recovery is exact")
+        return 0
+    print("FAIL: recovered output diverges")
+    return 1
 
 
 def _scenario_kill(args, pts, reference, recovered):

@@ -2,15 +2,18 @@
 """CI gate for the observability layer.
 
 Runs a small join through the real CLI entry point with every
-observability flag enabled -- serial and with ``--workers 2`` -- then
-fails loudly if any artifact is missing, empty, or unparseable:
+observability flag enabled, then serves the same join as one cache miss
+through a service at ``workers=2`` (one forked worker) with tracing on,
+and fails loudly if any artifact is missing, empty, or unparseable:
 
 * every stderr line must be a JSON object (``--log-json`` purity),
 * exactly one ``run summary`` event per run,
-* the trace file must parse and contain at least one span,
+* the trace files must parse and contain at least one record,
 * the metrics snapshot must parse and its ``repro_join_*`` counters
   must equal the counters reported in the run summary,
-* deterministic counters must agree between worker counts,
+* the served miss's payload, written through a ``TextSink``, must be
+  the CLI run's output bytes, and its ``repro_join_*`` counters the
+  CLI run's; it must add at least one ``repro_pool_spawns_total``,
 * stdout must stay empty.
 
 Usage: ``PYTHONPATH=src python scripts/verify_observability.py [--n 400]``
@@ -48,9 +51,31 @@ def make_dataset(path: str, n: int) -> None:
     np.savetxt(path, np.random.default_rng(42).random((n, 2)))
 
 
-def run_join(pts: str, workdir: str, workers: int) -> dict:
-    """Run one instrumented join; return its parsed artifacts."""
-    tag = f"w{workers}"
+def read_trace(tag: str, trace: str) -> list[dict]:
+    """Parse a trace file; fail unless every line is a complete record."""
+    if not os.path.exists(trace):
+        fail(f"{tag}: trace file missing")
+    trace_records = []
+    with open(trace, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                span = json.loads(line)
+            except json.JSONDecodeError:
+                fail(f"{tag}: trace line {lineno} is not JSON")
+            missing = {"name", "path", "ts", "dur", "depth"} - span.keys()
+            if missing:
+                fail(f"{tag}: trace line {lineno} missing keys {missing}")
+            trace_records.append(span)
+    if not trace_records:
+        fail(f"{tag}: trace file is empty")
+    return trace_records
+
+
+def run_join(pts: str, workdir: str) -> dict:
+    """Run one instrumented CLI join; return its parsed artifacts."""
+    tag = "cli"
     out = os.path.join(workdir, f"{tag}.out.txt")
     trace = os.path.join(workdir, f"{tag}.trace.jsonl")
     metrics = os.path.join(workdir, f"{tag}.metrics.json")
@@ -60,8 +85,6 @@ def run_join(pts: str, workdir: str, workers: int) -> dict:
         "--output", out, "--log-json", "--trace", trace,
         "--metrics-out", metrics,
     ]
-    if workers > 1:
-        argv += ["--workers", str(workers)]
     proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode != 0:
         fail(f"{tag}: exit code {proc.returncode}\n{proc.stderr}")
@@ -86,23 +109,7 @@ def run_join(pts: str, workdir: str, workers: int) -> dict:
     if len(summaries) != 1:
         fail(f"{tag}: expected 1 'run summary' event, got {len(summaries)}")
 
-    if not os.path.exists(trace):
-        fail(f"{tag}: trace file missing")
-    trace_records = []
-    with open(trace, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                span = json.loads(line)
-            except json.JSONDecodeError:
-                fail(f"{tag}: trace line {lineno} is not JSON")
-            missing = {"name", "path", "ts", "dur", "depth"} - span.keys()
-            if missing:
-                fail(f"{tag}: trace line {lineno} missing keys {missing}")
-            trace_records.append(span)
-    if not trace_records:
-        fail(f"{tag}: trace file is empty")
+    trace_records = read_trace(tag, trace)
 
     try:
         with open(metrics, "r", encoding="utf-8") as fh:
@@ -132,33 +139,89 @@ def run_join(pts: str, workdir: str, workers: int) -> dict:
     }
 
 
+def served_miss(pts: str, workdir: str) -> dict:
+    """Serve the CLI run's join once at ``workers=2``; return its artifacts."""
+    import numpy as np
+
+    from repro.api import open_service
+    from repro.core.results import TextSink
+    from repro.io.writer import width_for
+    from repro.obs.metrics import get_registry
+    from repro.obs.tracing import configure_tracing, disable_tracing
+    from repro.service import JoinRequest
+
+    tag = "served"
+    points = np.loadtxt(pts, ndmin=2)
+    trace = os.path.join(workdir, f"{tag}.trace.jsonl")
+    registry = get_registry()
+    before = registry.snapshot()
+    configure_tracing(trace)
+    try:
+        with open_service(workers=2) as service:
+            outcome = service.submit(
+                JoinRequest(points, 0.1, algorithm="csj")
+            ).wait(300.0)
+    finally:
+        disable_tracing()
+    if outcome.status != "admitted":
+        fail(f"{tag}: outcome {outcome.status}: {outcome.error!r}")
+    after = registry.snapshot()
+    result = outcome.result
+    out = os.path.join(workdir, f"{tag}.out.txt")
+    sink = TextSink(out, id_width=width_for(len(points)))
+    for ids in result.groups:
+        sink.write_group(ids)
+    for i, j in result.links:
+        sink.write_link(i, j)
+    sink.close()
+    return {
+        "tag": tag,
+        "output": open(out, "rb").read(),
+        "payload": (result.links, result.groups, result.group_pairs),
+        "bytes_written": result.stats.bytes_written,
+        "snapshot": {
+            name: value - before.get(name, 0) for name, value in after.items()
+        },
+        "trace": read_trace(tag, trace),
+        "trace_path": trace,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=400,
                         help="dataset size (default 400)")
     args = parser.parse_args(argv)
 
+    from repro.io.writer import read_output
+
     with tempfile.TemporaryDirectory() as workdir:
         pts = os.path.join(workdir, "pts.txt")
         make_dataset(pts, args.n)
 
-        serial = run_join(pts, workdir, workers=1)
-        parallel = run_join(pts, workdir, workers=2)
+        serial = run_join(pts, workdir)
+        served = served_miss(pts, workdir)
 
-        if serial["output"] != parallel["output"]:
-            fail("output bytes differ between --workers 1 and 2")
+        # The served payload is the serial file, kind by kind in order,
+        # and through a TextSink the same lines and bytes.
+        if read_output(os.path.join(workdir, "cli.out.txt")) != served["payload"]:
+            fail("served payload differs from the serial CLI output")
+        if sorted(serial["output"].splitlines()) != sorted(
+            served["output"].splitlines()
+        ) or len(serial["output"]) != served["bytes_written"]:
+            fail("served payload bytes differ from the serial CLI output")
         for field in CHECK_FIELDS:
             a = serial["snapshot"][f"repro_join_{field}_total"]
-            b = parallel["snapshot"][f"repro_join_{field}_total"]
+            b = served["snapshot"].get(f"repro_join_{field}_total")
             if a != b:
-                fail(f"counter {field} differs: serial={a} parallel={b}")
-        if parallel["snapshot"].get("repro_pool_spawns_total", 0) < 2:
-            fail("parallel run did not report pool spawns")
+                fail(f"counter {field} differs: serial={a} served={b}")
+        if served["snapshot"].get("repro_pool_spawns_total", 0) < 1:
+            fail("served miss did not report a pool spawn")
         if not any(r["name"] == "descend" for r in serial["trace"]):
             fail("serial trace has no 'descend' span")
 
         # The trace summariser must accept both artifacts.
-        for run in (serial, parallel):
+        for run in (serial, served):
             proc = subprocess.run(
                 [sys.executable,
                  os.path.join(os.path.dirname(__file__), "trace_report.py"),
@@ -172,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     groups = serial["summary"]["groups_emitted"]
     print(
         "verify_observability: OK "
-        f"(links={links} groups={groups}, serial == --workers 2, "
-        "all artifacts parseable)"
+        f"(links={links} groups={groups}, serial CLI == served miss at "
+        "workers=2, all artifacts parseable)"
     )
     return 0
 

@@ -28,12 +28,7 @@ from repro.core.metricspace import check_object_metric
 from repro.core.partitioned import pbsm_join
 from repro.core.results import JoinResult, JoinSink
 from repro.core.ssj import ssj as _ssj
-from repro.errors import (
-    InvalidInputError,
-    validate_eps,
-    validate_execution,
-    validate_points,
-)
+from repro.errors import InvalidInputError, validate_eps, validate_points
 from repro.index import SpatialIndex, bulk_load, get_index_class
 from repro.obs.logging import get_logger
 
@@ -92,8 +87,6 @@ def similarity_join(
     max_entries: int = 64,
     bulk: Optional[str] = "str",
     budget: Optional["Budget"] = None,
-    workers: Optional[int] = None,
-    task_timeout: Optional[float] = None,
 ) -> JoinResult:
     """Similarity self-join of ``points`` with query range ``eps``.
 
@@ -116,12 +109,10 @@ def similarity_join(
     ``budget`` bounds the run cooperatively; see
     :class:`~repro.resilience.budget.Budget`.
 
-    ``workers`` > 1 executes the join across a supervised worker pool
-    (:func:`repro.parallel.parallel_join`) with ``task_timeout`` as the
-    per-task wall-clock limit; output is byte-identical to the serial
-    run, with a prebuilt index too.  ``workers`` of ``None``, 0 or 1
-    stays in-process.  Both settings are validated up front, on the
-    serial path too.
+    The join runs in-process.  For crash recovery use
+    :class:`~repro.resilience.checkpoint.CheckpointedJoin` (a journal);
+    for process isolation, :func:`repro.parallel.parallel_join` (one
+    forked worker per call, which the serving layer uses for misses).
 
     ``metric`` may be an :class:`~repro.core.metricspace.ObjectMetric`
     for the tree joins (``ssj``, ``ncsj``, ``csj``) on an M-tree, whose
@@ -137,7 +128,6 @@ def similarity_join(
     eps = validate_eps(eps)
     if g < 0:
         raise InvalidInputError(f"window size g must be >= 0, got {g}")
-    validate_execution(workers, task_timeout)
     check_object_metric(
         index.metric if isinstance(index, SpatialIndex) else metric, algorithm, index
     )
@@ -148,26 +138,8 @@ def similarity_join(
             "points": int(points.shape[0]),
             "eps": eps,
             "g": g,
-            "workers": workers,
         },
     )
-    if workers is not None and workers > 1:
-        from repro.parallel import parallel_join  # deferred: heavy machinery
-
-        return parallel_join(
-            points,
-            eps,
-            algorithm=algorithm,
-            g=g,
-            workers=workers,
-            sink=sink,
-            index=index,
-            metric=metric,
-            max_entries=max_entries,
-            bulk=bulk,
-            budget=budget,
-            task_timeout=task_timeout,
-        )
     if algorithm == "egrid":
         return egrid_join(
             points, eps, compact=False, sink=sink, metric=metric, budget=budget
@@ -241,8 +213,10 @@ def open_service(
     ``queue_depth`` bounds the admission queue; ``deadline_ms`` is the
     default per-request deadline in **milliseconds** (matching the CLI's
     ``--deadline-ms``), measured from submission and propagated
-    end-to-end.  Close the service (it is a context manager) to drain
-    the executors.
+    end-to-end.  ``workers`` above 1 runs each cache miss whole in its
+    own forked worker (at most ``executors`` at once); 0 or 1 runs it in
+    the executor thread.  Close the service (it is a context manager)
+    to drain the executors.
     """
     from repro.service import JoinService, ServiceConfig  # deferred: threads
 

@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--checkpoint",
         metavar="PATH",
-        help="journal progress to PATH for crash-safe, resumable serial "
-        "execution (requires --output; takes no --workers or --task-timeout)",
+        help="journal progress to PATH for crash-safe, resumable "
+        "execution (requires --output)",
     )
     join.add_argument(
         "--resume",
@@ -98,23 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="abort cleanly once the output exceeds N bytes "
         "(SSJ falls back to the analytic estimate instead)",
-    )
-    join.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="execute across a supervised pool of N worker processes "
-        "(heartbeats, timeouts, retry, respawn); output is "
-        "byte-identical to the serial run.  Omit, 0 or 1 stays serial",
-    )
-    join.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock limit in the worker pool; a task that "
-        "exceeds it is killed and retried on a fresh worker",
     )
     join.add_argument(
         "--log-json",
@@ -198,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes per request (1 = serial execution)",
+        help="0 or 1 runs each cache miss in its executor thread; any "
+        "value above 1 runs each miss whole in its own forked worker "
+        "(at most --executors at once)",
     )
     serve.add_argument(
         "--cache", action="store_true",
@@ -344,7 +329,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     from repro.api import similarity_join
     from repro.core.results import CollectSink, TextSink
     from repro.core.verify import check_equivalence
-    from repro.errors import InvalidInputError, ReproError
+    from repro.errors import ReproError
     from repro.io.writer import width_for
     from repro.obs.logging import (
         configure_logging,
@@ -363,13 +348,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
         raise SystemExit("csj join: --resume requires --checkpoint")
     if args.checkpoint and not args.output:
         raise SystemExit("csj join: --checkpoint requires --output")
-    if args.checkpoint and (
-        args.workers not in (None, 0, 1) or args.task_timeout is not None
-    ):
-        raise InvalidInputError(
-            "usage: a --checkpoint run is serial; drop --workers and "
-            "--task-timeout (its crash recovery is the journal)"
-        )
 
     # Observability wiring.  Logging goes to stderr so stdout stays clean
     # for piped consumers; --progress implies a visible logger.
@@ -407,7 +385,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                 extra={
                     "points": len(points),
                     "dim": int(points.shape[1]),
-                    "workers": args.workers,
                     "index": args.index,
                     "g": args.g,
                 },
@@ -451,8 +428,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
                     metric=args.metric,
                     sink=sink,
                     budget=budget,
-                    workers=args.workers,
-                    task_timeout=args.task_timeout,
                 )
                 if args.output:
                     sink.close()
@@ -823,10 +798,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Failures map to distinct nonzero exit codes (the registry in
     :mod:`repro.errors` is the source of truth): invalid input 2, budget
-    exceeded 3, sink I/O 4, corrupt checkpoint/index file 5, poison task
-    6, worker pool failure 7, disk full / read-only storage 8, admission
-    rejected / request shed 9, circuit breaker open 10, any other error
-    1 — with a one-line message on stderr instead of a traceback.
+    exceeded 3, sink I/O 4, corrupt checkpoint/index file 5, poison
+    request 6, worker pool failure 7, disk full / read-only storage 8,
+    admission rejected / request shed 9, circuit breaker open 10, any
+    other error 1 — with a one-line message on stderr instead of a
+    traceback.
     """
     from repro.errors import ReproError
 

@@ -21,13 +21,14 @@ it walks the work units of :func:`repro.core.frontier.traverse`, cuts
 runs of consecutive leaf units into *leaf windows* (:func:`leaf_windows`)
 and evaluates each window of two or more units in one padded gather
 (:func:`leaf_window_delta`), any other unit through
-:func:`tree_task_delta`, the executor pool workers run too.  Over an
-M-tree of arbitrary objects (:class:`~repro.core.metricspace.ObjectMetric`)
-early-stopped groups are balls, :func:`make_window` picks the ball merge
-window, and every unit runs on its own; the walk is the same.  The loop
-is :func:`run_batches`, which the grid and PBSM joins and
+:func:`tree_task_delta`.  Over an M-tree of arbitrary objects
+(:class:`~repro.core.metricspace.ObjectMetric`) early-stopped groups are
+balls, :func:`make_window` picks the ball merge window, and every unit
+runs on its own; the walk is the same.  The loop is :func:`run_batches`,
+which the grid and PBSM joins,
 :class:`~repro.resilience.checkpoint.CheckpointedJoin` (checkpointing
-from its after-batch hook) run too.
+from its after-batch hook) and pool workers
+(:meth:`~repro.parallel.tasks.TaskState.run`) run too.
 
 Theorem 1 (completeness — every qualifying pair is implied by the output)
 and Theorem 2 (correctness — no non-qualifying pair is implied) hold by
@@ -87,10 +88,10 @@ LEAF_WINDOW = 4096
 # ---------------------------------------------------------------------------
 # Pure per-task executors
 #
-# Each returns a serializable description of the task's output (the event
-# vocabulary of :func:`repro.core.groups.apply_events`) instead of writing
-# anywhere, so the same code runs in-process, under the checkpointed
-# driver, and inside parallel worker processes.
+# Each returns a description of the task's output (the event vocabulary
+# of :func:`repro.core.groups.apply_events`) instead of writing anywhere,
+# so one loop, :func:`run_batches`, replays it for the serial joins, the
+# checkpointed driver and pool workers alike.
 # ---------------------------------------------------------------------------
 
 def packed_node_group_delta(points: np.ndarray, packed, nid: int) -> list:

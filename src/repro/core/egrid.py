@@ -19,9 +19,9 @@ The join is one flat sequence of work units, :func:`grid_tasks`: each
 non-empty cell in epsilon grid order, then its pairs with its
 lexicographically larger neighbours.  :func:`grid_task_delta` runs one
 unit; :func:`egrid_join` runs the sequence through the serial join loop
-(:func:`repro.core.csj.run_batches`), and checkpointed and pool runs
-(:class:`~repro.parallel.tasks.TaskState`) address the same units by
-position.
+(:func:`repro.core.csj.run_batches`), and checkpointed runs and pool
+workers (:class:`~repro.parallel.tasks.TaskState`) run the same units
+from a list, so a journal can name a unit by its position.
 
 Substitution note: the original operates out-of-core over a sorted stream;
 our in-memory hash-grid performs the identical cell-pair joins in the same

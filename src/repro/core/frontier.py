@@ -14,10 +14,11 @@ join's *work units*, by packed node id:
   group (line 20).
 
 Every tree join consumes this one sequence: the serial joins execute each
-unit as it is yielded (:mod:`repro.core.csj`), checkpointed and pool runs
-list it up front and address units by position
-(:class:`~repro.parallel.tasks.TaskState`), and the dual join starts it
-at the pair of two roots (:mod:`repro.core.dual`).
+unit as it is yielded (:mod:`repro.core.csj`), checkpointed runs and
+pool workers run it from a list made up front
+(:class:`~repro.parallel.tasks.TaskState`), so a journal can name a
+unit by its position, and the dual join starts it at the pair of two
+roots (:mod:`repro.core.dual`).
 
 * **Order** — subtasks are pushed in reverse, so the LIFO pop order is
   the recursion's preorder; a node's child pairs are pruned after all

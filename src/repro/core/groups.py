@@ -79,8 +79,8 @@ def apply_events(events, sink: JoinSink, buffer: Optional["GroupBuffer"]) -> Non
 
     Because replay performs exactly the sink/window calls the in-place
     algorithms make, applying a task sequence in canonical order is
-    byte-identical to executing it in place — the property the parallel
-    executor's canonical-order merge relies on.
+    byte-identical to executing it in place — the property the serial
+    join loop, :func:`repro.core.csj.run_batches`, relies on.
     """
     for event in events:
         kind = event[0]

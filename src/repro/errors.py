@@ -12,7 +12,6 @@ an ``OSError``.
 :func:`validate_points` and :func:`validate_eps` enforce the input
 contract (2-D finite float array, positive finite range) at the public
 API boundary — the tree and grid internals may assume clean input.
-:func:`validate_execution` does the same for the worker-pool settings.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "is_disk_full",
     "validate_points",
     "validate_eps",
-    "validate_execution",
 ]
 
 
@@ -170,42 +168,35 @@ class CheckpointCorruptError(ReproError):
 
 
 class PoisonTaskError(ReproError):
-    """One work unit repeatedly killed or failed its worker and was quarantined.
+    """A pooled request failed on every attempt its worker was given.
 
-    ``task_id`` identifies the offending unit in the canonical task
-    sequence; ``attempts`` counts how many executions were tried before
-    quarantine; ``last_error`` describes the final failure (``None`` when
-    the worker died without reporting).  When the rest of the join
-    completed, the scheduler attaches everything else as :attr:`partial`
-    (a :class:`~repro.core.results.JoinResult`).
+    Each attempt ran the whole join in a fresh forked worker, and each
+    one died, was killed at its timeout, stopped heartbeating or
+    reported an exception.  ``attempts`` counts the attempts made;
+    ``last_error`` describes the final failure.
     """
 
     exit_code = 6
 
     def __init__(
         self,
-        task_id: int,
         attempts: int,
         last_error: Optional[str] = None,
         message: Optional[str] = None,
     ):
-        self.task_id = int(task_id)
         self.attempts = int(attempts)
         self.last_error = last_error
-        #: Partial result from the non-poisoned tasks, attached by the scheduler.
-        self.partial = None
         detail = f": {last_error}" if last_error else ""
         super().__init__(
-            message
-            or f"task {task_id} quarantined after {attempts} failed attempts{detail}"
+            message or f"request failed on all {attempts} worker attempts{detail}"
         )
 
 
 class WorkerPoolError(ReproError):
-    """The parallel worker pool itself failed (not one specific task).
+    """The worker pool itself failed, not the request it was running.
 
-    Raised when workers cannot be (re)spawned or the pool loses all
-    workers for reasons unrelated to any single work unit.
+    Raised when a worker process cannot be started, including where the
+    ``fork`` start method does not exist.
     """
 
     exit_code = 7
@@ -266,7 +257,7 @@ class CircuitOpenError(ReproError):
         self.retry_after = float(retry_after)
         #: The serving layer's ``RequestOutcome`` for this rejection,
         #: attached by ``JoinService.submit`` (``None`` when raised
-        #: outside the serving layer, e.g. by the scheduler's gate).
+        #: outside the serving layer, e.g. by ``parallel_join``'s gate).
         self.outcome = None
         super().__init__(
             message
@@ -345,15 +336,3 @@ def validate_eps(eps: float, name: str = "eps") -> float:
     if not math.isfinite(value) or value <= 0:
         raise InvalidInputError(f"{name} must be positive and finite, got {eps!r}")
     return value
-
-
-def validate_execution(workers: Optional[int], task_timeout: Optional[float]) -> None:
-    """Validate the worker-pool settings every entry point accepts.
-
-    ``workers`` is ``None`` or ``>= 0`` (0 and 1 mean serial);
-    ``task_timeout`` is ``None`` or positive.
-    """
-    if workers is not None and workers < 0:
-        raise InvalidInputError(f"workers must be >= 0, got {workers}")
-    if task_timeout is not None and not task_timeout > 0:
-        raise InvalidInputError(f"task_timeout must be positive, got {task_timeout}")

@@ -77,12 +77,6 @@ class ExperimentConfig:
     write_output: bool = False
     #: Directory for TextSink files when ``write_output`` is set.
     output_dir: str = "."
-    #: Execute measured runs across a supervised worker pool of this
-    #: size (None / 0 / 1 stays serial).  Output is byte-identical to the
-    #: serial run, so measurements remain comparable.
-    workers: Optional[int] = None
-    #: Per-task wall-clock limit in the worker pool.
-    task_timeout: Optional[float] = None
 
     def build_tree(self, points: np.ndarray) -> SpatialIndex:
         """Build the configured index over ``points``."""
@@ -167,8 +161,6 @@ def run_algorithm(
                 index=tree,
                 sink=sink,
                 budget=budget,
-                workers=config.workers,
-                task_timeout=config.task_timeout,
             )
         except BudgetExceededError as exc:
             # Deadline breach: report the valid partial measurements

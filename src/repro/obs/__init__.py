@@ -10,7 +10,7 @@ A zero-dependency cross-cutting layer over the join library:
   :class:`~repro.stats.counters.JoinStats`, budget state, sink retries,
   checkpoint journal events and worker-pool health.
 * :mod:`repro.obs.tracing` — phase-level trace spans (``descend``,
-  ``emit``, ``csj-merge``, ``checkpoint``) written as JSON lines to a
+  ``emit``, ``checkpoint``) written as JSON lines to a
   per-run trace file; a no-op until :func:`configure_tracing` opts in.
   Summarise with ``scripts/trace_report.py``.
 * :mod:`repro.obs.progress` — a periodic heartbeat logging live

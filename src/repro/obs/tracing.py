@@ -1,12 +1,11 @@
 """Lightweight trace spans for the join phases.
 
 A *span* is a named, timed region of a run — ``descend`` (the tree /
-grid traversal), ``emit`` (residual output flushes), ``csj-merge`` (the
-canonical-order merge of parallel task deltas), ``checkpoint`` (journal
-records) — plus zero-duration *events* (worker spawned, worker killed).
-Spans nest; each record carries its ``;``-joined ancestor path, so a
-flame-style summary (``scripts/trace_report.py``) is a straight
-aggregation over paths.
+grid traversal), ``emit`` (residual output flushes), ``checkpoint``
+(journal records) — plus zero-duration *events* (worker spawned,
+worker killed).  Spans nest; each record carries its ``;``-joined
+ancestor path, so a flame-style summary (``scripts/trace_report.py``)
+is a straight aggregation over paths.
 
 Tracing is **off by default** and the disabled path is a single global
 read returning a shared no-op context manager, so instrumented code
@@ -34,6 +33,7 @@ __all__ = [
     "Tracer",
     "configure_tracing",
     "disable_tracing",
+    "drop_tracer",
     "get_tracer",
     "span",
     "trace_event",
@@ -168,6 +168,8 @@ class Tracer:
 
 
 _tracer: Optional[Tracer] = None
+#: The tracer :func:`drop_tracer` forgot, kept from collection.
+_dropped: Optional[Tracer] = None
 
 
 def configure_tracing(target: Union[str, IO[str]]) -> Tracer:
@@ -185,6 +187,18 @@ def disable_tracing() -> None:
     if _tracer is not None:
         _tracer.close()
         _tracer = None
+
+
+def drop_tracer() -> None:
+    """Forget the global tracer without flushing or closing it.
+
+    For a forked worker: its copy of the parent's tracer shares the
+    parent's file, and flushing the copied buffer would write the
+    parent's pending lines a second time.  The tracer stays referenced,
+    because collecting it would close its stream, which flushes.
+    """
+    global _tracer, _dropped
+    _dropped, _tracer = _tracer, None
 
 
 def get_tracer() -> Optional[Tracer]:

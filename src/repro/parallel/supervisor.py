@@ -1,23 +1,22 @@
-"""Worker-pool supervision: spawn, heartbeat, detect, kill, respawn.
+"""One supervised attempt: fork a worker, wait for its answer, reap it.
 
-The :class:`Supervisor` owns the *processes* of the parallel executor —
-the dispatch/retry/merge policy lives in
-:class:`~repro.parallel.scheduler.WorkScheduler`.  Workers are forked
-from the parent after it has built the join's :class:`TaskState`, so
-each inherits that state and nothing is pickled or rebuilt; a respawn
-forks again and inherits the same object.  Each worker runs
-:func:`_worker_main`: it serves ``("task", id)`` requests over a duplex
-pipe, replying with the task's serializable delta.  A daemon thread
-heartbeats over the same pipe so the parent can distinguish a *frozen*
-process (no heartbeats — e.g. SIGSTOP, a stuck syscall) from a *slow
-task* (heartbeats continue; the per-task timeout governs instead).
+:func:`run_attempt` runs one pooled join whole in one forked worker.
+The worker is forked after the parent has built the join's
+:class:`~repro.parallel.tasks.TaskState`, so it inherits that state and
+nothing is pickled or rebuilt; a retry forks again over the same
+object.  The worker (:func:`_worker_main`) runs the join serially into
+a collecting sink and sends back one message: the
+:class:`~repro.core.results.JoinResult`, the budget breach with its
+partial result, or the error.  A daemon thread heartbeats over the same
+pipe, so the parent tells a *frozen* process (no heartbeats, e.g.
+SIGSTOP or a stuck syscall) from a *slow* one (heartbeats continue;
+the attempt's timeout governs instead).
 
-Worker death is a normal event: the parent observes the process
-sentinel / a dropped pipe, reassigns the in-flight task and respawns a
-replacement.  Fault injection for tests rides along: a
-:class:`~repro.resilience.chaos.FlakyWorker` is inherited by every
-worker, with its kill budget bound to a shared counter so the budget
-survives the very process deaths it causes.
+Whatever ends the attempt — the answer, the worker's death, a kill at
+the timeout or after heartbeat silence, or an exception in the parent —
+the worker is SIGKILLed if still running and reaped before
+:func:`run_attempt` returns, so no worker outlives its call.  The
+retry policy lives in :func:`repro.parallel.parallel_join`.
 """
 
 from __future__ import annotations
@@ -29,15 +28,15 @@ import threading
 import time
 from typing import Optional
 
-from repro.errors import WorkerPoolError
+from repro.errors import BudgetExceededError, WorkerPoolError
 from repro.obs.logging import bind_context, get_logger
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import trace_event
-from repro.parallel.shared import SharedCounters
+from repro.obs.tracing import drop_tracer, trace_event
 from repro.parallel.tasks import TaskState
+from repro.resilience.budget import Budget
 from repro.resilience.chaos import FlakyWorker
 
-__all__ = ["Supervisor", "mp_context"]
+__all__ = ["MAX_ATTEMPTS", "mp_context", "run_attempt"]
 
 logger = get_logger("parallel.supervisor")
 
@@ -45,14 +44,8 @@ logger = get_logger("parallel.supervisor")
 HEARTBEAT_INTERVAL = 0.1
 #: Silence longer than this (seconds) marks a worker frozen and gets it killed.
 HEARTBEAT_GRACE = 5.0
-#: Failed executions tolerated per task before quarantine
-#: (``2`` -> at most 3 attempts / worker respawns per poison task).
-MAX_TASK_RETRIES = 2
-#: Decorrelated-jitter retry backoff bounds (seconds).
-BACKOFF_BASE = 0.05
-BACKOFF_MAX = 1.0
-#: Seed for the retry-jitter RNG (timing only — never affects output).
-JITTER_SEED = 0
+#: Attempts per request: a failed attempt is retried once on a fresh fork.
+MAX_ATTEMPTS = 2
 
 
 def mp_context():
@@ -73,12 +66,15 @@ def mp_context():
 def _worker_main(
     conn,
     state: TaskState,
-    shared: Optional[SharedCounters],
+    budget: Optional[Budget],
     fault: Optional[FlakyWorker],
-    wid: int = -1,
+    attempt: int,
 ) -> None:
     """Entry point of one forked worker; ``state`` is the parent's, inherited."""
-    bind_context(worker=wid)  # stamps every log record from this process
+    # The inherited tracer's buffer may hold the parent's unflushed
+    # lines; writing through it would flush them a second time.
+    drop_tracer()
+    bind_context(worker=attempt)  # stamps every log record from this process
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -90,255 +86,114 @@ def _worker_main(
             except OSError:  # parent gone; nothing left to do
                 return
 
-    heart = threading.Thread(target=beat, daemon=True)
-    heart.start()
-    with send_lock:
-        conn.send(("ready",))
-
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg[0] == "stop":
-            break
-        task_id = msg[1]
-        if shared is not None:
-            kind = shared.breached()
-            if kind is not None:
-                with send_lock:
-                    conn.send(("breach", task_id, kind))
-                continue
-        try:
-            if fault is not None:
-                fault.maybe_fail(task_id)
-            events, counters = state.execute(task_id)
-        except BaseException as exc:  # noqa: BLE001 - reported as task failure
-            with send_lock:
-                conn.send(("err", task_id, f"{type(exc).__name__}: {exc}"))
-            continue
-        with send_lock:
-            conn.send(("ok", task_id, events, counters))
+    threading.Thread(target=beat, daemon=True).start()
+    try:
+        if fault is not None:
+            fault.maybe_fail(attempt)
+        message = ("ok", state.run(budget))
+    except BudgetExceededError as exc:
+        message = ("breach", exc.kind, exc.limit, exc.actual, str(exc), exc.partial)
+    except Exception as exc:  # noqa: BLE001 - reported as a failed attempt
+        message = ("err", f"{type(exc).__name__}: {exc}")
     stop.set()
+    try:
+        with send_lock:
+            conn.send(message)
+    finally:
+        # No interpreter teardown: nothing the parent left buffered in
+        # this copy of its memory is flushed from here.
+        os._exit(0)
 
 
-class _WorkerHandle:
-    """Parent-side bookkeeping for one worker process."""
+def run_attempt(
+    ctx,
+    state: TaskState,
+    budget: Optional[Budget],
+    timeout: Optional[float],
+    fault: Optional[FlakyWorker],
+    attempt: int,
+) -> tuple:
+    """Run the join in one forked worker; return how the attempt ended.
 
-    __slots__ = (
-        "wid", "proc", "conn", "ready", "current", "started_at", "last_seen",
+    Returns the worker's message — ``("ok", result)``, ``("breach",
+    kind, limit, actual, message, partial)`` or ``("err", reason)`` —
+    or ``("died", reason)`` / ``("killed", reason)`` when the worker
+    died, overran ``timeout`` seconds or stopped heartbeating.  A worker
+    that cannot be started raises :class:`~repro.errors.WorkerPoolError`.
+    """
+    conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_worker_main,
+        args=(child_conn, state, budget, fault, attempt),
+        daemon=True,
     )
-
-    def __init__(self, wid: int, proc, conn):
-        self.wid = wid
-        self.proc = proc
-        self.conn = conn
-        self.ready = False
-        #: Task id currently executing on this worker (``None`` = idle).
-        self.current: Optional[int] = None
-        self.started_at = 0.0
-        self.last_seen = time.monotonic()
-
-    @property
-    def idle(self) -> bool:
-        return self.ready and self.current is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Worker(w{self.wid}, pid={self.proc.pid}, current={self.current})"
-
-
-class Supervisor:
-    """Owns the worker processes: spawn, watch, kill, respawn, shut down."""
-
-    def __init__(
-        self,
-        state: TaskState,
-        workers: int,
-        task_timeout: Optional[float] = None,
-        shared: Optional[SharedCounters] = None,
-        fault: Optional[FlakyWorker] = None,
-    ):
-        self.state = state
-        self.n_workers = workers
-        #: Per-task wall-clock limit; ``None`` disables the timeout.
-        self.task_timeout = task_timeout
-        self.ctx = mp_context()
-        self.shared = shared
-        self.fault = fault
-        if fault is not None and fault.active and fault.max_failures is not None:
-            # The kill budget must outlive the workers it kills.
-            fault.bind_shared_budget(self.ctx.Value("q", int(fault.max_failures)))
-        self.workers: list[_WorkerHandle] = []
-        self.respawns = 0
-        self._next_wid = 0
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        for _ in range(self.n_workers):
-            self.workers.append(self._spawn())
-
-    def _spawn(self) -> _WorkerHandle:
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        wid = self._next_wid
-        proc = self.ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.state, self.shared, self.fault, wid),
-            daemon=True,
-        )
-        try:
-            proc.start()
-        except OSError as exc:  # pragma: no cover - resource exhaustion
-            raise WorkerPoolError(f"cannot spawn worker process: {exc}") from exc
+    try:
+        proc.start()
+    except OSError as exc:
+        conn.close()
+        raise WorkerPoolError(f"cannot start a worker process: {exc}") from exc
+    finally:
         child_conn.close()
-        handle = _WorkerHandle(wid, proc, parent_conn)
-        self._next_wid += 1
+    get_registry().counter("repro_pool_spawns_total", "Worker processes started").inc()
+    logger.debug("worker started", extra={"worker": attempt, "pid": proc.pid})
+    trace_event("worker-spawn", worker=attempt)
+    answered = False
+    try:
+        outcome = _wait(proc, conn, timeout)
+        answered = outcome[0] != "killed"
+        return outcome
+    finally:
+        _reap(proc, conn, attempt, answered)
+
+
+def _wait(proc, conn, timeout: Optional[float]) -> tuple:
+    """Wait for the worker's one message, its death, or a reason to kill it."""
+    started = last_seen = time.monotonic()
+    while True:
+        now = time.monotonic()
+        if timeout is not None and now - started >= timeout:
+            return ("killed", f"request timeout ({timeout:g}s)")
+        if now - last_seen >= HEARTBEAT_GRACE:
+            return ("killed", "worker stopped heartbeating")
+        wait = HEARTBEAT_GRACE - (now - last_seen)
+        if timeout is not None:
+            wait = min(wait, timeout - (now - started))
+        ready = mp.connection.wait([conn, proc.sentinel], timeout=wait)
+        try:
+            # Drain the pipe before trusting the sentinel: the answer may
+            # land in the same wake-up as the exit.
+            while conn.poll():
+                message = conn.recv()
+                last_seen = time.monotonic()
+                if message[0] != "hb":
+                    return message
+        except (EOFError, OSError):
+            ready = [proc.sentinel]
+        if proc.sentinel in ready:
+            proc.join(timeout=HEARTBEAT_GRACE)
+            return ("died", f"worker died (exit code {proc.exitcode})")
+
+
+def _reap(proc, conn, attempt: int, answered: bool) -> None:
+    """SIGKILL the worker if it is still running, then reap it.
+
+    A worker that answered gets :data:`HEARTBEAT_GRACE` to exit on its
+    own first.  Only a SIGKILL actually sent counts as a kill.
+    """
+    if answered:
+        proc.join(timeout=HEARTBEAT_GRACE)
+    killed = False
+    if proc.is_alive():
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+            killed = True
+        except OSError:  # pragma: no cover - exited in between
+            pass
+    proc.join()
+    conn.close()
+    if killed:
         get_registry().counter(
-            "repro_pool_spawns_total", "Worker processes started"
+            "repro_pool_kills_total", "Worker processes hard-killed by the parent"
         ).inc()
-        logger.debug("worker spawned", extra={"worker": wid, "pid": proc.pid})
-        trace_event("worker-spawn", worker=wid)
-        return handle
-
-    def kill(self, handle: _WorkerHandle) -> None:
-        """Forget one worker, SIGKILLing it first if it is still running.
-
-        Only a SIGKILL actually sent counts as a kill: a worker that
-        already exited on ``("stop",)`` is just reaped.
-        """
-        if handle in self.workers:
-            self.workers.remove(handle)
-        killed = False
-        try:
-            if handle.proc.is_alive():
-                os.kill(handle.proc.pid, signal.SIGKILL)
-                killed = True
-        except (OSError, AttributeError):  # pragma: no cover - already gone
-            pass
-        handle.proc.join(timeout=5.0)
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if killed:
-            get_registry().counter(
-                "repro_pool_kills_total", "Worker processes hard-killed by the parent"
-            ).inc()
-            trace_event("worker-kill", worker=handle.wid)
-
-    def respawn(self) -> _WorkerHandle:
-        """Spawn a replacement worker and track the respawn count."""
-        self.respawns += 1
-        logger.warning("respawning worker", extra={"respawns": self.respawns})
-        handle = self._spawn()
-        self.workers.append(handle)
-        return handle
-
-    def shutdown(self) -> None:
-        """Stop every worker: polite request, then SIGKILL any still running."""
-        for handle in self.workers:
-            try:
-                handle.conn.send(("stop",))
-            except OSError:
-                pass
-        deadline = time.monotonic() + 1.0
-        for handle in self.workers:
-            handle.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for handle in list(self.workers):
-            self.kill(handle)
-        self.workers.clear()
-
-    # ------------------------------------------------------------------
-    # Dispatch and events
-    # ------------------------------------------------------------------
-    def dispatch(self, handle: _WorkerHandle, task_id: int) -> bool:
-        """Send one task to a worker; ``False`` if the pipe is already dead."""
-        try:
-            handle.conn.send(("task", task_id))
-        except OSError:
-            return False
-        handle.current = task_id
-        handle.started_at = time.monotonic()
-        return True
-
-    def poll(self, timeout: float) -> list[tuple[str, _WorkerHandle, tuple]]:
-        """Collect worker events: ``("msg", handle, payload)`` / ``("died", handle, ())``.
-
-        Waits up to ``timeout`` for pipe traffic or process death; drains
-        every readable pipe completely so heartbeats never back up.
-        """
-        events: list[tuple[str, _WorkerHandle, tuple]] = []
-        by_conn = {h.conn: h for h in self.workers}
-        by_sentinel = {h.proc.sentinel: h for h in self.workers}
-        try:
-            ready = mp.connection.wait(
-                list(by_conn) + list(by_sentinel), timeout=timeout
-            )
-        except OSError:  # pragma: no cover - racing close
-            ready = []
-        now = time.monotonic()
-        dead: list[_WorkerHandle] = []
-        for obj in ready:
-            handle = by_conn.get(obj)
-            if handle is None:
-                sentinel_handle = by_sentinel.get(obj)
-                if sentinel_handle is not None and sentinel_handle not in dead:
-                    dead.append(sentinel_handle)
-                continue
-            # Drain the pipe; EOF means the process died mid-write.
-            try:
-                while handle.conn.poll():
-                    payload = handle.conn.recv()
-                    handle.last_seen = now
-                    events.append(("msg", handle, payload))
-            except (EOFError, OSError):
-                if handle not in dead:
-                    dead.append(handle)
-        for handle in dead:
-            if handle in self.workers:
-                self.workers.remove(handle)
-                handle.proc.join(timeout=5.0)
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                events.append(("died", handle, ()))
-        return events
-
-    def reap_unresponsive(self) -> list[tuple[_WorkerHandle, str]]:
-        """Kill workers that breached the task timeout or went silent.
-
-        Returns the killed handles with the reason, so the scheduler can
-        account the in-flight task as a failure.
-        """
-        now = time.monotonic()
-        victims: list[tuple[_WorkerHandle, str]] = []
-        timeout = self.task_timeout
-        for handle in list(self.workers):
-            if (
-                timeout is not None
-                and handle.current is not None
-                and now - handle.started_at > timeout
-            ):
-                victims.append(
-                    (handle, f"task timeout ({timeout:g}s) on worker w{handle.wid}")
-                )
-            elif now - handle.last_seen > HEARTBEAT_GRACE:
-                victims.append(
-                    (handle, f"worker w{handle.wid} stopped heartbeating")
-                )
-        for handle, reason in victims:
-            logger.warning(
-                "killing unresponsive worker",
-                extra={"worker": handle.wid, "reason": reason},
-            )
-            self.kill(handle)
-        return victims
-
-    def max_heartbeat_age(self) -> float:
-        """Seconds since the quietest live worker was last heard from."""
-        if not self.workers:
-            return 0.0
-        now = time.monotonic()
-        return max(now - h.last_seen for h in self.workers)
+        logger.warning("worker killed", extra={"worker": attempt})
+        trace_event("worker-kill", worker=attempt)

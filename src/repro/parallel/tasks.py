@@ -1,44 +1,54 @@
-"""Join specifications and pure per-task execution.
+"""Join specifications and their materialised work-unit sequences.
 
-The parallel executor rests on one structural fact: every supported join
-is a deterministic, flat sequence of *work units* (leaf self/cross
-joins, early-stopped subtree groups, grid cells, PBSM partitions) whose
-canonical order is fixed by the data and the configuration alone —
-:func:`repro.core.frontier.traverse` enumerates the tree sequence,
-:func:`repro.core.egrid.grid_tasks` the grid sequence, and
-:func:`repro.core.partitioned.pbsm_plan` fixes the partition order.
+Every supported join is a deterministic, flat sequence of *work units*
+(leaf self/cross joins, early-stopped subtree groups, grid cells, PBSM
+partitions) whose canonical order is fixed by the data and the
+configuration alone: :func:`repro.core.frontier.traverse` enumerates the
+tree sequence, :func:`repro.core.egrid.grid_tasks` the grid sequence,
+and :func:`repro.core.partitioned.pbsm_plan` fixes the partition order.
 
-:class:`JoinSpec` is the recipe for one join.  The parent materialises
-its :class:`TaskState` once per run, before the first worker starts;
-workers are forked and inherit that state, so a task is fully identified
-by its integer position in the canonical sequence and nothing but task
-ids crosses to a worker.  Workers call :meth:`TaskState.execute` — a
-pure function returning serializable events (the
-:func:`repro.core.groups.apply_events` vocabulary) plus counter charges
-— and the parent replays the deltas *in canonical task order* through
-the single sink / CSJ merge window.  Output is therefore byte-identical
-for any worker count, including 1, by construction.
+:class:`JoinSpec` is the recipe for one join, and :class:`TaskState`
+its materialisation: the index, grid or partition plan plus the listed
+units.  :meth:`TaskState.plan` hands the units from any cursor to the
+serial join loop, :func:`repro.core.csj.run_batches`, batched as the
+serial joins batch them.  That is the one task vocabulary of the
+journal and the pool: :class:`~repro.resilience.checkpoint.CheckpointedJoin`
+runs the loop with checkpoints, and a pool worker, forked over the
+parent's state, runs it whole with :meth:`TaskState.run`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.csj import make_window, tree_plan, tree_task_delta, unit_batches
+from repro.core.csj import (
+    make_window,
+    run_batches,
+    serial_join,
+    tree_plan,
+    tree_task_delta,
+    unit_batches,
+)
 from repro.core.egrid import grid_task_delta, grid_tasks
 from repro.core.frontier import traverse
-from repro.core.groups import apply_events
+
+# Not called here: perfbench's tracer patches this module attribute by name.
+from repro.core.groups import apply_events  # noqa: F401
 from repro.core.metricspace import check_object_metric
 from repro.core.partitioned import partition_delta, pbsm_plan
-from repro.core.results import JoinSink
+from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import InvalidInputError, validate_eps, validate_points
 from repro.geometry.metrics import get_metric
 from repro.index.base import SpatialIndex
+from repro.io.writer import width_for
 from repro.stats.counters import JoinStats
+
+if TYPE_CHECKING:
+    from repro.resilience.budget import Budget
 
 __all__ = ["FAMILIES", "JoinSpec", "TaskState"]
 
@@ -121,10 +131,9 @@ class TaskState:
 
     Holds the data structures tasks execute against (packed tree / grid
     cells / partition plan) and the canonical task list.  The parent
-    builds it; forked workers inherit it and only read it.
+    builds it; a forked pool worker inherits it and only reads it.
     :meth:`execute` is pure with respect to shared join state: it
-    touches no sink and no group window, so any process may run any task
-    in any order.
+    touches no sink and no group window.
     """
 
     def __init__(self, spec: JoinSpec):
@@ -186,9 +195,8 @@ class TaskState:
     def execute(self, task_id: int) -> tuple[list, tuple[int, int, int]]:
         """Run one task; returns ``(events, (dc, mbr_checks, early_stops))``.
 
-        Pure: no sink writes, no window mutation, no stats mutation —
-        safe to run in any process and to run again on retry with
-        identical results.
+        Pure: no sink writes, no window mutation, no stats mutation, so
+        a run resumed at any cursor gets identical results.
         """
         task = self.tasks[task_id]
         if self.family == "tree":
@@ -215,31 +223,40 @@ class TaskState:
             )
         return unit_batches(range(cursor, len(self.tasks)), self.execute)
 
-    # ------------------------------------------------------------------
-    # Ordered replay (parent)
-    # ------------------------------------------------------------------
     def make_buffer(self, sink: JoinSink, stats: JoinStats):
-        """The parent-side merge window (``None`` for plain-link joins)."""
+        """The CSJ(g) merge window over ``sink`` (``None`` for plain-link joins)."""
         if not self.compact:
             return None
         return make_window(
             self.g, self.eps, sink, self.metric, stats=stats, dim=self.points.shape[1]
         )
 
-    @staticmethod
-    def apply(
-        events: list,
-        counters: tuple[int, int, int],
-        sink: JoinSink,
-        buffer,
-        stats: JoinStats,
-    ) -> None:
-        """Replay one task's delta into the shared join state (parent only)."""
-        dc, mbr, stops = counters
-        stats.distance_computations += dc
-        stats.mbr_checks += mbr
-        stats.early_stops += stops
-        apply_events(events, sink, buffer)
+    def run(self, budget: Optional["Budget"] = None) -> JoinResult:
+        """Run the whole join serially into a collecting sink.
+
+        The pool worker's body: :meth:`plan` through
+        :func:`~repro.core.csj.run_batches` inside
+        :func:`~repro.core.csj.serial_join`, as
+        :class:`~repro.resilience.checkpoint.CheckpointedJoin` runs it
+        minus the journal.  ``budget`` is checked before each batch; a
+        breach raises :class:`~repro.errors.BudgetExceededError` with
+        the valid prefix attached as ``partial``.
+        """
+        spec = self.spec
+        sink = CollectSink(id_width=width_for(len(self.points)))
+        stats = sink.stats
+        buffer = self.make_buffer(sink, stats)
+
+        def body() -> None:
+            run_batches(*self.plan(), sink, buffer, stats, budget)
+            self.charge_walk(stats)
+
+        label = spec.label()
+        result = dict(
+            eps=spec.eps, algorithm=label,
+            g=spec.g if spec.compact else None, index_name=self.index_name,
+        )
+        return serial_join(body, sink, buffer, budget, result, label)
 
     def charge_walk(self, stats: JoinStats) -> None:
         """Charge the listing walk's counters to ``stats``.

@@ -53,9 +53,9 @@ class Budget:
     check_every: int = 64
     #: Absolute request deadline as a ``time.monotonic()`` timestamp.
     #: Unlike :attr:`deadline_seconds` it is *not* reset by :meth:`start`,
-    #: so it survives retries, kill-and-resume cycles and pickling to
-    #: worker processes on the same host (CLOCK_MONOTONIC is system-wide
-    #: on Linux).  Set it with :meth:`arm_deadline`.
+    #: so it survives retries, kill-and-resume cycles and forked worker
+    #: processes on the same host (CLOCK_MONOTONIC is system-wide on
+    #: Linux).  Set it with :meth:`arm_deadline`.
     deadline_at: Optional[float] = None
 
     _started_at: Optional[float] = field(default=None, repr=False, compare=False)
@@ -124,11 +124,12 @@ class Budget:
         return remaining
 
     def cap_timeout(self, timeout: Optional[float]) -> Optional[float]:
-        """Cap a per-task timeout at the remaining deadline slack.
+        """Cap a timeout at the remaining deadline slack.
 
-        This is how a request deadline propagates into the worker pool's
-        per-task timeouts (:class:`~repro.parallel.scheduler.WorkScheduler`)
-        and :class:`~repro.resilience.sinks.RetryingSink` sleep caps: no
+        This is how a request deadline propagates into the time a pool
+        worker gets before the parent kills it
+        (:func:`~repro.parallel.parallel_join`) and into
+        :class:`~repro.resilience.sinks.RetryingSink` sleep caps: no
         subordinate wait may outlive the request.  Returns
         ``timeout`` unchanged when no deadline is set; never returns a
         negative value.

@@ -11,10 +11,10 @@ resume, byte-identical output" reproduces exactly under the same seed.
 * :class:`FlakyIndex` wraps a tree and raises ``OSError`` on selected
   node accesses, mimicking a failed page read while the join descends
   the index.
-* :class:`FlakyWorker` injects *worker-level* faults into the parallel
-  executor: SIGKILL of the worker's own process, a hang, or an in-task
-  exception, keyed on the **task id** so a re-dispatched task misbehaves
-  identically no matter which worker picks it up or in what order.
+* :class:`FlakyWorker` injects *worker-level* faults into a pooled
+  request: SIGKILL of the worker's own process, a hang, or an
+  exception, keyed on the **attempt number** the parent passes, so a
+  test picks which attempts of the request fail.
 
 Both wrappers delegate everything else untouched, so a plan with no
 scheduled failures is an identity wrapper (tests assert this too).
@@ -95,26 +95,20 @@ class FailurePlan:
 
 
 class FlakyWorker:
-    """Deterministic worker-process fault injection, keyed on task id.
+    """Deterministic worker-process fault injection, keyed on the attempt.
 
-    Unlike :class:`FailurePlan` (which counts a *stream* of operations),
-    the decision here depends only on ``(seed, task_id)``: a task that is
-    retried on another worker fails in exactly the same way — the
-    property the poison-quarantine tests rely on.  Fault modes:
+    :func:`~repro.parallel.parallel_join` forks one worker per attempt
+    and passes it the attempt number (0 for the first, 1 for the retry);
+    the worker calls :meth:`maybe_fail` before running the join.  Fault
+    modes, each a set of attempt numbers:
 
-    * ``kill_at`` — the worker SIGKILLs its own process before executing
-      the task (a hard crash: no exception, no cleanup);
-    * ``hang_at`` — the worker sleeps ``hang_seconds`` before executing
-      (exercises the per-task timeout / heartbeat path);
-    * ``error_at`` — the task raises ``OSError`` (an ordinary in-task
-      failure, retried in-band without killing the worker);
-    * ``kill_rate`` — additionally, each task id crashes the worker with
-      this probability under a draw seeded by ``(seed, task_id)`` alone.
-
-    ``max_failures`` bounds the total *kill* injections.  Because killed
-    workers are respawned, the count must survive process death: the
-    supervisor binds a shared counter via :meth:`bind_shared_budget`
-    (a ``multiprocessing.Value``) that all worker incarnations decrement.
+    * ``kill_at`` — the worker SIGKILLs its own process (a hard crash:
+      no exception, no cleanup), so ``kill_at={0}`` kills the first
+      attempt only;
+    * ``hang_at`` — the worker sleeps ``hang_seconds`` first (exercises
+      the request timeout; heartbeats continue);
+    * ``error_at`` — the worker raises ``OSError`` (an ordinary failure,
+      reported to the parent).
     """
 
     def __init__(
@@ -122,66 +116,21 @@ class FlakyWorker:
         kill_at: Iterable[int] = (),
         hang_at: Iterable[int] = (),
         error_at: Iterable[int] = (),
-        seed: int = 0,
-        kill_rate: float = 0.0,
         hang_seconds: float = 3600.0,
-        max_failures: Optional[int] = None,
     ):
-        if not 0.0 <= kill_rate <= 1.0:
-            raise ValueError(f"kill_rate must be in [0, 1], got {kill_rate}")
         self.kill_at = frozenset(int(i) for i in kill_at)
         self.hang_at = frozenset(int(i) for i in hang_at)
         self.error_at = frozenset(int(i) for i in error_at)
-        self.seed = int(seed)
-        self.kill_rate = kill_rate
         self.hang_seconds = float(hang_seconds)
-        self.max_failures = max_failures
-        #: Shared kill budget bound by the supervisor (``None`` = local).
-        self._shared_budget = None
-        self._local_failures = 0
 
-    @property
-    def active(self) -> bool:
-        """Whether any fault is configured."""
-        return bool(
-            self.kill_at or self.hang_at or self.error_at or self.kill_rate > 0.0
-        )
-
-    def bind_shared_budget(self, counter) -> None:
-        """Attach a cross-process remaining-kill counter (``mp.Value``)."""
-        self._shared_budget = counter
-
-    def _take_kill_token(self) -> bool:
-        """Consume one kill from the budget; ``False`` when exhausted."""
-        if self._shared_budget is not None:
-            with self._shared_budget.get_lock():
-                if self._shared_budget.value == 0:
-                    return False
-                if self._shared_budget.value > 0:
-                    self._shared_budget.value -= 1
-            return True
-        if self.max_failures is not None and self._local_failures >= self.max_failures:
-            return False
-        self._local_failures += 1
-        return True
-
-    def _wants_kill(self, task_id: int) -> bool:
-        if task_id in self.kill_at:
-            return True
-        if self.kill_rate > 0.0:
-            draw = random.Random((self.seed << 32) ^ task_id).random()
-            return draw < self.kill_rate
-        return False
-
-    def maybe_fail(self, task_id: int) -> None:
-        """Inject this task's scheduled fault, if any (called in the worker)."""
-        task_id = int(task_id)
-        if self._wants_kill(task_id) and self._take_kill_token():
+    def maybe_fail(self, attempt: int) -> None:
+        """Inject this attempt's scheduled fault, if any (called in the worker)."""
+        if attempt in self.kill_at:
             os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - process dies
-        if task_id in self.hang_at and self._take_kill_token():
+        if attempt in self.hang_at:
             time.sleep(self.hang_seconds)
-        if task_id in self.error_at:
-            raise OSError(f"injected worker failure on task {task_id} (seed plan)")
+        if attempt in self.error_at:
+            raise OSError(f"injected worker failure on attempt {attempt}")
 
 
 class FlakySink(JoinSink):

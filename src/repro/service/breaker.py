@@ -9,11 +9,10 @@ of probe calls are admitted — one success closes the circuit, one
 failure re-opens it with a longer cooldown.
 
 Cooldowns follow *decorrelated jitter* (the same schedule as
-:class:`~repro.resilience.sinks.RetryingSink` backoff and the
-scheduler's task retries): each is drawn uniformly from
-``[cooldown_base, 3 * previous]``, capped at ``cooldown_max``.  Many
-breakers opened by one incident therefore probe at decorrelated times
-instead of hammering the dependency in lockstep.  The draw uses a
+:class:`~repro.resilience.sinks.RetryingSink` backoff): each is drawn
+uniformly from ``[cooldown_base, 3 * previous]``, capped at
+``cooldown_max``.  Many breakers opened by one incident therefore probe
+at decorrelated times instead of hammering the dependency in lockstep.  The draw uses a
 private ``random.Random(seed)`` — breaker timing never touches global
 randomness, so seeded runs stay reproducible.
 
@@ -42,7 +41,7 @@ class CircuitBreaker:
     """Failure-counting circuit with decorrelated-jitter probe cooldowns.
 
     The object is duck-type compatible with the hooks
-    :class:`~repro.parallel.scheduler.WorkScheduler` accepts: it exposes
+    :func:`~repro.parallel.parallel_join` calls: it exposes
     ``allow()``, ``record_success()``, ``record_failure()``,
     ``retry_after()`` and ``state``.
 
@@ -103,8 +102,8 @@ class CircuitBreaker:
         health check — it refuses an open circuit (and still drives the
         open → half-open transition once the cooldown expires) but never
         burns a probe slot; use it when the caller already holds the
-        probe for this piece of work (the scheduler's entry gate under
-        the serving layer).
+        probe for this piece of work (``parallel_join``'s entry gate
+        under the serving layer).
         """
         with self._lock:
             return self._admit(consume)[0]

@@ -12,9 +12,9 @@ mechanisms compose:
 * **End-to-end deadlines** — a request's deadline is armed as an
   *absolute* timestamp at admission (queue wait spends it) and
   propagates down: it becomes the run's
-  :class:`~repro.resilience.budget.Budget`, caps the pool's per-task
-  timeouts, reaches the workers through the shared budget counters so
-  they refuse expired tasks, and trims
+  :class:`~repro.resilience.budget.Budget`, which a pool worker
+  inherits and checks itself, caps the time the parent gives that
+  worker before killing it, and trims
   :class:`~repro.resilience.sinks.RetryingSink` backoff sleeps.  Expiry
   cancels in-flight work cooperatively.
 * **Circuit breakers** — one :class:`~repro.service.breaker.CircuitBreaker`
@@ -49,11 +49,11 @@ from repro.errors import (
     AdmissionRejectedError,
     BudgetExceededError,
     CircuitOpenError,
+    InvalidInputError,
     ReproError,
     SinkIOError,
     WorkerPoolError,
     validate_eps,
-    validate_execution,
     validate_points,
 )
 from repro.geometry.metrics import get_metric
@@ -149,9 +149,12 @@ class ServiceConfig:
     executors: int = 1
     #: Default per-request deadline (seconds); ``None`` = no deadline.
     default_deadline: Optional[float] = None
-    #: Worker processes per request (1 = serial in the executor thread).
+    #: 0 or 1 runs a miss in the executor thread; any value above 1 runs
+    #: each miss whole in its own forked worker, so at most ``executors``
+    #: workers run at once.
     workers: int = 1
-    #: Per-task timeout for parallel requests (capped at deadline slack).
+    #: Seconds a pool worker gets per attempt before it is killed and
+    #: the miss retried (capped at the deadline slack); ``None`` = no cap.
     task_timeout: Optional[float] = None
     #: Queue occupancy in [0, 1] where requests get estimator answers.
     degrade_threshold: float = 0.75
@@ -175,7 +178,12 @@ class ServiceConfig:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.executors < 1:
             raise ValueError(f"executors must be >= 1, got {self.executors}")
-        validate_execution(self.workers, self.task_timeout)
+        if self.workers < 0:
+            raise InvalidInputError(f"workers must be >= 0, got {self.workers}")
+        if self.task_timeout is not None and not self.task_timeout > 0:
+            raise InvalidInputError(
+                f"task_timeout must be positive, got {self.task_timeout}"
+            )
         if not 0.0 <= self.degrade_threshold <= 1.0:
             raise ValueError(
                 f"need 0 <= degrade_threshold <= 1, got {self.degrade_threshold}"
@@ -424,8 +432,8 @@ class JoinService:
             if self.chaos is not None:
                 self.chaos.before_execute(request.request_id)
             result = self._run_join(request, budget)
-            # Serial runs have no scheduler hook; report pool health here
-            # so a half-open circuit can close again.
+            # Serial runs never touch the breaker; report pool health
+            # here so a half-open circuit can close again.
             self.pool_breaker.record_success()
         except BudgetExceededError as exc:
             # Admitted but over budget (deadline or bytes): degrade.
@@ -545,7 +553,6 @@ class JoinService:
                 request.eps,
                 algorithm=request.algorithm,
                 g=request.g,
-                workers=self.config.workers,
                 index=index,
                 metric=request.metric,
                 budget=budget,

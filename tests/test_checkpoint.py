@@ -312,7 +312,7 @@ class TestCountersEqualSerial:
         resumed = CheckpointedJoin(
             pts, 0.06, str(ck), cadence=1, **settings
         ).run(resume=True)
-        pool = parallel_join(pts, 0.06, workers=2, **settings)
+        pool = parallel_join(pts, 0.06, **settings)
         assert filecmp.cmp(str(direct), str(ck), shallow=False)
         for run in (fresh, resumed, pool):
             assert _int_stats(run.stats) == serial

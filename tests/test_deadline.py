@@ -2,14 +2,14 @@
 
 A request deadline is armed once, as an absolute
 ``time.monotonic()`` timestamp, and must bind every layer underneath:
-the :class:`~repro.resilience.budget.Budget` composition, the
-shared-memory deadline worker processes poll, pool task timeouts, and
-kill-and-resume through :class:`~repro.resilience.checkpoint.CheckpointedJoin`.
+the :class:`~repro.resilience.budget.Budget` composition, the budget a
+forked pool worker inherits and checks, the parent's kill of that
+worker, and kill-and-resume through
+:class:`~repro.resilience.checkpoint.CheckpointedJoin`.
 Nothing — not :meth:`Budget.start`, not a resume, not a retry — may
 extend an armed deadline.
 """
 
-import filecmp
 import multiprocessing
 import pickle
 import time
@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from repro.api import similarity_join
-from repro.core.results import TextSink
 from repro.errors import BudgetExceededError
-from repro.io.writer import width_for
+from repro.obs.metrics import reset_registry
 from repro.parallel import parallel_join
-from repro.parallel.shared import SharedCounters
 from repro.resilience.budget import Budget
+from repro.resilience.chaos import FlakyWorker
 from repro.resilience.checkpoint import CheckpointedJoin
+from repro.service import CircuitBreaker
 from repro.stats.counters import JoinStats
 
 
@@ -107,47 +107,39 @@ class TestPicklePropagation:
         assert abs(clone.remaining_seconds() - budget.remaining_seconds()) < 0.1
 
 
-class TestSharedCounters:
-    def test_start_publishes_armed_absolute_deadline(self):
-        ctx = multiprocessing.get_context()
-        budget = Budget(deadline_seconds=100.0)
-        budget.arm_deadline(0.0)  # already expired
-        shared = SharedCounters.from_budget(ctx, budget)
-        assert shared is not None
-        shared.start()
-        # The armed (tighter) deadline wins over now + 100s.
-        assert shared.breached() == "deadline"
-
-    def test_relative_deadline_wins_when_tighter(self):
-        ctx = multiprocessing.get_context()
-        budget = Budget(deadline_seconds=0.0)
-        budget.deadline_at = time.monotonic() + 100.0
-        shared = SharedCounters(ctx, budget)
-        shared.start()
-        time.sleep(0.001)
-        assert shared.breached() == "deadline"
-
-    def test_no_deadline_never_breaches(self):
-        ctx = multiprocessing.get_context()
-        shared = SharedCounters(ctx, Budget(max_output_bytes=10))
-        shared.start()
-        assert shared.breached() is None
-
-
 class TestParallelBinding:
     def test_armed_deadline_binds_worker_tasks(self, pts):
-        # The deadline expired before the pool even spawned: the run
-        # must stop at a cooperative check with the partial attached,
-        # not run to completion.
+        # The deadline expired before the call: the run must stop with
+        # the (empty, valid) partial attached, not run to completion.
         budget = Budget(check_every=1)
         budget.arm_deadline(0.0)
         with pytest.raises(BudgetExceededError) as info:
-            parallel_join(pts, 0.06, algorithm="csj", g=10, workers=2,
+            parallel_join(pts, 0.06, algorithm="csj", g=10,
                           budget=budget, task_timeout=30.0)
         assert info.value.kind == "deadline"
         assert info.value.partial is not None
 
-    def test_relative_deadline_restarts_at_pool_run_start(self, tmp_path):
+    def test_hung_worker_killed_at_armed_deadline(self, pts):
+        # The parent kills the worker when the deadline comes due; that
+        # kill enforces the deadline, so it is a breach, not a retry,
+        # and not a pool failure for the breaker.
+        registry = reset_registry()
+        breaker = CircuitBreaker("worker-pool", failure_threshold=1)
+        budget = Budget(check_every=1).arm_deadline(0.3)
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError) as info:
+            parallel_join(pts, 0.06, budget=budget, breaker=breaker,
+                          fault=FlakyWorker(hang_at={0, 1}, hang_seconds=60.0))
+        assert time.monotonic() - started < 5.0
+        assert info.value.kind == "deadline"
+        assert info.value.partial.links == info.value.partial.groups == []
+        snap = registry.snapshot()
+        assert snap["repro_pool_spawns_total"] == 1
+        assert snap["repro_pool_kills_total"] == 1
+        assert breaker.state == "closed"
+        assert multiprocessing.active_children() == []
+
+    def test_relative_deadline_restarts_at_pool_run_start(self):
         # A deterministic stand-in for a slow index build: the budget's
         # relative clock ran out before the join began.  Serial and pool
         # runs both restart it at run start, so both must finish.
@@ -156,23 +148,17 @@ class TestParallelBinding:
             Budget(deadline_seconds=1.0, check_every=1).start() for _ in range(2)
         )
         time.sleep(1.1)
-        pooled = TextSink(str(tmp_path / "pool.txt"), id_width=width_for(300))
-        parallel_join(pts, 0.06, algorithm="csj", g=10, workers=2,
-                      sink=pooled, budget=pool_budget)
-        pooled.close()
-        serial = TextSink(str(tmp_path / "serial.txt"), id_width=width_for(300))
-        similarity_join(pts, 0.06, algorithm="csj", g=10, sink=serial,
-                        budget=serial_budget)
-        serial.close()
-        assert filecmp.cmp(str(tmp_path / "serial.txt"),
-                           str(tmp_path / "pool.txt"), shallow=False)
+        pooled = parallel_join(pts, 0.06, algorithm="csj", g=10,
+                               budget=pool_budget)
+        serial = similarity_join(pts, 0.06, algorithm="csj", g=10,
+                                 budget=serial_budget)
+        assert (pooled.links, pooled.groups) == (serial.links, serial.groups)
 
     def test_generous_deadline_does_not_perturb_output(self, pts):
         budget = Budget(check_every=1)
         budget.arm_deadline(300.0)
-        bounded = parallel_join(pts, 0.06, algorithm="csj", g=10,
-                                workers=2, budget=budget)
-        free = parallel_join(pts, 0.06, algorithm="csj", g=10, workers=2)
+        bounded = parallel_join(pts, 0.06, algorithm="csj", g=10, budget=budget)
+        free = parallel_join(pts, 0.06, algorithm="csj", g=10)
         assert bounded.links == free.links
         assert bounded.stats.bytes_written == free.stats.bytes_written
 

@@ -19,6 +19,7 @@ from repro.experiments import (
 from repro.experiments import ablations, estimate, exp4, fig5, fig6, fig7, fig8
 from repro.experiments.runner import scaled
 from repro.experiments.tables import format_rows
+from repro.parallel import parallel_join
 
 
 @pytest.fixture
@@ -99,16 +100,16 @@ class TestRunAlgorithm:
     @pytest.mark.parametrize("algorithm", ["ssj", "ncsj", "csj"])
     def test_pool_run_joins_the_given_tree(self, clustered_2d, algorithm):
         # The tree's recipe (Manhattan, fanout 8) is not the config's, so
-        # only a pool run over this very tree matches the serial row.
+        # only joins over this very tree match: the runner's serial row
+        # and a pool run handed the tree.
         tree = build_index(clustered_2d, "rstar", metric="manhattan",
                            max_entries=8, bulk="str")
         keys = ("algorithm", "g", "index", "links", "groups", "output_bytes",
                 "distance_computations", "early_stops")
-        serial, pooled = (
-            run_algorithm(algorithm, tree, 0.05, g=10,
-                          config=ExperimentConfig(iterations=1, workers=workers))
-            for workers in (None, 2)
-        )
+        serial = run_algorithm(algorithm, tree, 0.05, g=10,
+                               config=ExperimentConfig(iterations=1))
+        pooled = parallel_join(tree.points, 0.05, algorithm=algorithm, g=10,
+                               index=tree).summary()
         assert {k: pooled[k] for k in keys} == {k: serial[k] for k in keys}
 
 

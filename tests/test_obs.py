@@ -411,28 +411,29 @@ class TestProgressHeartbeat:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end CLI smoke: serial vs parallel, artifacts parseable
+# End-to-end smoke: serial CLI run vs one served pool miss, artifacts parseable
 # ---------------------------------------------------------------------------
 
+COUNTERS = (
+    "links_emitted", "groups_emitted", "bytes_written",
+    "early_stops", "distance_computations",
+)
+
+
 class TestCliSmoke:
-    def _run(self, tmp_path, workers, capsys):
+    def _cli_run(self, tmp_path, pts, capsys):
         from repro.cli import main
 
-        tag = f"w{workers}"
-        pts = tmp_path / "pts.txt"
-        if not pts.exists():
-            np.savetxt(pts, np.random.default_rng(7).random((250, 2)))
-        metrics = tmp_path / f"{tag}.metrics.json"
-        trace = tmp_path / f"{tag}.trace.jsonl"
-        out = tmp_path / f"{tag}.out.txt"
+        np.savetxt(tmp_path / "pts.txt", pts)
+        metrics = tmp_path / "w1.metrics.json"
+        trace = tmp_path / "w1.trace.jsonl"
+        out = tmp_path / "w1.out.txt"
         argv = [
-            "join", "--input", str(pts), "--eps", "0.08",
+            "join", "--input", str(tmp_path / "pts.txt"), "--eps", "0.08",
             "--algorithm", "csj", "--output", str(out),
             "--log-json", "--trace", str(trace),
             "--metrics-out", str(metrics),
         ]
-        if workers > 1:
-            argv += ["--workers", str(workers)]
         assert main(argv) == 0
         err = capsys.readouterr().err
         log_records = [json.loads(ln) for ln in err.splitlines() if ln.strip()]
@@ -440,45 +441,75 @@ class TestCliSmoke:
             json.loads(ln) for ln in trace.read_text().splitlines()
         ]
         snapshot = json.loads(metrics.read_text())
-        return out.read_bytes(), log_records, trace_records, snapshot
+        return out, log_records, trace_records, snapshot
+
+    def _served_miss(self, tmp_path, pts):
+        from repro.api import open_service
+        from repro.service import JoinRequest
+
+        trace = tmp_path / "w2.trace.jsonl"
+        registry = reset_registry()
+        configure_tracing(str(trace))
+        try:
+            with open_service(workers=2) as svc:
+                outcome = svc.submit(
+                    JoinRequest(pts, 0.08, algorithm="csj")
+                ).wait(60.0)
+        finally:
+            disable_tracing()
+        assert outcome.status == "admitted"
+        trace_records = [
+            json.loads(ln) for ln in trace.read_text().splitlines()
+        ]
+        return outcome.result, trace_records, registry.snapshot()
 
     def test_artifacts_parse_and_agree_across_worker_counts(
         self, tmp_path, capsys
     ):
-        out1, logs1, trace1, snap1 = self._run(tmp_path, 1, capsys)
-        out2, logs2, trace2, snap2 = self._run(tmp_path, 2, capsys)
+        from repro.core.results import TextSink
+        from repro.io.writer import read_output, width_for
+
+        pts = np.random.default_rng(7).random((250, 2))
+        out, logs1, trace1, snap1 = self._cli_run(tmp_path, pts, capsys)
+        result, trace2, snap2 = self._served_miss(tmp_path, pts)
 
         # Every artifact is non-empty and parsed already (json.loads above).
         assert logs1 and trace1 and snap1
-        assert logs2 and trace2 and snap2
+        assert trace2 and snap2
 
-        # Output bytes are identical between worker counts.
-        assert out1 == out2
+        # The served payload is the serial file's: the same lines in the
+        # same order per kind, and the same bytes through a TextSink.
+        payload = (result.links, result.groups, result.group_pairs)
+        assert read_output(str(out)) == payload
+        rendered = tmp_path / "w2.out.txt"
+        sink = TextSink(str(rendered), id_width=width_for(len(pts)))
+        for ids in result.groups:
+            sink.write_group(ids)
+        for i, j in result.links:
+            sink.write_link(i, j)
+        sink.close()
+        assert sorted(rendered.read_bytes().splitlines()) == sorted(
+            out.read_bytes().splitlines()
+        )
+        assert out.stat().st_size == result.stats.bytes_written
 
         # The run summary matches the exported metrics, which match the
         # final JoinStats for every machine-independent counter.
-        for logs, snap in ((logs1, snap1), (logs2, snap2)):
-            summary = [r for r in logs if r["event"] == "run summary"]
-            assert len(summary) == 1
-            s = summary[0]
-            for field in (
-                "links_emitted", "groups_emitted", "bytes_written",
-                "early_stops", "distance_computations",
-            ):
-                assert snap[f"repro_join_{field}_total"] == s[field], field
+        summary = [r for r in logs1 if r["event"] == "run summary"]
+        assert len(summary) == 1
+        for field in COUNTERS:
+            assert snap1[f"repro_join_{field}_total"] == summary[0][field], field
 
-        # And the deterministic counters agree across worker counts.
-        for name in (
-            "repro_join_links_emitted_total",
-            "repro_join_groups_emitted_total",
-            "repro_join_bytes_written_total",
-            "repro_join_distance_computations_total",
-        ):
+        # And the deterministic counters agree between the two runs.
+        for field in COUNTERS:
+            name = f"repro_join_{field}_total"
             assert snap1[name] == snap2[name], name
 
-        # Parallel runs additionally report pool health.
-        assert snap2["repro_pool_spawns_total"] >= 2
+        # The served miss ran in exactly one forked worker, over one
+        # state built in the parent.
+        assert snap2["repro_pool_spawns_total"] == 1
+        assert snap2["repro_taskstate_rebuilds_total"] == 1
 
-        # Trace files carry the expected phases.
+        # Trace files carry the expected phases; workers write none.
         assert any(r["name"] == "descend" for r in trace1)
-        assert any(r["name"] == "csj-merge" for r in trace2)
+        assert [r["name"] for r in trace2] == ["worker-spawn"]
