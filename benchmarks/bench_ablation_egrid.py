@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import similarity_join
 from repro.core.csj import csj
-from repro.core.egrid import egrid_join
 from repro.core.results import CountingSink
 from repro.io.writer import width_for
 
@@ -21,14 +21,19 @@ EPS_GRID = [0.05, 0.125]
 @pytest.mark.parametrize("eps", EPS_GRID, ids=lambda e: f"eps={e:g}")
 def test_ablation_egrid_plain(benchmark, run_once, sierpinski_points, eps):
     sink = CountingSink(id_width=width_for(len(sierpinski_points)))
-    result = run_once(egrid_join, sierpinski_points, eps, False, 10, sink)
+    result = run_once(
+        similarity_join, sierpinski_points, eps, algorithm="egrid", sink=sink
+    )
     benchmark.extra_info.update(eps=eps, output_bytes=result.output_bytes)
 
 
 @pytest.mark.parametrize("eps", EPS_GRID, ids=lambda e: f"eps={e:g}")
 def test_ablation_egrid_compact(benchmark, run_once, sierpinski_points, eps):
     sink = CountingSink(id_width=width_for(len(sierpinski_points)))
-    result = run_once(egrid_join, sierpinski_points, eps, True, 10, sink)
+    result = run_once(
+        similarity_join, sierpinski_points, eps, algorithm="egrid-csj", g=10,
+        sink=sink,
+    )
     benchmark.extra_info.update(
         eps=eps,
         output_bytes=result.output_bytes,
@@ -50,12 +55,12 @@ def test_ablation_egrid_shape(benchmark, run_once, sierpinski_points):
     eps = 0.125
 
     def sweep():
-        plain = egrid_join(
-            sierpinski_points, eps, compact=False,
+        plain = similarity_join(
+            sierpinski_points, eps, algorithm="egrid",
             sink=CountingSink(id_width=width),
         ).output_bytes
-        compact = egrid_join(
-            sierpinski_points, eps, compact=True, g=10,
+        compact = similarity_join(
+            sierpinski_points, eps, algorithm="egrid-csj", g=10,
             sink=CountingSink(id_width=width),
         ).output_bytes
         return plain, compact

@@ -223,7 +223,7 @@ def _scenario_overload(args, pts, reference, recovered):
     from repro.service import JoinRequest, JoinService, ServiceConfig
 
     chaos = OverloadInjector(args.seed, slow_every=3, slow_seconds=0.03,
-                             fail_at=(0,), failure="pool")
+                             fail_at=(0,))
     config = ServiceConfig(queue_depth=3, default_deadline=5.0,
                            breaker_threshold=1, breaker_cooldown_base=0.02,
                            breaker_cooldown_max=0.1, seed=args.seed)

@@ -195,7 +195,7 @@ def run_breaker_round_trip(args, report):
     """Injected pool failures must open, shed typed, then heal."""
     reset_registry()
     pts = np.random.default_rng(args.seed).random((args.n, 2))
-    chaos = OverloadInjector(seed=args.seed, fail_at=(0, 1), failure="pool")
+    chaos = OverloadInjector(seed=args.seed, fail_at=(0, 1))
     config = ServiceConfig(
         queue_depth=args.queue_depth,
         executors=1,

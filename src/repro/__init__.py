@@ -46,14 +46,12 @@ from repro.core import (
     connected_components,
     count_links,
     csj,
-    egrid_join,
     expand_result,
     find_outliers,
     group_size_profile,
     make_sink,
     metric_similarity_join,
     ncsj,
-    pbsm_join,
     rank_by_isolation,
     spatial_hash_join,
     spatial_join,
@@ -135,8 +133,6 @@ __all__ = [
     "csj",
     "spatial_join",
     "compact_spatial_join",
-    "egrid_join",
-    "pbsm_join",
     "spatial_hash_join",
     "metric_similarity_join",
     "brute_force_links",

@@ -21,16 +21,13 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from repro.core.csj import csj as _csj
-from repro.core.csj import ncsj as _ncsj
 from repro.core.dual import compact_spatial_join, spatial_join
-from repro.core.egrid import egrid_join
-from repro.core.metricspace import check_object_metric
-from repro.core.partitioned import pbsm_join
 from repro.core.results import JoinResult, JoinSink
 from repro.core.ssj import ssj as _ssj
-from repro.errors import InvalidInputError, validate_eps, validate_points
+from repro.errors import validate_points
 from repro.index import SpatialIndex, bulk_load, get_index_class
 from repro.obs.logging import get_logger
+from repro.parallel.tasks import FAMILIES, JoinSpec
 
 if TYPE_CHECKING:
     from repro.resilience.budget import Budget
@@ -45,7 +42,7 @@ __all__ = [
 
 logger = get_logger("api")
 
-ALGORITHMS = ("ssj", "ncsj", "csj", "egrid", "egrid-csj", "pbsm", "pbsm-csj")
+ALGORITHMS = tuple(FAMILIES)
 
 
 def build_index(
@@ -101,10 +98,15 @@ def similarity_join(
       join, plain or compact.
 
     Tree algorithms build the index named by ``index`` (bulk-loaded with
-    ``bulk`` by default); pass a prebuilt index to amortise that cost.
+    ``bulk`` by default) and walk it lazily; pass a prebuilt index to
+    amortise that cost.  Grid and PBSM algorithms list their work units
+    and run them as pool workers do
+    (:meth:`~repro.parallel.tasks.TaskState.run`).
 
-    Inputs are validated here — empty, non-2-D or non-finite point arrays
-    and non-positive ranges raise
+    The arguments are validated by
+    :class:`~repro.parallel.tasks.JoinSpec`, as on every entry point: an
+    unknown algorithm, empty, non-2-D or non-finite point arrays, a
+    non-positive range or a negative ``g`` raise
     :class:`~repro.errors.InvalidInputError` before any tree code runs.
     ``budget`` bounds the run cooperatively; see
     :class:`~repro.resilience.budget.Budget`.
@@ -121,47 +123,33 @@ def similarity_join(
     :func:`~repro.core.metricspace.metric_similarity_join` builds the
     M-tree over arbitrary objects and runs this join on it.
     """
-    algorithm = algorithm.lower()
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-    points = validate_points(points)
-    eps = validate_eps(eps)
-    if g < 0:
-        raise InvalidInputError(f"window size g must be >= 0, got {g}")
-    check_object_metric(
-        index.metric if isinstance(index, SpatialIndex) else metric, algorithm, index
+    spec = JoinSpec(
+        points=points,
+        eps=eps,
+        algorithm=algorithm,
+        g=g,
+        index=index,
+        max_entries=max_entries,
+        bulk=bulk,
+        metric=metric,
     )
     logger.debug(
         "similarity join starting",
         extra={
-            "algorithm": algorithm,
-            "points": int(points.shape[0]),
-            "eps": eps,
-            "g": g,
+            "algorithm": spec.algorithm,
+            "points": int(spec.points.shape[0]),
+            "eps": spec.eps,
+            "g": spec.g,
         },
     )
-    if algorithm == "egrid":
-        return egrid_join(
-            points, eps, compact=False, sink=sink, metric=metric, budget=budget
-        )
-    if algorithm == "egrid-csj":
-        return egrid_join(
-            points, eps, compact=True, g=g, sink=sink, metric=metric, budget=budget
-        )
-    if algorithm == "pbsm":
-        return pbsm_join(
-            points, eps, compact=False, sink=sink, metric=metric, budget=budget
-        )
-    if algorithm == "pbsm-csj":
-        return pbsm_join(
-            points, eps, compact=True, g=g, sink=sink, metric=metric, budget=budget
-        )
-    tree = build_index(points, index, metric=metric, max_entries=max_entries, bulk=bulk)
-    if algorithm == "ssj":
-        return _ssj(tree, eps, sink=sink, budget=budget)
-    if algorithm == "ncsj":
-        return _ncsj(tree, eps, sink=sink, budget=budget)
-    return _csj(tree, eps, g=g, sink=sink, budget=budget)
+    if spec.family != "tree":
+        return spec.build_state().run(budget, sink)
+    tree = build_index(
+        spec.points, index, metric=metric, max_entries=max_entries, bulk=bulk
+    )
+    if spec.algorithm == "ssj":
+        return _ssj(tree, spec.eps, sink=sink, budget=budget)
+    return _csj(tree, spec.eps, g=spec.g, sink=sink, budget=budget)
 
 
 def maintained_join(

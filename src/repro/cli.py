@@ -50,6 +50,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
+    from repro.parallel.tasks import FAMILIES
+
     parser = argparse.ArgumentParser(
         prog="csj",
         description="Compact Similarity Joins (ICDE 2008) reproduction",
@@ -66,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--algorithm",
         default="csj",
-        choices=["ssj", "ncsj", "csj", "egrid", "egrid-csj", "pbsm", "pbsm-csj"],
+        choices=list(FAMILIES),
     )
     join.add_argument("-g", type=int, default=10, help="CSJ merge window")
     join.add_argument("--index", default="rstar", choices=["rtree", "rstar", "mtree"])
@@ -157,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--algorithm",
         default="csj",
-        choices=["ssj", "ncsj", "csj", "egrid", "egrid-csj", "pbsm", "pbsm-csj"],
+        choices=list(FAMILIES),
     )
     serve.add_argument("-g", type=int, default=10, help="CSJ merge window")
     serve.add_argument(

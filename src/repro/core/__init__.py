@@ -6,9 +6,13 @@ Entry points:
 * :func:`repro.core.csj.ncsj` / :func:`repro.core.csj.csj` — the compact
   joins (Sections IV-B and IV-C);
 * :func:`repro.core.dual.spatial_join` /
-  :func:`repro.core.dual.compact_spatial_join` — two-dataset joins;
-* :func:`repro.core.egrid.egrid_join` — the index-free epsilon-grid-order
-  join with the Section VII compact extension;
+  :func:`repro.core.dual.compact_spatial_join` — two-dataset joins, and
+  :func:`repro.core.partitioned.spatial_hash_join`, their index-free twin;
+* :mod:`repro.core.egrid` / :mod:`repro.core.partitioned` — the work
+  units of the index-free epsilon-grid-order join (with the Section VII
+  compact extension) and of PBSM, which
+  :func:`repro.api.similarity_join` runs as ``algorithm="egrid"``,
+  ``"egrid-csj"``, ``"pbsm"`` or ``"pbsm-csj"``;
 * :func:`repro.core.verify.check_equivalence` — executable Theorems 1 & 2;
 * :mod:`repro.core.outliers` — small-group outlier mining.
 """
@@ -17,7 +21,6 @@ from repro.core.bruteforce import brute_force_cross_links, brute_force_links, co
 from repro.core.clusters import UnionFind, component_sizes, connected_components
 from repro.core.csj import csj, ncsj
 from repro.core.dual import compact_spatial_join, spatial_join
-from repro.core.egrid import egrid_join
 from repro.core.groups import Group, GroupBuffer
 from repro.core.metricspace import (
     ObjectMetric,
@@ -26,7 +29,7 @@ from repro.core.metricspace import (
     metric_similarity_join,
 )
 from repro.core.outliers import find_outliers, group_size_profile, rank_by_isolation
-from repro.core.partitioned import pbsm_join, spatial_hash_join
+from repro.core.partitioned import spatial_hash_join
 from repro.core.results import (
     CallbackSink,
     CollectSink,
@@ -45,8 +48,6 @@ __all__ = [
     "csj",
     "spatial_join",
     "compact_spatial_join",
-    "egrid_join",
-    "pbsm_join",
     "spatial_hash_join",
     "brute_force_links",
     "brute_force_cross_links",

@@ -25,10 +25,10 @@ and evaluates each window of two or more units in one padded gather
 (:class:`~repro.core.metricspace.ObjectMetric`) early-stopped groups are
 balls, :func:`make_window` picks the ball merge window, and every unit
 runs on its own; the walk is the same.  The loop is :func:`run_batches`,
-which the grid and PBSM joins,
+which :meth:`~repro.parallel.tasks.TaskState.run` (serial grid and PBSM
+joins, pool workers) and
 :class:`~repro.resilience.checkpoint.CheckpointedJoin` (checkpointing
-from its after-batch hook) and pool workers
-(:meth:`~repro.parallel.tasks.TaskState.run`) run too.
+from its after-batch hook) run too.
 
 Theorem 1 (completeness — every qualifying pair is implied by the output)
 and Theorem 2 (correctness — no non-qualifying pair is implied) hold by
@@ -489,7 +489,6 @@ def csj(
     sink: Optional[JoinSink] = None,
     pager: Optional[NodePager] = None,
     budget: Optional["Budget"] = None,
-    _algorithm_label: Optional[str] = None,
 ) -> JoinResult:
     """Run the compact similarity join CSJ(g) on ``tree``.
 
@@ -511,7 +510,7 @@ def csj(
         raise ValueError(f"window size g must be >= 0, got {g}")
     if sink is None:
         sink = CollectSink(id_width=width_for(tree.size))
-    label = _algorithm_label or (f"csj({g})" if g else "ncsj")
+    label = f"csj({g})" if g else "ncsj"
     return tree_join(tree, eps, int(g), True, sink, pager, budget, label)
 
 
@@ -527,7 +526,4 @@ def ncsj(
     Early stopping on tree nodes only; links that cross nodes are written
     individually, exactly like SSJ (Section IV-B).
     """
-    return csj(
-        tree, eps, g=0, sink=sink, pager=pager, budget=budget,
-        _algorithm_label="ncsj",
-    )
+    return csj(tree, eps, g=0, sink=sink, pager=pager, budget=budget)

@@ -31,7 +31,7 @@ from repro.index.base import SpatialIndex
 from repro.index.packed import pack_index
 from repro.io.writer import width_for
 
-__all__ = ["spatial_join", "compact_spatial_join"]
+__all__ = ["spatial_join", "compact_spatial_join", "PairWindow"]
 
 
 def spatial_join(
@@ -99,7 +99,7 @@ def _dual_join(tree_a, tree_b, eps, sink, g, label) -> JoinResult:
     mark = sink.stats.clock()
     if packed_a is not None and packed_b is not None:
         runner.run(packed_a, packed_b)
-    runner.flush()
+    runner.window.flush()
     sink.stats.charge_compute(mark)
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g, index_name=type(tree_a).name
@@ -118,6 +118,61 @@ class _PairGroup:
         self.hi = hi
 
 
+class PairWindow:
+    """The pair-group merge window of the compact spatial joins.
+
+    mergeIntoPrevGroup for cross links: :meth:`add_link` merges a link
+    into the most recent of the last ``g`` pair groups whose joint bounds
+    stay below the range with it, or opens a new group.  A group pushed
+    out of the window, or left in it at :meth:`flush`, is written as one
+    group pair, or as a plain link when it holds one point per side.
+    The dual-tree join and the spatial hash join both write through it.
+    """
+
+    def __init__(self, g: int, eps: float, sink: JoinSink, metric):
+        self.g = int(g)
+        self.eps = float(eps)
+        self.sink = sink
+        self.stats = sink.stats
+        self.norm_seq = metric.norm_seq
+        self._window: deque[_PairGroup] = deque()
+
+    def add_link(self, i: int, j: int, p_i, p_j) -> None:
+        """Offer the cross link ``(i, j)`` (``p_*`` are plain lists)."""
+        pair_lo = [a if a < b else b for a, b in zip(p_i, p_j)]
+        pair_hi = [b if a < b else a for a, b in zip(p_i, p_j)]
+        for group in reversed(self._window):
+            self.stats.merge_attempts += 1
+            self.stats.mbr_checks += 1
+            lo = [g if g < p else p for g, p in zip(group.lo, pair_lo)]
+            hi = [g if g > p else p for g, p in zip(group.hi, pair_hi)]
+            if self.norm_seq([h - l for l, h in zip(lo, hi)]) < self.eps:
+                group.lo = lo
+                group.hi = hi
+                group.ids_a.add(i)
+                group.ids_b.add(j)
+                self.stats.merge_successes += 1
+                return
+        self.push(_PairGroup({i}, {j}, pair_lo, pair_hi))
+
+    def push(self, group: _PairGroup) -> None:
+        """Append ``group``, writing the oldest one past the window."""
+        self._window.append(group)
+        if len(self._window) > self.g:
+            self.write(self._window.popleft())
+
+    def write(self, group: _PairGroup) -> None:
+        if len(group.ids_a) == 1 and len(group.ids_b) == 1:
+            (i,), (j,) = group.ids_a, group.ids_b
+            self.sink.write_link_raw(i, j)
+            return
+        self.sink.write_group_pair(group.ids_a, group.ids_b)
+
+    def flush(self) -> None:
+        while self._window:
+            self.write(self._window.popleft())
+
+
 class _DualRunner:
     """Output side of one (compact) spatial join: leaf joins and the
     pair-group window, fed by the traversal's pair form."""
@@ -131,7 +186,7 @@ class _DualRunner:
         self.g = int(g) if g else 0
         self.sink = sink
         self.stats = sink.stats
-        self._window: deque[_PairGroup] = deque()
+        self.window = PairWindow(self.g, self.eps, sink, self.metric)
 
     def run(self, pa, pb) -> None:
         """Execute every unit of the walk from the pair of the two roots."""
@@ -162,29 +217,7 @@ class _DualRunner:
         coords1 = pts1.tolist()
         coords2 = pts2.tolist()
         for r, c in zip(rows.tolist(), cols.tolist()):
-            self._emit_link(ids1[r], ids2[c], coords1[r], coords2[c])
-
-    # ------------------------------------------------------------------
-    # Output routing
-    # ------------------------------------------------------------------
-    def _emit_link(self, i: int, j: int, p_i, p_j) -> None:
-        """mergeIntoPrevGroup for cross links (``p_*`` are plain lists)."""
-        pair_lo = [a if a < b else b for a, b in zip(p_i, p_j)]
-        pair_hi = [b if a < b else a for a, b in zip(p_i, p_j)]
-        norm_seq = self.metric.norm_seq
-        for group in reversed(self._window):
-            self.stats.merge_attempts += 1
-            self.stats.mbr_checks += 1
-            lo = [g if g < p else p for g, p in zip(group.lo, pair_lo)]
-            hi = [g if g > p else p for g, p in zip(group.hi, pair_hi)]
-            if norm_seq([h - l for l, h in zip(lo, hi)]) < self.eps:
-                group.lo = lo
-                group.hi = hi
-                group.ids_a.add(i)
-                group.ids_b.add(j)
-                self.stats.merge_successes += 1
-                return
-        self._push_group(_PairGroup({i}, {j}, pair_lo, pair_hi))
+            self.window.add_link(ids1[r], ids2[c], coords1[r], coords2[c])
 
     def _emit_pair_group(self, pa, pb, a: int, b: int) -> None:
         ids_a = pa.subtree_entry_ids(a)
@@ -200,22 +233,6 @@ class _DualRunner:
             lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
         group = _PairGroup(set(ids_a.tolist()), set(ids_b.tolist()), lo, hi)
         if self.g > 0:
-            self._push_group(group)
+            self.window.push(group)
         else:
-            self._write_group(group)
-
-    def _push_group(self, group: _PairGroup) -> None:
-        self._window.append(group)
-        if len(self._window) > self.g:
-            self._write_group(self._window.popleft())
-
-    def _write_group(self, group: _PairGroup) -> None:
-        if len(group.ids_a) == 1 and len(group.ids_b) == 1:
-            (i,), (j,) = group.ids_a, group.ids_b
-            self.sink.write_link_raw(i, j)
-            return
-        self.sink.write_group_pair(group.ids_a, group.ids_b)
-
-    def flush(self) -> None:
-        while self._window:
-            self._write_group(self._window.popleft())
+            self.window.write(group)

@@ -8,7 +8,7 @@ joined with itself and with its lexicographically larger neighbours.
 
 Section VII notes that the compact idea carries over: "one need only
 modify the JoinBuffer function ... to add the early termination-as-a-group
-case".  That is what :func:`egrid_join` does when ``compact=True``:
+case".  That is what the compact grid join (``egrid-csj``) does:
 
 * a cell (or a cell pair) whose *actual point* MBR has a diagonal below
   the range is emitted as one group instead of being pair-enumerated, and
@@ -18,10 +18,14 @@ case".  That is what :func:`egrid_join` does when ``compact=True``:
 The join is one flat sequence of work units, :func:`grid_tasks`: each
 non-empty cell in epsilon grid order, then its pairs with its
 lexicographically larger neighbours.  :func:`grid_task_delta` runs one
-unit; :func:`egrid_join` runs the sequence through the serial join loop
-(:func:`repro.core.csj.run_batches`), and checkpointed runs and pool
-workers (:class:`~repro.parallel.tasks.TaskState`) run the same units
-from a list, so a journal can name a unit by its position.
+unit.  The join itself is ``similarity_join(algorithm="egrid")`` (or
+``"egrid-csj"``): :class:`~repro.parallel.tasks.TaskState` lists the
+units and runs them through the serial join loop
+(:func:`repro.core.csj.run_batches`), for serial, checkpointed and pool
+runs alike, so a journal can name a unit by its position.
+
+Any Minkowski metric is safe on the grid: ``distance < eps`` implies
+every coordinate difference is below ``eps``, hence neighbouring cells.
 
 Substitution note: the original operates out-of-core over a sorted stream;
 our in-memory hash-grid performs the identical cell-pair joins in the same
@@ -32,22 +36,12 @@ relevant to output compaction.
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.csj import run_batches, serial_join, unit_batches
-from repro.core.groups import GroupBuffer, link_events
-from repro.core.results import CollectSink, JoinResult, JoinSink
-from repro.geometry.metrics import Metric, get_metric
-from repro.io.writer import width_for
-from repro.obs.tracing import span as trace_span
+from repro.core.groups import link_events
 
-if TYPE_CHECKING:
-    from repro.resilience.budget import Budget
-
-__all__ = ["egrid_join", "grid_cells", "grid_tasks", "grid_task_delta"]
+__all__ = ["grid_cells", "grid_tasks", "grid_task_delta"]
 
 
 def grid_cells(points: np.ndarray, eps: float) -> dict[tuple[int, ...], np.ndarray]:
@@ -147,48 +141,3 @@ def grid_task_delta(
     events = link_events(ids_a, ids_b, pts_a, pts_b, rows, cols, compact)
     return events, (dc, checks, 0)
 
-
-def egrid_join(
-    points: np.ndarray,
-    eps: float,
-    compact: bool = False,
-    g: int = 10,
-    sink: Optional[JoinSink] = None,
-    metric: Optional[Metric] = None,
-    budget: Optional["Budget"] = None,
-) -> JoinResult:
-    """Similarity self-join via the epsilon grid order.
-
-    With ``compact=False`` this is the standard index-free join: all
-    qualifying pairs individually.  With ``compact=True`` the JoinBuffer
-    early-termination-as-a-group extension is active (``g`` as in CSJ).
-
-    The metric must not exceed the grid reach: any Minkowski metric is
-    safe because ``distance < eps`` implies every coordinate difference is
-    below ``eps``, hence neighbouring cells.
-    """
-    if eps <= 0:
-        raise ValueError(f"query range must be positive, got {eps}")
-    m = get_metric(metric)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if sink is None:
-        sink = CollectSink(id_width=width_for(len(pts)))
-    buffer = GroupBuffer(
-        g if compact else 0, eps, sink, metric=m, stats=sink.stats, dim=pts.shape[1]
-    )
-    label = (f"egrid-csj({g})" if g else "egrid-ncsj") if compact else "egrid"
-
-    def body():
-        with trace_span("grid", algorithm="egrid", points=len(pts)):
-            tasks = grid_tasks(pts, eps)
-        batches, execute = unit_batches(
-            tasks, partial(grid_task_delta, pts, m, eps, compact)
-        )
-        with trace_span("descend", algorithm="egrid", tasks=len(tasks)):
-            run_batches(batches, execute, sink, buffer, sink.stats, budget)
-
-    return serial_join(
-        body, sink, buffer, budget,
-        dict(eps=eps, algorithm=label, g=g if compact else None, index_name="egrid"),
-        "egrid",
-    )

@@ -15,34 +15,35 @@ the epsilon grid order:
 
 Both enumerate all links individually, so both suffer the output
 explosion; like Section VII's grid-order extension, each accepts the
-compact treatment here (``compact=True``): cells whose point MBR diagonal
-is below the range become groups, and residual links flow through the
-CSJ(g) merge window.
+compact treatment here.
+
+PBSM is a self-join: :func:`pbsm_plan` lists its partitions and
+:func:`partition_delta` runs one, and the join itself is
+``similarity_join(algorithm="pbsm")`` (or ``"pbsm-csj"``, whose residual
+links flow through the CSJ(g) merge window), which
+:class:`~repro.parallel.tasks.TaskState` runs through the serial join
+loop for serial, checkpointed and pool runs alike.  The spatial hash
+join, :func:`spatial_hash_join`, joins two datasets: its build side is
+bucketed by :func:`repro.core.egrid.grid_cells`, and with
+``compact=True`` its links flow through the dual-tree join's pair-group
+window (:class:`~repro.core.dual.PairWindow`).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.csj import run_batches, serial_join, unit_batches
-from repro.core.groups import GroupBuffer, link_events
+from repro.core.dual import PairWindow
+from repro.core.egrid import grid_cells
+from repro.core.groups import link_events
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.geometry.metrics import get_metric
 from repro.io.writer import width_for
-from repro.obs.tracing import span as trace_span
 
-if TYPE_CHECKING:
-    from repro.resilience.budget import Budget
-
-__all__ = ["pbsm_join", "spatial_hash_join", "pbsm_plan", "partition_delta"]
-
-
-def _partition_grid(pts: np.ndarray, cell: float) -> np.ndarray:
-    return np.floor(pts / cell).astype(np.int64)
+__all__ = ["spatial_hash_join", "pbsm_plan", "partition_delta"]
 
 
 def pbsm_plan(
@@ -53,7 +54,10 @@ def pbsm_plan(
     Returns ``(tasks, home_of)``.  Each unit is ``("part", key, ids)``, a
     partition key and its replicated member ids, in sorted key order —
     the canonical task order, independent of who executes the
-    partitions.  Requires at least one point.
+    partitions.  Requires at least one point.  ``partitions_per_axis``
+    defaults to a grid whose cells are several query ranges wide (the
+    PBSM regime: few, large partitions, unlike the epsilon grid order's
+    eps-sized cells); any count gives the same links.
     """
     n, dim = pts.shape
     if partitions_per_axis is None:
@@ -118,53 +122,6 @@ def partition_delta(
     return link_events(ids, ids, part_pts, part_pts, rows, cols, compact), (dc, 0, 0)
 
 
-def pbsm_join(
-    points: np.ndarray,
-    eps: float,
-    partitions_per_axis: Optional[int] = None,
-    compact: bool = False,
-    g: int = 10,
-    sink: Optional[JoinSink] = None,
-    metric: object = None,
-    budget: Optional["Budget"] = None,
-) -> JoinResult:
-    """PBSM similarity self-join with replication and reference-point
-    de-duplication.
-
-    ``partitions_per_axis`` defaults to a grid whose cells are several
-    query ranges wide (the PBSM regime: few, large partitions — unlike
-    the epsilon grid order's eps-sized cells).
-    """
-    if eps <= 0:
-        raise ValueError(f"query range must be positive, got {eps}")
-    m = get_metric(metric)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = pts.shape if pts.size else (0, 2)
-    if sink is None:
-        sink = CollectSink(id_width=width_for(n))
-    buffer = GroupBuffer(
-        g if compact else 0, eps, sink, metric=m, stats=sink.stats, dim=dim
-    )
-    label = (f"pbsm-csj({g})" if g else "pbsm-ncsj") if compact else "pbsm"
-
-    def body():
-        if n < 2:
-            return
-        with trace_span("plan", algorithm="pbsm", points=n):
-            tasks, home_of = pbsm_plan(pts, eps, partitions_per_axis)
-        batches, execute = unit_batches(
-            tasks, partial(partition_delta, pts, m, eps, compact, home_of)
-        )
-        with trace_span("descend", algorithm="pbsm", partitions=len(tasks)):
-            run_batches(batches, execute, sink, buffer, sink.stats, budget)
-
-    return serial_join(
-        body, sink, buffer, budget,
-        dict(eps=eps, algorithm=label, g=g if compact else None, index_name="pbsm"),
-        "pbsm",
-    )
-
-
 def spatial_hash_join(
     points_build: np.ndarray,
     points_probe: np.ndarray,
@@ -179,8 +136,9 @@ def spatial_hash_join(
     The build side is hashed into eps-sized grid buckets; every probe
     point is tested against the buckets its eps-ball touches, so each
     qualifying cross pair is found exactly once (probe-major order, no
-    replication de-dup needed).  ``compact=True`` produces group pairs
-    via the CSJ(g) window, like the dual-tree compact spatial join.
+    replication de-dup needed).  ``compact=True`` with ``g > 0``
+    produces group pairs through the compact dual-tree join's window,
+    :class:`~repro.core.dual.PairWindow`.
     """
     if eps <= 0:
         raise ValueError(f"query range must be positive, got {eps}")
@@ -192,43 +150,8 @@ def spatial_hash_join(
     stats = sink.stats
 
     mark = stats.clock()
-    buckets: dict[tuple[int, ...], np.ndarray] = {}
-    if len(build):
-        coords = np.floor(build / eps).astype(np.int64)
-        order = np.lexsort(coords.T[::-1])
-        start = 0
-        sorted_coords = coords[order]
-        for i in range(1, len(order) + 1):
-            if i == len(order) or not np.array_equal(
-                sorted_coords[i], sorted_coords[start]
-            ):
-                key = tuple(int(c) for c in sorted_coords[start])
-                buckets[key] = order[start:i]
-                start = i
-
-    window: list = []  # (ids_build set, ids_probe set, lo, hi)
-    norm_seq = m.norm_seq
-
-    def emit(i_build: int, j_probe: int, p_build, p_probe) -> None:
-        if compact and g > 0:
-            pair_lo = [a if a < b else b for a, b in zip(p_build, p_probe)]
-            pair_hi = [b if a < b else a for a, b in zip(p_build, p_probe)]
-            for group in reversed(window):
-                stats.merge_attempts += 1
-                lo = [x if x < y else y for x, y in zip(group[2], pair_lo)]
-                hi = [x if x > y else y for x, y in zip(group[3], pair_hi)]
-                stats.mbr_checks += 1
-                if norm_seq([h - l for l, h in zip(lo, hi)]) < eps:
-                    group[0].add(i_build)
-                    group[1].add(j_probe)
-                    group[2], group[3] = lo, hi
-                    stats.merge_successes += 1
-                    return
-            window.append([{i_build}, {j_probe}, pair_lo, pair_hi])
-            if len(window) > g:
-                _write_pair_group(window.pop(0), sink)
-            return
-        sink.write_link_raw(i_build, j_probe)
+    buckets = grid_cells(build, eps)
+    window = PairWindow(g, eps, sink, m) if compact and g > 0 else None
 
     if len(build) and len(probe):
         dim = probe.shape[1]
@@ -249,20 +172,14 @@ def spatial_hash_join(
                 stats.distance_computations += len(ids)
                 hits = ids[dists < eps]
                 for i in hits.tolist():
-                    emit(int(i), j, build[i].tolist(), p_list)
-    while window:
-        _write_pair_group(window.pop(0), sink)
+                    if window is None:
+                        sink.write_link_raw(i, j)
+                    else:
+                        window.add_link(i, j, build[i].tolist(), p_list)
+    if window is not None:
+        window.flush()
     stats.charge_compute(mark)
     label = (f"hash-csj({g})" if g else "hash-ncsj") if compact else "hash"
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g if compact else None, index_name="hash"
     )
-
-
-def _write_pair_group(group, sink: JoinSink) -> None:
-    ids_build, ids_probe = group[0], group[1]
-    if len(ids_build) == 1 and len(ids_probe) == 1:
-        (i,), (j,) = ids_build, ids_probe
-        sink.write_link_raw(i, j)
-        return
-    sink.write_group_pair(ids_build, ids_probe)

@@ -238,9 +238,9 @@ class AdmissionRejectedError(ReproError):
 class CircuitOpenError(ReproError):
     """A circuit breaker is open and the guarded component was not called.
 
-    ``component`` names the guarded dependency (``"worker-pool"``,
-    ``"sink"``); :attr:`retry_after` is the remaining cooldown before the
-    breaker will admit a half-open probe.  Failing fast here protects a
+    ``component`` names the guarded dependency (the serving layer's
+    ``"worker-pool"``); :attr:`retry_after` is the remaining cooldown
+    before the breaker will admit a half-open probe.  Failing fast here protects a
     struggling dependency from a retry storm.
     """
 

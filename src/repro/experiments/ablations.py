@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.api import similarity_join
 from repro.core.csj import csj
-from repro.core.egrid import egrid_join
 from repro.core.results import CountingSink
 from repro.datasets import mg_county, sierpinski_pyramid
 from repro.experiments.runner import ExperimentConfig, run_algorithm, scaled
@@ -175,10 +175,11 @@ def run_egrid(
     rows = []
     for eps in query_ranges:
         for label, runner in (
-            ("egrid", lambda e: egrid_join(points, e, compact=False,
-                                           sink=CountingSink(id_width=width))),
-            ("egrid-csj(10)", lambda e: egrid_join(points, e, compact=True, g=10,
-                                                   sink=CountingSink(id_width=width))),
+            ("egrid", lambda e: similarity_join(
+                points, e, algorithm="egrid", sink=CountingSink(id_width=width))),
+            ("egrid-csj(10)", lambda e: similarity_join(
+                points, e, algorithm="egrid-csj", g=10,
+                sink=CountingSink(id_width=width))),
             ("tree-csj(10)", lambda e: csj(tree, e, g=10,
                                            sink=CountingSink(id_width=width))),
         ):

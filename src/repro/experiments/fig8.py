@@ -64,14 +64,7 @@ def run(
                 if name == "ssj":
                     result = ssj(tree, eps, sink=sink, pager=pager)
                 else:
-                    result = csj(
-                        tree,
-                        eps,
-                        g=g,
-                        sink=sink,
-                        pager=pager,
-                        _algorithm_label=label,
-                    )
+                    result = csj(tree, eps, g=g, sink=sink, pager=pager)
             file_bytes = os.path.getsize(path)
             rows.append(
                 {

@@ -46,7 +46,6 @@ def parallel_join(
     metric: object = None,
     max_entries: int = 64,
     bulk: Optional[str] = "str",
-    partitions_per_axis: Optional[int] = None,
     budget: Optional[Budget] = None,
     task_timeout: Optional[float] = None,
     fault: Optional[FlakyWorker] = None,
@@ -95,7 +94,6 @@ def parallel_join(
         max_entries=max_entries,
         bulk=bulk,
         metric=metric,
-        partitions_per_axis=partitions_per_axis,
     )
     ctx = mp_context()
     # Health check only: when the serving layer drives this call it

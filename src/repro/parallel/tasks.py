@@ -1,20 +1,25 @@
-"""Join specifications and their materialised work-unit sequences.
+"""The one recipe for a self-join, and its materialised work units.
 
-Every supported join is a deterministic, flat sequence of *work units*
-(leaf self/cross joins, early-stopped subtree groups, grid cells, PBSM
-partitions) whose canonical order is fixed by the data and the
+Every supported self-join is a deterministic, flat sequence of *work
+units* (leaf self/cross joins, early-stopped subtree groups, grid cells,
+PBSM partitions) whose canonical order is fixed by the data and the
 configuration alone: :func:`repro.core.frontier.traverse` enumerates the
 tree sequence, :func:`repro.core.egrid.grid_tasks` the grid sequence,
 and :func:`repro.core.partitioned.pbsm_plan` fixes the partition order.
 
-:class:`JoinSpec` is the recipe for one join, and :class:`TaskState`
-its materialisation: the index, grid or partition plan plus the listed
-units.  :meth:`TaskState.plan` hands the units from any cursor to the
-serial join loop, :func:`repro.core.csj.run_batches`, batched as the
-serial joins batch them.  That is the one task vocabulary of the
-journal and the pool: :class:`~repro.resilience.checkpoint.CheckpointedJoin`
-runs the loop with checkpoints, and a pool worker, forked over the
-parent's state, runs it whole with :meth:`TaskState.run`.
+:class:`JoinSpec` is the recipe for one join, and the one place where a
+self-join is named, validated and labelled: :func:`repro.api.similarity_join`,
+:func:`repro.parallel.parallel_join`,
+:class:`~repro.resilience.checkpoint.CheckpointedJoin` and the serving
+layer all build one, and :data:`FAMILIES` is the one list of algorithm
+names.  :class:`TaskState` is its materialisation: the index, grid or
+partition plan plus the listed units.  :meth:`TaskState.plan` hands the
+units from any cursor to the serial join loop,
+:func:`repro.core.csj.run_batches`, batched as the serial joins batch
+them.  Two runners share that loop: serial tree joins walk the tree
+lazily (:func:`repro.core.csj.tree_join`), and everything else runs the
+listed units: serial grid and PBSM joins and pool workers with
+:meth:`TaskState.run`, checkpointed runs with a journal around the loop.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from repro.errors import InvalidInputError, validate_eps, validate_points
 from repro.geometry.metrics import get_metric
 from repro.index.base import SpatialIndex
 from repro.io.writer import width_for
+from repro.obs.tracing import span as trace_span
 from repro.stats.counters import JoinStats
 
 if TYPE_CHECKING:
@@ -68,6 +74,11 @@ FAMILIES = {
 class JoinSpec:
     """Everything that fixes one join's task sequence.
 
+    Construction validates the whole request: an unknown algorithm, bad
+    points or range, a negative ``g`` or an object metric where a join
+    needs coordinates raise :class:`~repro.errors.InvalidInputError`
+    before any index, file or process exists.
+
     ``index`` is an index name or a prebuilt
     :class:`~repro.index.base.SpatialIndex`.  A prebuilt index brings its
     own points and metric to the tree joins, as on the serial path, and
@@ -82,16 +93,15 @@ class JoinSpec:
     max_entries: int = 64
     bulk: Optional[str] = "str"
     metric: object = None
-    partitions_per_axis: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.algorithm = str(self.algorithm).lower()
         if self.algorithm not in FAMILIES:
             raise InvalidInputError(
-                f"unknown or unsupported algorithm {self.algorithm!r}; "
-                f"supported: {tuple(FAMILIES)}"
+                f"unknown algorithm {self.algorithm!r}; known: {tuple(FAMILIES)}"
             )
-        if isinstance(self.index, SpatialIndex) and self.family == "tree":
+        prebuilt = isinstance(self.index, SpatialIndex)
+        if prebuilt and self.family == "tree":
             self.points = self.index.points
             self.metric = self.index.metric
         self.points = validate_points(self.points)
@@ -101,7 +111,9 @@ class JoinSpec:
         if self.algorithm == "ncsj":
             self.g = 0
         self.g = int(self.g)
-        check_object_metric(self.metric, self.algorithm, self.index)
+        check_object_metric(
+            self.index.metric if prebuilt else self.metric, self.algorithm, self.index
+        )
 
     @property
     def family(self) -> str:
@@ -130,8 +142,9 @@ class TaskState:
     """One run's materialisation of a :class:`JoinSpec`.
 
     Holds the data structures tasks execute against (packed tree / grid
-    cells / partition plan) and the canonical task list.  The parent
-    builds it; a forked pool worker inherits it and only reads it.
+    cells / partition plan) and the canonical task list.  Serial grid
+    and PBSM joins run it in place; for a pool run the parent builds it
+    and a forked worker inherits it and only reads it.
     :meth:`execute` is pure with respect to shared join state: it
     touches no sink and no group window.
     """
@@ -156,7 +169,7 @@ class TaskState:
         self.walk = JoinStats()  # the listing walk's counters: charge_walk
 
         if self.family == "tree":
-            from repro.api import build_index  # deferred: api imports core
+            from repro.api import build_index  # deferred: api imports this module
             from repro.index.packed import pack_index
 
             tree = build_index(
@@ -175,15 +188,14 @@ class TaskState:
                 self.tasks = []
             self.index_name = type(tree).name
         elif self.family == "egrid":
-            self.tasks = grid_tasks(spec.points, self.eps)
+            with trace_span("grid", algorithm="egrid", points=len(spec.points)):
+                self.tasks = grid_tasks(spec.points, self.eps)
             self.index_name = "egrid"
         else:  # pbsm
+            self.tasks = []
             if len(spec.points) > 1:
-                self.tasks, self.home_of = pbsm_plan(
-                    spec.points, self.eps, spec.partitions_per_axis
-                )
-            else:
-                self.tasks = []
+                with trace_span("plan", algorithm="pbsm", points=len(spec.points)):
+                    self.tasks, self.home_of = pbsm_plan(spec.points, self.eps)
             self.index_name = "pbsm"
 
     def __len__(self) -> int:
@@ -231,11 +243,13 @@ class TaskState:
             self.g, self.eps, sink, self.metric, stats=stats, dim=self.points.shape[1]
         )
 
-    def run(self, budget: Optional["Budget"] = None) -> JoinResult:
-        """Run the whole join serially into a collecting sink.
+    def run(
+        self, budget: Optional["Budget"] = None, sink: Optional[JoinSink] = None
+    ) -> JoinResult:
+        """Run the whole join serially into ``sink`` (default: collecting).
 
-        The pool worker's body: :meth:`plan` through
-        :func:`~repro.core.csj.run_batches` inside
+        The body of serial grid and PBSM joins and of a pool worker:
+        :meth:`plan` through :func:`~repro.core.csj.run_batches` inside
         :func:`~repro.core.csj.serial_join`, as
         :class:`~repro.resilience.checkpoint.CheckpointedJoin` runs it
         minus the journal.  ``budget`` is checked before each batch; a
@@ -243,20 +257,23 @@ class TaskState:
         the valid prefix attached as ``partial``.
         """
         spec = self.spec
-        sink = CollectSink(id_width=width_for(len(self.points)))
+        if sink is None:
+            sink = CollectSink(id_width=width_for(len(self.points)))
         stats = sink.stats
         buffer = self.make_buffer(sink, stats)
 
         def body() -> None:
-            run_batches(*self.plan(), sink, buffer, stats, budget)
+            with trace_span(
+                "descend", algorithm=self.index_name, tasks=len(self.tasks)
+            ):
+                run_batches(*self.plan(), sink, buffer, stats, budget)
             self.charge_walk(stats)
 
-        label = spec.label()
         result = dict(
-            eps=spec.eps, algorithm=label,
+            eps=spec.eps, algorithm=spec.label(),
             g=spec.g if spec.compact else None, index_name=self.index_name,
         )
-        return serial_join(body, sink, buffer, budget, result, label)
+        return serial_join(body, sink, buffer, budget, result, self.index_name)
 
     def charge_walk(self, stats: JoinStats) -> None:
         """Charge the listing walk's counters to ``stats``.

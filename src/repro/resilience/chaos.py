@@ -243,7 +243,7 @@ class OverloadInjector:
     * :meth:`before_execute` is the injection hook the
       :class:`~repro.service.JoinService` calls as each request starts
       executing: selected requests stall (a slow dependency browning the
-      service out) or raise a pool/sink failure (tripping the matching
+      service out) or raise a worker-pool failure (tripping the pool's
       circuit breaker).  Decisions are fixed per request id when the
       storm is built — re-executions misbehave identically.
     """
@@ -254,16 +254,12 @@ class OverloadInjector:
         slow_every: int = 0,
         slow_seconds: float = 0.05,
         fail_at: Iterable[int] = (),
-        failure: str = "pool",
         sleep=time.sleep,
     ):
-        if failure not in ("pool", "sink"):
-            raise ValueError(f"failure must be 'pool' or 'sink', got {failure!r}")
         self.seed = int(seed)
         self.slow_every = int(slow_every)
         self.slow_seconds = float(slow_seconds)
         self.fail_at = frozenset(int(i) for i in fail_at)
-        self.failure = failure
         self._sleep = sleep
         self._rng = random.Random(seed)
         self._decisions: dict[str, tuple[str, float]] = {}
@@ -324,15 +320,9 @@ class OverloadInjector:
             self.injected.append((request_id, "slow"))
             self._sleep(value)
             return
-        self.injected.append((request_id, f"fail-{self.failure}"))
-        if self.failure == "pool":
-            from repro.errors import WorkerPoolError
+        self.injected.append((request_id, "fail-pool"))
+        from repro.errors import WorkerPoolError
 
-            raise WorkerPoolError(
-                f"injected worker-pool failure (chaos, request {request_id})"
-            )
-        from repro.errors import SinkIOError
-
-        raise SinkIOError(
-            f"injected sink failure (chaos, request {request_id})"
+        raise WorkerPoolError(
+            f"injected worker-pool failure (chaos, request {request_id})"
         )

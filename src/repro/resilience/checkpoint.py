@@ -182,7 +182,6 @@ class CheckpointedJoin:
         cadence: int = 256,
         budget: Optional[Budget] = None,
         sink_wrapper: Optional[Callable] = None,
-        partitions_per_axis: Optional[int] = None,
         stats: Optional[JoinStats] = None,
     ):
         # The spec validates the join's inputs before any file is touched.
@@ -195,7 +194,6 @@ class CheckpointedJoin:
             max_entries=max_entries,
             bulk=bulk,
             metric=metric,
-            partitions_per_axis=partitions_per_axis,
         )
         self.output_path = os.fspath(output_path)
         self.journal_path = (
@@ -233,7 +231,9 @@ class CheckpointedJoin:
             "metric": get_metric(spec.metric).name,
         }
         if spec.family == "pbsm":
-            fp["partitions_per_axis"] = spec.partitions_per_axis
+            # Always null now that pbsm_plan derives the count; kept so
+            # existing journals still match and resume.
+            fp["partitions_per_axis"] = None
         return fp
 
     # -- the run -----------------------------------------------------------

@@ -1,6 +1,6 @@
 """A generic circuit breaker: closed → open → half-open → closed.
 
-The breaker protects a dependency (the worker pool, a durable sink) from
+The breaker protects a dependency (the service's worker pool) from
 retry storms.  While *closed* every call passes and consecutive failures
 are counted; at ``failure_threshold`` the circuit *opens* and calls fail
 fast with :class:`~repro.errors.CircuitOpenError` for a cooldown period.
@@ -17,7 +17,7 @@ private ``random.Random(seed)`` — breaker timing never touches global
 randomness, so seeded runs stay reproducible.
 
 Thread-safe: the service's executor threads and the admission path share
-one breaker per dependency.  ``clock`` is injectable so tests drive the
+one breaker.  ``clock`` is injectable so tests drive the
 state machine without sleeping.
 """
 

@@ -17,10 +17,11 @@ mechanisms compose:
   worker before killing it, and trims
   :class:`~repro.resilience.sinks.RetryingSink` backoff sleeps.  Expiry
   cancels in-flight work cooperatively.
-* **Circuit breakers** — one :class:`~repro.service.breaker.CircuitBreaker`
-  guards the worker pool, another the durable sink.  An open circuit
-  fails requests fast with :class:`~repro.errors.CircuitOpenError`
-  instead of feeding a struggling dependency.
+* **Circuit breaker** — a :class:`~repro.service.breaker.CircuitBreaker`
+  guards the worker pool.  An open circuit fails requests fast with
+  :class:`~repro.errors.CircuitOpenError` instead of feeding a
+  struggling pool.  Served joins write to an in-memory sink, so no
+  breaker guards output storage.
 * **Brownout ladder** — under queue pressure the service degrades
   rather than falling over: past ``degrade_threshold`` occupancy, and
   for any admitted request that runs over its deadline or byte budget,
@@ -51,7 +52,6 @@ from repro.errors import (
     CircuitOpenError,
     InvalidInputError,
     ReproError,
-    SinkIOError,
     WorkerPoolError,
     validate_eps,
     validate_points,
@@ -165,7 +165,7 @@ class ServiceConfig:
     #: Under brownout, serve a slightly-stale cached result (marked
     #: ``stale=True``) before falling back to the analytic estimator.
     serve_stale: bool = True
-    #: Consecutive pool/sink failures before the circuit opens.
+    #: Consecutive pool failures before the circuit opens.
     breaker_threshold: int = 3
     #: Decorrelated-jitter cooldown bounds for breaker probes (seconds).
     breaker_cooldown_base: float = 0.25
@@ -199,7 +199,7 @@ class JoinService:
 
     Use as a context manager; :meth:`close` drains the executors.
     ``chaos`` (an :class:`~repro.resilience.chaos.OverloadInjector`)
-    injects deterministic pre-execution stalls and dependency failures
+    injects deterministic pre-execution stalls and worker-pool failures
     for overload testing.
     """
 
@@ -221,13 +221,6 @@ class JoinService:
             cooldown_base=self.config.breaker_cooldown_base,
             cooldown_max=self.config.breaker_cooldown_max,
             seed=self.config.seed,
-        )
-        self.sink_breaker = CircuitBreaker(
-            "sink",
-            failure_threshold=self.config.breaker_threshold,
-            cooldown_base=self.config.breaker_cooldown_base,
-            cooldown_max=self.config.breaker_cooldown_max,
-            seed=self.config.seed + 1,
         )
         self._lock = threading.Lock()
         #: Entries are ``(request, ticket, budget, occupancy, probe)``;
@@ -376,9 +369,9 @@ class JoinService:
                 # actually exercised the pool, record_success /
                 # record_failure already moved the breaker out of
                 # half-open and this release is a no-op; on every other
-                # terminal path (degraded, budget breach, sink failure,
-                # failed) the slot is returned so the circuit can never
-                # wedge half-open with zero probes left.
+                # terminal path (degraded, budget breach, failed) the
+                # slot is returned so the circuit can never wedge
+                # half-open with zero probes left.
                 self.pool_breaker.release_probe()
             elapsed = time.perf_counter() - started
             with self._lock:
@@ -450,13 +443,8 @@ class JoinService:
                 deadline_slack=slack,
                 occupancy=occupancy,
             )
-        except SinkIOError:
-            # A failing sink browns the request out: the estimator answer
-            # needs no durable output, and the breaker heals the sink.
-            self.sink_breaker.record_failure()
-            return self._degrade(request, occupancy, slack, JoinStats())
         except WorkerPoolError:
-            # Same ladder for a failing pool — degraded beats dead.
+            # A failing pool browns the request out: degraded beats dead.
             self.pool_breaker.record_failure()
             return self._degrade(request, occupancy, slack, JoinStats())
         except ReproError as exc:
@@ -494,28 +482,23 @@ class JoinService:
     # Dataset registration (cross-request index reuse)
     # ------------------------------------------------------------------
     def register_dataset(
-        self,
-        points: np.ndarray,
-        metric: object = None,
-        index: str = "rstar",
-        max_entries: int = 64,
-        bulk: Optional[str] = "str",
+        self, points: np.ndarray, metric: object = None
     ) -> SpatialIndex:
         """Build and pack one tree over ``points`` now, for every later request.
 
-        A tree-join request whose ``points`` is this same array and whose
-        metric equals the tree's runs over the registered tree, on the
-        serial and the pool path alike, instead of building its own;
-        any other request takes the ordinary path.  Returns the tree
-        (``tree.points`` is the registered array); the service drops it
-        on :meth:`close`.
+        The tree is the one a request would build (an STR-loaded R*-tree
+        of fanout 64), so registration saves the build and never changes
+        an answer.  A tree-join request whose ``points`` is this same
+        array and whose metric equals the tree's runs over the registered
+        tree, on the serial and the pool path alike, instead of building
+        its own; any other request takes the ordinary path.  Returns the
+        tree (``tree.points`` is the registered array); the service drops
+        it on :meth:`close`.
         """
         from repro.api import build_index  # deferred: api imports service
         from repro.index.packed import pack_index
 
-        tree = build_index(
-            points, index, metric=metric, max_entries=max_entries, bulk=bulk
-        )
+        tree = build_index(points, metric=metric, bulk="str")
         pack_index(tree)  # memoized on the tree: requests reuse the pack
         with self._lock:
             if self._closed:

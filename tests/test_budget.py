@@ -5,10 +5,8 @@ import pytest
 
 from repro.api import build_index, similarity_join
 from repro.core.csj import LEAF_WINDOW, csj, make_window, ncsj, tree_task_delta
-from repro.core.egrid import egrid_join
 from repro.core.frontier import traverse
 from repro.core.groups import apply_events
-from repro.core.partitioned import pbsm_join
 from repro.core.results import CountingSink, TextSink
 from repro.core.ssj import ssj
 from repro.core.verify import brute_force_links
@@ -131,15 +129,15 @@ class TestGracefulDegradation:
 
     def test_egrid_deadline(self, pts):
         with pytest.raises(BudgetExceededError):
-            egrid_join(
-                pts, 0.1, compact=False,
+            similarity_join(
+                pts, 0.1, algorithm="egrid",
                 budget=Budget(deadline_seconds=0.0, check_every=1),
             )
 
     def test_pbsm_deadline(self, pts):
         with pytest.raises(BudgetExceededError):
-            pbsm_join(
-                pts, 0.1, compact=False,
+            similarity_join(
+                pts, 0.1, algorithm="pbsm",
                 budget=Budget(deadline_seconds=0.0, check_every=1),
             )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import build_index, similarity_join
+from repro.core.metricspace import ObjectMetric, build_metric_index
 from repro.errors import (
     BudgetExceededError,
     CheckpointCorruptError,
@@ -13,6 +14,8 @@ from repro.errors import (
     validate_eps,
     validate_points,
 )
+from repro.parallel import parallel_join
+from repro.resilience.checkpoint import CheckpointedJoin
 
 
 class TestHierarchy:
@@ -152,6 +155,47 @@ class TestApiBoundary:
         pts = np.random.default_rng(0).random((30, 2))
         tree = build_index(pts)
         assert build_index(pts, tree) is tree
+
+
+WORDS = ["ab", "ac", "bc", "bd"]
+
+#: One bad self-join input each, as keyword overrides of a valid csj call.
+BAD_INPUTS = {
+    "unknown-algorithm": {"algorithm": "nope"},
+    "negative-g": {"g": -1},
+    "zero-eps": {"eps": 0.0},
+    "empty-points-tree": {"points": np.empty((0, 2))},
+    "empty-points-egrid": {"points": np.empty((0, 2)), "algorithm": "egrid"},
+    "empty-points-pbsm": {"points": np.empty((0, 2)), "algorithm": "pbsm-csj"},
+    "object-metric-egrid": {
+        "points": np.arange(len(WORDS), dtype=float).reshape(-1, 1),
+        "algorithm": "egrid",
+        "metric": ObjectMetric(WORDS, lambda a, b: float(a != b)),
+    },
+    # The grid ignores a prebuilt index, but not the metric it was built for.
+    "object-tree-egrid": {
+        "points": np.arange(len(WORDS), dtype=float).reshape(-1, 1),
+        "algorithm": "egrid",
+        "index": build_metric_index(WORDS, lambda a, b: float(a != b)),
+    },
+}
+
+
+class TestOneErrorEveryEntryPoint:
+    """A bad input raises the same typed error from every self-join entry
+    point, before any index, file or process exists."""
+
+    @pytest.mark.parametrize("bad", list(BAD_INPUTS))
+    def test_rejected_everywhere(self, bad, tmp_path):
+        kwargs = {"points": np.random.default_rng(0).random((30, 2)), "eps": 0.05}
+        kwargs.update(BAD_INPUTS[bad])
+        with pytest.raises(InvalidInputError):
+            similarity_join(**kwargs)
+        with pytest.raises(InvalidInputError):
+            parallel_join(**kwargs)
+        with pytest.raises(InvalidInputError):
+            CheckpointedJoin(output_path=str(tmp_path / "out.txt"), **kwargs)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodeRegistry:

@@ -3,44 +3,55 @@
 import numpy as np
 import pytest
 
+from repro.api import similarity_join
 from repro.core.bruteforce import brute_force_cross_links, brute_force_links
-from repro.core.partitioned import pbsm_join, spatial_hash_join
+from repro.core.groups import apply_events
+from repro.core.partitioned import partition_delta, pbsm_plan, spatial_hash_join
+from repro.core.results import CollectSink
 from repro.core.verify import check_equivalence
+from repro.errors import InvalidInputError
+from repro.geometry.metrics import get_metric
 
 
 class TestPBSM:
     @pytest.mark.parametrize("eps", [0.02, 0.05, 0.15])
     def test_matches_brute_force(self, uniform_2d, eps):
-        result = pbsm_join(uniform_2d, eps)
+        result = similarity_join(uniform_2d, eps, algorithm="pbsm")
         assert set(result.links) == brute_force_links(uniform_2d, eps)
 
     def test_no_duplicate_links(self, clustered_2d):
-        result = pbsm_join(clustered_2d, 0.05)
+        result = similarity_join(clustered_2d, 0.05, algorithm="pbsm")
         assert len(result.links) == len(set(result.links))
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 7])
     def test_partition_count_invariant(self, uniform_2d, parts):
         """Output identical regardless of how space is partitioned."""
-        truth = brute_force_links(uniform_2d, 0.08)
-        result = pbsm_join(uniform_2d, 0.08, partitions_per_axis=parts)
-        assert set(result.links) == truth
+        tasks, home_of = pbsm_plan(uniform_2d, 0.08, parts)
+        sink = CollectSink()
+        for task in tasks:
+            events, _ = partition_delta(
+                uniform_2d, get_metric(None), 0.08, False, home_of, task
+            )
+            apply_events(events, sink, None)
+        assert len(sink.links) == len(set(sink.links))
+        assert set(sink.links) == brute_force_links(uniform_2d, 0.08)
 
     @pytest.mark.parametrize("g", [0, 10])
     def test_compact_lossless(self, clustered_2d, g):
-        result = pbsm_join(clustered_2d, 0.05, compact=True, g=g)
+        result = similarity_join(clustered_2d, 0.05, algorithm="pbsm-csj", g=g)
         check_equivalence(clustered_2d, 0.05, result).raise_if_failed()
 
     def test_compact_reduces_output(self, clustered_2d):
-        plain = pbsm_join(clustered_2d, 0.05)
-        compact = pbsm_join(clustered_2d, 0.05, compact=True, g=10)
+        plain = similarity_join(clustered_2d, 0.05, algorithm="pbsm")
+        compact = similarity_join(clustered_2d, 0.05, algorithm="pbsm-csj", g=10)
         assert compact.output_bytes < plain.output_bytes
 
     def test_3d(self, uniform_3d):
-        result = pbsm_join(uniform_3d, 0.15, compact=True, g=10)
+        result = similarity_join(uniform_3d, 0.15, algorithm="pbsm-csj", g=10)
         check_equivalence(uniform_3d, 0.15, result).raise_if_failed()
 
     def test_metric_parameterised(self, uniform_2d):
-        result = pbsm_join(uniform_2d, 0.1, metric="l1")
+        result = similarity_join(uniform_2d, 0.1, algorithm="pbsm", metric="l1")
         assert set(result.links) == brute_force_links(uniform_2d, 0.1, "l1")
 
     def test_exact_distance_grid(self):
@@ -48,19 +59,24 @@ class TestPBSM:
         xs, ys = np.meshgrid(np.arange(side), np.arange(side))
         pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(float)
         for eps in (1.0, np.sqrt(2.0)):
-            result = pbsm_join(pts, eps, compact=True, g=10)
+            result = similarity_join(pts, eps, algorithm="pbsm-csj", g=10)
             check_equivalence(pts, eps, result).raise_if_failed()
 
     def test_labels(self, uniform_2d):
-        assert pbsm_join(uniform_2d, 0.05).algorithm == "pbsm"
-        assert pbsm_join(uniform_2d, 0.05, compact=True).algorithm == "pbsm-csj(10)"
-        assert pbsm_join(uniform_2d, 0.05, compact=True, g=0).algorithm == "pbsm-ncsj"
+        def label(**kwargs):
+            return similarity_join(uniform_2d, 0.05, **kwargs).algorithm
+
+        assert label(algorithm="pbsm") == "pbsm"
+        assert label(algorithm="pbsm-csj") == "pbsm-csj(10)"
+        assert label(algorithm="pbsm-csj", g=0) == "pbsm-ncsj"
 
     def test_edge_cases(self):
-        assert pbsm_join(np.empty((0, 2)), 0.1).links == []
-        assert pbsm_join(np.array([[0.5, 0.5]]), 0.1).links == []
+        with pytest.raises(InvalidInputError):
+            similarity_join(np.empty((0, 2)), 0.1, algorithm="pbsm")
+        single = similarity_join(np.array([[0.5, 0.5]]), 0.1, algorithm="pbsm")
+        assert single.links == []
         with pytest.raises(ValueError):
-            pbsm_join(np.zeros((2, 2)), 0.0)
+            similarity_join(np.zeros((2, 2)), 0.0, algorithm="pbsm")
 
 
 class TestSpatialHashJoin:

@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import similarity_join
 from repro.core.bruteforce import brute_force_links
 from repro.core.csj import csj
-from repro.core.egrid import egrid_join
 from repro.core.ssj import ssj
 from repro.core.verify import check_equivalence
 from repro.geometry.mbr import MBR
@@ -79,7 +79,7 @@ def test_csj_lossless_on_mtree(pts, eps):
 @settings(max_examples=30, deadline=None)
 @given(pts=point_sets(), eps=epsilons, g=window_sizes)
 def test_egrid_lossless(pts, eps, g):
-    result = egrid_join(pts, eps, compact=True, g=g)
+    result = similarity_join(pts, eps, algorithm="egrid-csj", g=g)
     check_equivalence(pts, eps, result).raise_if_failed()
 
 

@@ -15,8 +15,9 @@ import weakref
 import numpy as np
 import pytest
 
+import repro.api
 from repro.api import open_service, similarity_join
-from repro.errors import AdmissionRejectedError, CircuitOpenError
+from repro.errors import AdmissionRejectedError, CircuitOpenError, InvalidInputError
 from repro.obs.metrics import get_registry, reset_registry
 from repro.resilience.chaos import OverloadInjector
 from repro.service import (
@@ -352,7 +353,7 @@ class TestBrownoutLadder:
 
 class TestBreakerIntegration:
     def test_pool_failures_open_breaker_then_fail_fast(self, pts):
-        chaos = OverloadInjector(seed=1, fail_at=(0,), failure="pool")
+        chaos = OverloadInjector(seed=1, fail_at=(0,))
         svc = _service(
             chaos=chaos, breaker_threshold=1, breaker_cooldown_base=30.0
         )
@@ -370,25 +371,12 @@ class TestBreakerIntegration:
         finally:
             svc.close()
 
-    def test_sink_failures_feed_sink_breaker(self, pts):
-        chaos = OverloadInjector(seed=1, fail_at=(0, 1), failure="sink")
-        svc = _service(chaos=chaos, breaker_threshold=2)
-        try:
-            requests = chaos.storm(pts, 0.05, requests=2)
-            outcomes = svc.serve(requests)
-            assert all(o.status == "degraded" for o in outcomes)
-            assert svc.sink_breaker.state == "open"
-            # The pool breaker is untouched: admission stays open.
-            assert svc.pool_breaker.state == "closed"
-        finally:
-            svc.close()
-
     def test_degraded_probe_request_does_not_wedge_breaker(self, pts):
         # Regression: the half-open probe slot consumed at admission
         # used to leak when the admitted request then degraded without
         # touching the pool, wedging the circuit half-open with zero
         # probes — every later submit failed until process restart.
-        chaos = OverloadInjector(seed=1, fail_at=(0,), failure="pool")
+        chaos = OverloadInjector(seed=1, fail_at=(0,))
         svc = _service(
             chaos=chaos,
             breaker_threshold=1,
@@ -414,7 +402,7 @@ class TestBreakerIntegration:
             svc.close()
 
     def test_breaker_recovers_after_cooldown(self, pts):
-        chaos = OverloadInjector(seed=1, fail_at=(0,), failure="pool")
+        chaos = OverloadInjector(seed=1, fail_at=(0,))
         svc = _service(
             chaos=chaos,
             breaker_threshold=1,
@@ -500,15 +488,18 @@ class TestOutcomePartition:
         assert [o.status for o in outcomes] == ["admitted", "shed"]
 
     def test_failed_outcome_for_invalid_algorithm(self, pts):
-        svc = _service()
-        try:
-            outcome = svc.submit(
-                JoinRequest(points=pts, eps=0.05, algorithm="nope")
-            ).wait(10.0)
-        finally:
-            svc.close()
-        assert outcome.status == "failed"
-        assert outcome.error is not None
+        # The serial and the pool path reject it with the same typed error.
+        for workers in (1, 2):
+            svc = _service(workers=workers)
+            try:
+                outcome = svc.submit(
+                    JoinRequest(points=pts, eps=0.05, algorithm="nope")
+                ).wait(10.0)
+            finally:
+                svc.close()
+            assert outcome.status == "failed"
+            assert isinstance(outcome.error, InvalidInputError)
+            assert "unknown algorithm" in str(outcome.error)
 
 
 class TestOpenService:
@@ -563,15 +554,23 @@ class TestServiceRegistration:
             svc.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_registered_tree_serves_only_its_metric(self, pts, workers):
-        # Fanout 8 changes the compact output, so the bytes show which
-        # tree served each request.
-        registered = similarity_join(pts, 0.05, metric="manhattan", max_entries=8)
+    def test_registered_tree_serves_only_its_metric(self, pts, workers, monkeypatch):
+        registered = similarity_join(pts, 0.05, metric="manhattan")
         ordinary = similarity_join(pts, 0.05)
-        assert registered.groups != ordinary.groups
+        builds = []
+        bulk_load = repro.api.bulk_load
+
+        def counting_bulk_load(*args, **kwargs):
+            builds.append(kwargs.get("metric"))
+            return bulk_load(*args, **kwargs)
+
+        # Registration and every request build their trees through
+        # build_index, in this process even at workers=2.
+        monkeypatch.setattr(repro.api, "bulk_load", counting_bulk_load)
         svc = JoinService(ServiceConfig(queue_depth=4, executors=1, workers=workers))
         try:
-            svc.register_dataset(pts, metric="manhattan", max_entries=8)
+            svc.register_dataset(pts, metric="manhattan")
+            assert len(builds) == 1
             same, other = svc.serve(
                 [
                     JoinRequest(points=pts, eps=0.05, metric="manhattan"),
@@ -580,6 +579,9 @@ class TestServiceRegistration:
             )
         finally:
             svc.close()
+        # The Manhattan request reused the registered tree; only the
+        # request under another metric built one.
+        assert len(builds) == 2
         assert same.status == other.status == "admitted"
         assert (same.result.links, same.result.groups) == (
             registered.links, registered.groups,
@@ -587,6 +589,36 @@ class TestServiceRegistration:
         assert (other.result.links, other.result.groups) == (
             ordinary.links, ordinary.groups,
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "registered_first", [True, False], ids=["reg-first", "copy-first"]
+    )
+    def test_cached_answer_does_not_depend_on_registration(
+        self, pts, workers, registered_first
+    ):
+        # The cache keys on the data, not on the array: a request over an
+        # equal copy shares the registered request's entry, so both must
+        # get the answer a fresh tree gives, whichever runs first.
+        copy = pts.copy()
+        offline = similarity_join(copy, 0.05)
+        svc = JoinService(
+            ServiceConfig(
+                queue_depth=4, executors=1, workers=workers, cache_bytes=1 << 24
+            )
+        )
+        try:
+            svc.register_dataset(pts)
+            arrays = [pts, copy] if registered_first else [copy, pts]
+            outcomes = svc.serve([JoinRequest(points=a, eps=0.05) for a in arrays])
+        finally:
+            svc.close()
+        assert get_registry().snapshot()["repro_cache_hits_total"] == 1
+        for outcome in outcomes:
+            assert outcome.status == "admitted"
+            result = outcome.result
+            assert result.stats.bytes_written == offline.stats.bytes_written
+            assert (result.links, result.groups) == (offline.links, offline.groups)
 
     def test_closed_service_releases_registered_and_served_points(self):
         rng = np.random.default_rng(4)

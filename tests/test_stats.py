@@ -5,11 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import build_index
+from repro.api import build_index, similarity_join
 from repro.core.csj import ncsj
 from repro.core.dual import spatial_join
-from repro.core.egrid import egrid_join
-from repro.core.partitioned import pbsm_join, spatial_hash_join
+from repro.core.partitioned import spatial_hash_join
 from repro.core.results import JoinSink
 from repro.stats.counters import JoinStats, Timer
 
@@ -170,8 +169,10 @@ POINTS = np.random.default_rng(11).random((150, 2))
 OTHER = np.random.default_rng(12).random((120, 2))
 DRIVERS = {
     "tree": lambda sink: ncsj(build_index(POINTS, bulk="str", max_entries=8), EPS, sink=sink),
-    "egrid": lambda sink: egrid_join(POINTS, EPS, compact=True, sink=sink),
-    "pbsm": lambda sink: pbsm_join(POINTS, EPS, compact=True, sink=sink),
+    "egrid": lambda sink: similarity_join(
+        POINTS, EPS, algorithm="egrid-csj", sink=sink
+    ),
+    "pbsm": lambda sink: similarity_join(POINTS, EPS, algorithm="pbsm-csj", sink=sink),
     "hash": lambda sink: spatial_hash_join(POINTS, OTHER, EPS, sink=sink),
     "dual": lambda sink: spatial_join(
         build_index(POINTS, bulk="str", max_entries=8),
