@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from repro.core.csj import csj as _csj
-from repro.core.dual import compact_spatial_join, spatial_join
+from repro.core.dual import compact_spatial_join, spatial_join, validate_datasets
 from repro.core.results import JoinResult, JoinSink
 from repro.core.ssj import ssj as _ssj
 from repro.errors import validate_points
@@ -235,7 +235,15 @@ def spatial_join_datasets(
 
     Builds one index per dataset and runs the dual-tree join; with
     ``compact`` the output uses group pairs, otherwise individual links.
+    A bad range, ``g``, point array (an empty one too) or pair of
+    dimensionalities raises :class:`~repro.errors.InvalidInputError`
+    before either index is built
+    (:func:`~repro.core.dual.validate_datasets`).
     """
+    points_a, points_b, eps = validate_datasets(
+        validate_points(points_a, "points_a"), validate_points(points_b, "points_b"),
+        eps, g if compact else 0, metric, metric,
+    )
     tree_a = build_index(points_a, index, metric=metric, max_entries=max_entries, bulk=bulk)
     tree_b = build_index(points_b, index, metric=metric, max_entries=max_entries, bulk=bulk)
     if compact:

@@ -26,9 +26,11 @@ and evaluates each window of two or more units in one padded gather
 balls, :func:`make_window` picks the ball merge window, and every unit
 runs on its own; the walk is the same.  The loop is :func:`run_batches`,
 which :meth:`~repro.parallel.tasks.TaskState.run` (serial grid and PBSM
-joins, pool workers) and
+joins, pool workers),
 :class:`~repro.resilience.checkpoint.CheckpointedJoin` (checkpointing
-from its after-batch hook) run too.
+from its after-batch hook) and both two-dataset joins run too; the
+dual-tree join (:mod:`repro.core.dual`) hands the executors below its
+second tree as ``other``, whose leaves' links are cross links.
 
 Theorem 1 (completeness — every qualifying pair is implied by the output)
 and Theorem 2 (correctness — no non-qualifying pair is implied) hold by
@@ -47,7 +49,7 @@ from repro.core.frontier import traverse
 from repro.core.groups import GroupBuffer, apply_events, link_events
 from repro.core.metricspace import BallGroupBuffer, ObjectMetric
 from repro.core.results import CollectSink, JoinResult, JoinSink
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, InvalidInputError, validate_eps
 from repro.index.base import SpatialIndex
 from repro.index.packed import pack_index
 from repro.io.pagesim import NodePager
@@ -120,7 +122,7 @@ def packed_node_group_delta(points: np.ndarray, packed, nid: int) -> list:
 
 
 def packed_pair_group_delta(
-    points: np.ndarray, packed, nid1: int, nid2: int
+    points: np.ndarray, packed, nid1: int, nid2: int, other=None
 ) -> list:
     """Events for one early-stopped node pair (Figure 3, lines 20-21).
 
@@ -128,23 +130,27 @@ def packed_pair_group_delta(
     :class:`ObjectMetric` the group is the ball around the first node's
     center that covers both: radius ``max(r1, d(c1, c2) + r2)``.  That
     center distance is not charged: the traversal's union-diameter test
-    evaluated it and charged an mbr check.
+    evaluated it and charged an mbr check.  Given ``other``, ``nid2`` is
+    its node: a group pair of two datasets, side b's ids tagged ``~j``,
+    bounded by its points unless both nodes are rectangles and dropped
+    when a side is empty.
     """
-    ids = np.concatenate(
-        [packed.subtree_entry_ids(nid1), packed.subtree_entry_ids(nid2)]
-    )
-    if len(ids) < 2:
+    q = packed if other is None else other
+    ids_a, ids_b = packed.subtree_entry_ids(nid1), q.subtree_entry_ids(nid2)
+    ids = np.concatenate([ids_a, ids_b if other is None else ~ids_b])
+    if len(ids) < 2 or other is not None and not (len(ids_a) and len(ids_b)):
         return []
     if packed.kind == "rect":
-        lo = np.minimum(packed.lo[nid1], packed.lo[nid2]).tolist()
-        hi = np.maximum(packed.hi[nid1], packed.hi[nid2]).tolist()
-    elif isinstance(packed.metric, ObjectMetric):
+        lo = np.minimum(packed.lo[nid1], q.lo[nid2]).tolist()
+        hi = np.maximum(packed.hi[nid1], q.hi[nid2]).tolist()
+    elif other is None and isinstance(packed.metric, ObjectMetric):
         c1 = packed.centers[nid1]
         d = packed.metric.distance(c1, packed.centers[nid2])
         radius = max(float(packed.radii[nid1]), d + float(packed.radii[nid2]))
         return [("group", ids.tolist(), c1.tolist(), radius)]
     else:
-        pts = points[ids]
+        pts_b = (points if other is None else q.points)[ids_b]
+        pts = np.vstack([points[ids_a], pts_b])
         lo = pts.min(axis=0).tolist()
         hi = pts.max(axis=0).tolist()
     return [("group", ids.tolist(), lo, hi)]
@@ -173,22 +179,26 @@ def leaf_self_delta(
 
 
 def leaf_cross_delta(
-    points: np.ndarray, metric, eps: float, ids1, ids2, g: int
+    points: np.ndarray, metric, eps: float, ids1, ids2, g: int, points2=None
 ) -> tuple[list, int]:
-    """Pure leaf cross-join twin of :func:`leaf_self_delta`."""
+    """Pure leaf cross-join twin of :func:`leaf_self_delta`; ``ids2``
+    index ``points2`` when given, and the links are cross links."""
     arr1 = np.asarray(ids1, dtype=np.intp)
     arr2 = np.asarray(ids2, dtype=np.intp)
     if not len(arr1) or not len(arr2):
         return [], 0
     pts1 = points[arr1]
-    pts2 = points[arr2]
+    pts2 = (points if points2 is None else points2)[arr2]
     rows, cols = np.nonzero(metric.pairwise(pts1, pts2) < eps)
-    events = link_events(arr1, arr2, pts1, pts2, rows, cols, g > 0)
+    events = link_events(
+        arr1, arr2, pts1, pts2, rows, cols, g > 0, points2 is not None
+    )
     return events, len(arr1) * len(arr2)
 
 
 def leaf_window_delta(
-    points: np.ndarray, metric, eps: float, packed, units: list, g: int
+    points: np.ndarray, metric, eps: float, packed, units: list, g: int,
+    other=None,
 ) -> tuple[list, int]:
     """Run a window of ``self`` / ``cross`` units at once: ``(events, dc)``.
 
@@ -201,20 +211,22 @@ def leaf_window_delta(
     One mask drops the padding (and ``r >= c`` in self units), and one
     ``np.nonzero`` lists the hits unit by unit, row-major: the order of
     :func:`leaf_self_delta` / :func:`leaf_cross_delta` run one after
-    another.  ``dc`` is the sum of their charges.
+    another.  ``dc`` is the sum of their charges.  Given ``other``, each
+    unit's second leaf is ``other``'s.
     """
+    q = packed if other is None else other
     is_self = np.array([unit[0] == "self" for unit in units])
     a = np.array([unit[1] for unit in units], dtype=np.intp)
     b = np.array([unit[-1] for unit in units], dtype=np.intp)
-    beg_a, beg_b = packed.entry_beg[a], packed.entry_beg[b]
+    beg_a, beg_b = packed.entry_beg[a], q.entry_beg[b]
     len_a = packed.entry_end[a] - beg_a
-    len_b = packed.entry_end[b] - beg_b
+    len_b = q.entry_end[b] - beg_b
     m = int(max(len_a.max(), len_b.max()))
     slot = np.arange(m)
     ids_a = packed.entries[beg_a[:, None] + np.minimum(slot, len_a[:, None] - 1)]
-    ids_b = packed.entries[beg_b[:, None] + np.minimum(slot, len_b[:, None] - 1)]
+    ids_b = q.entries[beg_b[:, None] + np.minimum(slot, len_b[:, None] - 1)]
     pts_a = points[ids_a]
-    pts_b = points[ids_b]
+    pts_b = (points if other is None else q.points)[ids_b]
     hit = metric.norm_rows(pts_a[:, :, None, :] - pts_b[:, None, :, :]) < eps
     hit &= (slot < len_a[:, None])[:, :, None]
     hit &= (slot < len_b[:, None])[:, None, :]
@@ -225,37 +237,41 @@ def leaf_window_delta(
     events = link_events(
         ids_a.ravel(), ids_b.ravel(),
         pts_a.reshape(-1, pts_a.shape[-1]), pts_b.reshape(-1, pts_b.shape[-1]),
-        base + rows, base + cols, g > 0,
+        base + rows, base + cols, g > 0, other is not None,
     )
     return events, int(dc)
 
 
 def tree_task_delta(
-    points: np.ndarray, metric, eps: float, g: int, packed, task: tuple
+    points: np.ndarray, metric, eps: float, g: int, packed, task: tuple,
+    other=None,
 ) -> tuple[list, tuple[int, int, int]]:
     """Run one tree work unit: ``(events, (dc, mbr_checks, early_stops))``.
 
-    ``task`` is a unit of :func:`repro.core.frontier.traverse`.  The leaf
-    executors are looked up in this module's globals on every call.
+    ``task`` is a unit of :func:`repro.core.frontier.traverse` (given
+    ``other``, of its walk from the two roots).  The leaf executors are
+    looked up in this module's globals on every call.
     """
     kind = task[0]
     if kind == "group":
         return packed_node_group_delta(points, packed, task[1]), (0, 0, 1)
     if kind == "pgroup":
-        return packed_pair_group_delta(points, packed, task[1], task[2]), (0, 0, 1)
+        events = packed_pair_group_delta(points, packed, task[1], task[2], other)
+        return events, (0, 0, 1)
     if kind == "self":
         events, dc = leaf_self_delta(
             points, metric, eps, packed.leaf_entry_ids(task[1]), g
         )
         return events, (dc, 0, 0)
+    q = packed if other is None else other
     events, dc = leaf_cross_delta(
-        points, metric, eps,
-        packed.leaf_entry_ids(task[1]), packed.leaf_entry_ids(task[2]), g,
+        points, metric, eps, packed.leaf_entry_ids(task[1]),
+        q.leaf_entry_ids(task[2]), g, None if other is None else q.points,
     )
     return events, (dc, 0, 0)
 
 
-def leaf_windows(units: Iterator[tuple], packed) -> Iterator[list]:
+def leaf_windows(units: Iterator[tuple], packed, other=None) -> Iterator[list]:
     """Cut a unit sequence into the batches :func:`tree_join` executes.
 
     Consecutive ``self`` / ``cross`` units form one *leaf window*, closed
@@ -263,8 +279,10 @@ def leaf_windows(units: Iterator[tuple], packed) -> Iterator[list]:
     sequence, and before a unit that would lift the window's padded
     candidate count, ``len(window) * M**2`` with ``M`` its largest leaf,
     past :data:`LEAF_WINDOW`.  Concatenated, the batches are ``units``.
+    Given ``other``, a unit's second leaf is ``other``'s.
     """
     sizes = (packed.entry_end - packed.entry_beg).tolist()
+    sizes2 = sizes if other is None else (other.entry_end - other.entry_beg).tolist()
     window: list = []
     width = 0
     for unit in units:
@@ -274,7 +292,7 @@ def leaf_windows(units: Iterator[tuple], packed) -> Iterator[list]:
                 window, width = [], 0
             yield [unit]
             continue
-        m = max(sizes[unit[1]], sizes[unit[-1]])
+        m = max(sizes[unit[1]], sizes2[unit[-1]])
         grown = max(width, m)
         if window and (len(window) + 1) * grown * grown > LEAF_WINDOW:
             yield window
@@ -300,7 +318,8 @@ def make_window(g: int, eps: float, sink: JoinSink, metric, stats=None, dim=None
 
 
 def tree_plan(
-    units: Iterable[tuple], points: np.ndarray, metric, eps: float, g: int, packed
+    units: Iterable[tuple], points: np.ndarray, metric, eps: float, g: int, packed,
+    other=None,
 ) -> tuple[Iterator[list], Callable]:
     """Tree work units as ``(batches, execute)`` for :func:`run_batches`.
 
@@ -309,19 +328,20 @@ def tree_plan(
     run by :func:`leaf_window_delta` and any other unit by
     :func:`tree_task_delta`; over an :class:`ObjectMetric`, which has no
     ``norm_rows`` to batch, every unit alone.  A batch's events and
-    counter sums are those of running its units one by one.
+    counter sums are those of running its units one by one, also for
+    the two-dataset walk from the roots of ``packed`` and ``other``.
     """
-    run_unit = partial(tree_task_delta, points, metric, eps, g, packed)
+    run_unit = partial(tree_task_delta, points, metric, eps, g, packed, other=other)
     if isinstance(packed.metric, ObjectMetric):
         return unit_batches(units, run_unit)
 
     def execute(batch: list) -> tuple[list, tuple[int, int, int]]:
         if len(batch) == 1:
             return run_unit(batch[0])
-        events, dc = leaf_window_delta(points, metric, eps, packed, batch, g)
+        events, dc = leaf_window_delta(points, metric, eps, packed, batch, g, other)
         return events, (dc, 0, 0)
 
-    return leaf_windows(units, packed), execute
+    return leaf_windows(units, packed, other), execute
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +524,9 @@ def csj(
     ``exc.partial``.  Byte and group limits are seen up to one leaf
     window late (see :func:`tree_join`).
     """
-    if eps <= 0:
-        raise ValueError(f"query range must be positive, got {eps}")
+    eps = validate_eps(eps)
     if g < 0:
-        raise ValueError(f"window size g must be >= 0, got {g}")
+        raise InvalidInputError(f"window size g must be >= 0, got {g}")
     if sink is None:
         sink = CollectSink(id_width=width_for(tree.size))
     label = f"csj({g})" if g else "ncsj"

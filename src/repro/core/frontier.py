@@ -18,7 +18,9 @@ unit as it is yielded (:mod:`repro.core.csj`), checkpointed runs and
 pool workers run it from a list made up front
 (:class:`~repro.parallel.tasks.TaskState`), so a journal can name a
 unit by its position, and the dual join starts it at the pair of two
-roots (:mod:`repro.core.dual`).
+roots (:mod:`repro.core.dual`) and executes it as the serial joins do,
+through :func:`repro.core.csj.tree_plan` and
+:func:`repro.core.csj.run_batches`.
 
 * **Order** — subtasks are pushed in reverse, so the LIFO pop order is
   the recursion's preorder; a node's child pairs are pruned after all

@@ -15,6 +15,9 @@ flush) they are written to the sink.  Groups of exactly two members are
 written as plain links — the paper's output format does not distinguish
 them and the byte cost is identical.
 
+The two-dataset joins' :class:`~repro.core.dual.PairWindow` is this
+window with a group-pair write-out; side b's ids enter it as ``~j``.
+
 Performance note: this is the per-link hot path of CSJ(g), so group
 bounds are kept as plain Python lists and the Euclidean diagonal test is
 inlined (``sqrt`` of a scalar squared sum — comparing squares against
@@ -39,18 +42,23 @@ from repro.stats.counters import JoinStats
 __all__ = ["Group", "GroupBuffer", "apply_events", "link_events"]
 
 
-def link_events(ids_a, ids_b, pts_a, pts_b, rows, cols, merge: bool) -> list:
+def link_events(
+    ids_a, ids_b, pts_a, pts_b, rows, cols, merge: bool, cross: bool = False
+) -> list:
     """Events for the qualifying pairs ``(ids_a[rows[k]], ids_b[cols[k]])``.
 
     ``pts_a`` / ``pts_b`` are the coordinate rows aligned with the id
     arrays (the same arrays for a self-join block).  Without ``merge``
     the links are one ``links`` event, written individually; with it a
-    ``linkseq`` carries each endpoint's row to the merge window.
+    ``linkseq`` carries each endpoint's row to the merge window.  A
+    ``cross`` block pairs two datasets: ``xlinks``, or side b's ids as ``~j``.
     """
     if not len(rows):
         return []
     if not merge:
-        return [("links", ids_a[rows], ids_b[cols])]
+        return [("xlinks" if cross else "links", ids_a[rows], ids_b[cols])]
+    if cross:
+        ids_b = ~ids_b
     coords_a = pts_a.tolist()
     coords_b = coords_a if pts_b is pts_a else pts_b.tolist()
     id_a = ids_a.tolist()
@@ -73,6 +81,8 @@ def apply_events(events, sink: JoinSink, buffer: Optional["GroupBuffer"]) -> Non
     per-task executors (``*_delta`` functions in the algorithm modules):
 
     * ``("links", ids_i, ids_j)`` — residual links written individually;
+    * ``("xlinks", ids_i, ids_j)`` — cross links of two datasets, written
+      by :meth:`~repro.core.results.JoinSink.write_link_raw`;
     * ``("group", ids, lo, hi)`` — an early-stopped group;
     * ``("linkseq", ids_i, ids_j, coords_i, coords_j)`` — residual links
       routed one by one through the CSJ(g) merge window.
@@ -86,6 +96,10 @@ def apply_events(events, sink: JoinSink, buffer: Optional["GroupBuffer"]) -> Non
         kind = event[0]
         if kind == "links":
             sink.write_links(event[1], event[2])
+        elif kind == "xlinks":
+            write_link_raw = sink.write_link_raw
+            for i, j in zip(event[1].tolist(), event[2].tolist()):
+                write_link_raw(i, j)
         elif kind in ("group", "linkseq"):
             if buffer is None:
                 raise ValidationError(

@@ -23,9 +23,10 @@ PBSM is a self-join: :func:`pbsm_plan` lists its partitions and
 links flow through the CSJ(g) merge window), which
 :class:`~repro.parallel.tasks.TaskState` runs through the serial join
 loop for serial, checkpointed and pool runs alike.  The spatial hash
-join, :func:`spatial_hash_join`, joins two datasets: its build side is
-bucketed by :func:`repro.core.egrid.grid_cells`, and with
-``compact=True`` its links flow through the dual-tree join's pair-group
+join, :func:`spatial_hash_join`, joins two datasets: it hashes its build
+side with :func:`repro.core.egrid.grid_cells` and streams its probe
+side through the same loop, one unit per probe point, and with
+``compact=True`` its links flow through the dual-tree join's merge
 window (:class:`~repro.core.dual.PairWindow`).
 """
 
@@ -36,7 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.dual import PairWindow
+from repro.core.csj import run_batches, serial_join, unit_batches
+from repro.core.dual import PairWindow, validate_datasets
 from repro.core.egrid import grid_cells
 from repro.core.groups import link_events
 from repro.core.results import CollectSink, JoinResult, JoinSink
@@ -133,53 +135,52 @@ def spatial_hash_join(
 ) -> JoinResult:
     """Spatial hash join of two datasets; returns cross links.
 
-    The build side is hashed into eps-sized grid buckets; every probe
-    point is tested against the buckets its eps-ball touches, so each
+    The build side is hashed into eps-sized grid buckets; each probe
+    point is one unit of :func:`~repro.core.csj.run_batches`, tested with
+    one distance call against every bucket its eps-ball touches, so each
     qualifying cross pair is found exactly once (probe-major order, no
     replication de-dup needed).  ``compact=True`` with ``g > 0``
     produces group pairs through the compact dual-tree join's window,
-    :class:`~repro.core.dual.PairWindow`.
+    :class:`~repro.core.dual.PairWindow`.  Bad input raises
+    :class:`~repro.errors.InvalidInputError` first
+    (:func:`~repro.core.dual.validate_datasets`).
     """
-    if eps <= 0:
-        raise ValueError(f"query range must be positive, got {eps}")
+    build, probe, eps = validate_datasets(
+        points_build, points_probe, eps, g if compact else 0, metric, metric
+    )
     m = get_metric(metric)
-    build = np.atleast_2d(np.asarray(points_build, dtype=float))
-    probe = np.atleast_2d(np.asarray(points_probe, dtype=float))
     if sink is None:
         sink = CollectSink(id_width=width_for(max(len(build), len(probe))))
-    stats = sink.stats
+    merge = compact and g > 0
+    window = PairWindow(g, eps, sink, m, dim=probe.shape[1]) if merge else None
 
-    mark = stats.clock()
-    buckets = grid_cells(build, eps)
-    window = PairWindow(g, eps, sink, m) if compact and g > 0 else None
+    def body() -> None:
+        if not len(build) or not len(probe):
+            return
+        buckets = grid_cells(build, eps)
+        cells_lo = np.floor((probe - eps) / eps).astype(np.int64).tolist()
+        cells_hi = (np.floor((probe + eps) / eps).astype(np.int64) + 1).tolist()
 
-    if len(build) and len(probe):
-        dim = probe.shape[1]
-        probe_cells_lo = np.floor((probe - eps) / eps).astype(np.int64)
-        probe_cells_hi = np.floor((probe + eps) / eps).astype(np.int64)
-        for j in range(len(probe)):
-            p = probe[j]
-            p_list = p.tolist()
-            ranges = [
-                range(probe_cells_lo[j, d], probe_cells_hi[j, d] + 1)
-                for d in range(dim)
-            ]
-            for key in itertools.product(*ranges):
-                ids = buckets.get(key)
-                if ids is None:
-                    continue
-                dists = m.point_to_points(p, build[ids])
-                stats.distance_computations += len(ids)
-                hits = ids[dists < eps]
-                for i in hits.tolist():
-                    if window is None:
-                        sink.write_link_raw(i, j)
-                    else:
-                        window.add_link(i, j, build[i].tolist(), p_list)
-    if window is not None:
-        window.flush()
-    stats.charge_compute(mark)
+        def probe_delta(j: int) -> tuple[list, tuple[int, int, int]]:
+            keys = itertools.product(*map(range, cells_lo[j], cells_hi[j]))
+            blocks = [buckets[key] for key in keys if key in buckets]
+            if not blocks:
+                return [], (0, 0, 0)
+            ids = np.concatenate(blocks)
+            pts = build[ids]
+            rows = np.flatnonzero(m.point_to_points(probe[j], pts) < eps)
+            events = link_events(
+                ids, np.full(1, j, dtype=np.intp), pts, probe[j : j + 1],
+                rows, np.zeros(len(rows), dtype=np.intp), merge, cross=True,
+            )
+            return events, (len(ids), 0, 0)
+
+        batches, execute = unit_batches(range(len(probe)), probe_delta)
+        run_batches(batches, execute, sink, window, sink.stats)
+
     label = (f"hash-csj({g})" if g else "hash-ncsj") if compact else "hash"
-    return JoinResult.from_sink(
-        sink, eps=eps, algorithm=label, g=g if compact else None, index_name="hash"
+    return serial_join(
+        body, sink, window, None,
+        dict(eps=eps, algorithm=label, g=g if compact else None, index_name="hash"),
+        "hash",
     )

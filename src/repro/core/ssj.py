@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.csj import tree_join
 from repro.core.results import CollectSink, JoinResult, JoinSink
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, validate_eps
 from repro.index.base import SpatialIndex
 from repro.io.pagesim import NodePager
 from repro.io.writer import width_for
@@ -54,8 +54,7 @@ def ssj(
     :class:`~repro.errors.BudgetExceededError` with the valid partial
     result attached as ``exc.partial``.
     """
-    if eps <= 0:
-        raise ValueError(f"query range must be positive, got {eps}")
+    eps = validate_eps(eps)
     if sink is None:
         sink = CollectSink(id_width=width_for(tree.size))
     try:

@@ -7,6 +7,6 @@ without recomputing the join (in the spirit of dynamic enumeration of
 similarity joins).  See :class:`repro.dynamic.maintain.MaintainedJoin`.
 """
 
-from repro.dynamic.maintain import DynGroup, MaintainedJoin
+from repro.dynamic.maintain import MaintainedJoin
 
-__all__ = ["DynGroup", "MaintainedJoin"]
+__all__ = ["MaintainedJoin"]

@@ -34,12 +34,12 @@ speak about the expansion, which is preserved exactly).
 from __future__ import annotations
 
 import hashlib
-from math import sqrt
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from repro.core.csj import csj as _csj
+from repro.core.groups import Group
 from repro.core.metricspace import ObjectMetric
 from repro.core.results import CollectSink, JoinResult, normalized_link
 from repro.errors import InvalidInputError, validate_eps, validate_points
@@ -48,7 +48,7 @@ from repro.index import SpatialIndex, get_index_class
 from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 
-__all__ = ["DynGroup", "MaintainedJoin", "dataset_fingerprint"]
+__all__ = ["MaintainedJoin", "dataset_fingerprint"]
 
 logger = get_logger("dynamic")
 
@@ -75,23 +75,6 @@ def _check_vector_metric(metric, index) -> None:
                 f"object metric {candidate.name!r} has no coordinates: a "
                 "maintained join bounds its groups by rectangles"
             )
-
-
-class DynGroup:
-    """A maintained group: member ids plus its bounding corners."""
-
-    __slots__ = ("ids", "lo", "hi")
-
-    def __init__(self, ids: set[int], lo: list[float], hi: list[float]):
-        self.ids = ids
-        self.lo = lo
-        self.hi = hi
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __repr__(self) -> str:
-        return f"DynGroup(size={len(self.ids)}, lo={self.lo}, hi={self.hi})"
 
 
 class MaintainedJoin:
@@ -130,9 +113,8 @@ class MaintainedJoin:
             self.tree = get_index_class(index)(
                 points, metric=self.metric, max_entries=max_entries
             )
-        self._euclidean = self.metric.name == "euclidean"
-        #: gid -> DynGroup; gids are never reused.
-        self._groups: dict[int, DynGroup] = {}
+        #: gid -> Group; gids are never reused.
+        self._groups: dict[int, Group] = {}
         self._next_gid = 0
         #: pid -> gids of the groups containing it.
         self._pid_groups: dict[int, set[int]] = {}
@@ -186,7 +168,6 @@ class MaintainedJoin:
             self.tree = get_index_class(index)(
                 points, metric=self.metric, max_entries=max_entries
             )
-        self._euclidean = self.metric.name == "euclidean"
         self._groups = {}
         self._next_gid = 0
         self._pid_groups = {}
@@ -218,7 +199,7 @@ class MaintainedJoin:
     def _new_group(self, ids: set[int], lo: list[float], hi: list[float]) -> int:
         gid = self._next_gid
         self._next_gid += 1
-        self._groups[gid] = DynGroup(ids, lo, hi)
+        self._groups[gid] = Group(ids, lo, hi)
         for pid in ids:
             self._pid_groups.setdefault(pid, set()).add(gid)
         return gid
@@ -249,15 +230,12 @@ class MaintainedJoin:
     def _diagonal_ok(self, lo: list[float], hi: list[float]) -> bool:
         """Strict diagonal-below-ε test, bit-identical to the merge window.
 
-        Matches :class:`repro.core.groups.GroupBuffer`: Euclidean takes
-        ``sqrt`` of the scalar squared sum (comparing squares against
-        ``eps**2`` can flip strictness on exact-distance ties), other
-        metrics go through ``metric.norm_seq``.
+        ``metric.norm_seq`` is the expression of
+        :class:`repro.core.groups.GroupBuffer`'s merge test: Euclidean
+        takes ``sqrt`` of the scalar squared sum (comparing squares
+        against ``eps**2`` can flip strictness on exact-distance ties).
         """
-        spans = [h - l for l, h in zip(lo, hi)]
-        if self._euclidean:
-            return sqrt(sum(s * s for s in spans)) < self.eps
-        return self.metric.norm_seq(spans) < self.eps
+        return self.metric.norm_seq([h - l for l, h in zip(lo, hi)]) < self.eps
 
     # ------------------------------------------------------------------
     # Updates
@@ -277,7 +255,7 @@ class MaintainedJoin:
             int(n) for n in self.tree.range_query(point, self.eps) if int(n) != pid
         )
         self.counts["inserts"] += 1
-        absorbed: Optional[DynGroup] = None
+        absorbed: Optional[Group] = None
         candidate_gids = sorted(
             {gid for n in neighbors for gid in self._pid_groups.get(n, ())}
         )

@@ -62,7 +62,7 @@ from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.parallel import parallel_join
-from repro.parallel.tasks import FAMILIES
+from repro.parallel.tasks import FAMILIES, JoinSpec
 from repro.resilience.budget import Budget
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache
@@ -564,7 +564,8 @@ class JoinService:
         A retained cached result for the same parameters — even for an
         older dataset state — is a recently-true exact answer, which
         beats the analytic estimate; it slots in as the first fallback
-        and is marked both ``stale`` and ``degraded``.
+        and is marked both ``stale`` and ``degraded``.  The estimate
+        carries the label and ``g`` of the request's ``JoinSpec``.
         """
         from repro.experiments.estimate import estimate_ssj  # deferred
 
@@ -582,6 +583,10 @@ class JoinService:
                     occupancy=occupancy,
                 )
 
+        spec = JoinSpec(
+            request.points, request.eps, request.algorithm, request.g,
+            metric=request.metric,
+        )
         id_width = width_for(len(request.points))
         estimate = estimate_ssj(
             request.points, request.eps, id_width, metric=request.metric
@@ -595,7 +600,8 @@ class JoinService:
         stats.distance_computations = partial_stats.distance_computations
         result = JoinResult(
             eps=request.eps,
-            algorithm=request.algorithm,
+            algorithm=spec.label(),
+            g=spec.g if spec.compact else None,
             stats=stats,
             estimated=True,
             degraded=True,

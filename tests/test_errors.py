@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.api import build_index, similarity_join
+import repro.api
+from repro.api import build_index, similarity_join, spatial_join_datasets
+from repro.core.csj import csj
+from repro.core.dual import compact_spatial_join, spatial_join
 from repro.core.metricspace import ObjectMetric, build_metric_index
+from repro.core.partitioned import spatial_hash_join
+from repro.core.ssj import ssj
 from repro.errors import (
     BudgetExceededError,
     CheckpointCorruptError,
@@ -14,6 +19,7 @@ from repro.errors import (
     validate_eps,
     validate_points,
 )
+from repro.index.bulk import bulk_load
 from repro.parallel import parallel_join
 from repro.resilience.checkpoint import CheckpointedJoin
 
@@ -196,6 +202,67 @@ class TestOneErrorEveryEntryPoint:
         with pytest.raises(InvalidInputError):
             CheckpointedJoin(output_path=str(tmp_path / "out.txt"), **kwargs)
         assert list(tmp_path.iterdir()) == []
+
+
+def _nan_points():
+    pts = np.random.default_rng(1).random((30, 2))
+    pts[4, 1] = np.nan
+    return pts
+
+
+#: One bad two-dataset input each, as overrides of a valid compact call
+#: (``metric_b`` is the second tree's metric; the array entry points take
+#: one metric for both sides).
+BAD_PAIRS = {
+    "zero-eps": {"eps": 0.0},
+    "negative-eps": {"eps": -0.1},
+    "nan-eps": {"eps": float("nan")},
+    "inf-eps": {"eps": float("inf")},
+    "negative-g": {"g": -1},
+    "nan-coordinate": {"a": _nan_points()},
+    "2d-against-3d": {"b": np.random.default_rng(2).random((40, 3))},
+    # A side with no rows joins nothing, but it still has a dimension.
+    "2d-against-empty-3d": {"b": np.empty((0, 3))},
+    "metric-mismatch": {"metric_b": "l1"},
+}
+
+
+class TestOneErrorEveryTwoDatasetEntryPoint:
+    """A bad input raises InvalidInputError from every two-dataset entry
+    point and from the direct tree-join calls, before any index exists."""
+
+    @pytest.mark.parametrize("bad", list(BAD_PAIRS))
+    def test_rejected_everywhere(self, bad, monkeypatch):
+        case = {
+            "a": np.random.default_rng(0).random((30, 2)),
+            "b": np.random.default_rng(3).random((40, 2)),
+            "eps": 0.05, "g": 10, "metric_b": None,
+        }
+        case.update(BAD_PAIRS[bad])
+        a, b, eps, g = case["a"], case["b"], case["eps"], case["g"]
+        tree_a = bulk_load(a, max_entries=8)
+        tree_b = bulk_load(b, max_entries=8, metric=case["metric_b"])
+        if bad != "negative-g":  # the plain join has no window
+            with pytest.raises(InvalidInputError):
+                spatial_join(tree_a, tree_b, eps)
+        with pytest.raises(InvalidInputError):
+            compact_spatial_join(tree_a, tree_b, eps, g=g)
+        if case["metric_b"] is None:
+            builds = []
+            monkeypatch.setattr(
+                repro.api, "bulk_load", lambda *args, **kw: builds.append(kw)
+            )
+            with pytest.raises(InvalidInputError):
+                spatial_join_datasets(a, b, eps, g=g)
+            assert builds == []
+            with pytest.raises(InvalidInputError):
+                spatial_hash_join(a, b, eps, compact=True, g=g)
+        if bad.endswith("-eps") or bad == "negative-g":
+            with pytest.raises(InvalidInputError):
+                csj(tree_a, eps, g=g)
+        if bad.endswith("-eps"):
+            with pytest.raises(InvalidInputError):
+                ssj(tree_a, eps)
 
 
 class TestExitCodeRegistry:

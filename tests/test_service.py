@@ -305,6 +305,28 @@ class TestBrownoutLadder:
         assert outcome.result.stats.links_emitted > 0  # estimator answer
         assert outcome.degraded
 
+    @pytest.mark.parametrize(
+        "algorithm,g", [("csj", 10), ("ncsj", 10), ("ssj", 10), ("egrid-csj", 0)]
+    )
+    def test_degraded_answer_carries_the_join_label(self, pts, algorithm, g):
+        """One request, served exactly and then degraded by an expired
+        deadline: both answers name the same join."""
+        svc = _service()
+        try:
+            answers = [
+                svc.submit(JoinRequest(
+                    points=pts, eps=0.05, algorithm=algorithm, g=g,
+                    deadline_seconds=deadline,
+                )).wait(10.0)
+                for deadline in (None, 1e-9)
+            ]
+        finally:
+            svc.close()
+        assert [a.status for a in answers] == ["admitted", "degraded"]
+        admitted, degraded = (a.result for a in answers)
+        assert degraded.algorithm == admitted.algorithm
+        assert degraded.g == admitted.g
+
     def test_byte_budget_breach_degrades(self, pts):
         svc = _service()
         try:
