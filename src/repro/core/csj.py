@@ -204,12 +204,12 @@ def leaf_window_delta(
 
     The units' entry blocks are gathered into one ``(K, M, d)`` array per
     side, ``M`` the window's largest leaf, with every short block padded
-    by repeating its own entries, and evaluated with one ``norm_rows``
-    call on the ``(K, M, M, d)`` differences.  That is the subtraction and
-    last-axis reduction of :meth:`Metric.pairwise` and
-    :meth:`Metric.condensed_self`, so the distances are bit-identical.
-    One mask drops the padding (and ``r >= c`` in self units), and one
-    ``np.nonzero`` lists the hits unit by unit, row-major: the order of
+    by repeating its own entries, and evaluated with one batched
+    :meth:`Metric.pairwise` call, ``(K, M, M)`` distances whose values
+    are those of a unit's own ``pairwise`` or ``condensed_self``.  One
+    mask drops the padding (and ``r >= c`` in self units), and the hits'
+    gathered rows are read off broadcast row and column numbers through
+    that mask, unit by unit, row-major: the order of
     :func:`leaf_self_delta` / :func:`leaf_cross_delta` run one after
     another.  ``dc`` is the sum of their charges.  Given ``other``, each
     unit's second leaf is ``other``'s.
@@ -227,17 +227,18 @@ def leaf_window_delta(
     ids_b = q.entries[beg_b[:, None] + np.minimum(slot, len_b[:, None] - 1)]
     pts_a = points[ids_a]
     pts_b = (points if other is None else q.points)[ids_b]
-    hit = metric.norm_rows(pts_a[:, :, None, :] - pts_b[:, None, :, :]) < eps
+    hit = metric.pairwise(pts_a, pts_b) < eps
     hit &= (slot < len_a[:, None])[:, :, None]
     hit &= (slot < len_b[:, None])[:, None, :]
     hit &= (slot[:, None] < slot) | ~is_self[:, None, None]
-    k, rows, cols = np.nonzero(hit)
-    base = k * m
+    row = np.arange(len(units) * m).reshape(-1, m)
     dc = np.where(is_self, len_a * (len_a - 1) // 2, len_a * len_b).sum()
     events = link_events(
         ids_a.ravel(), ids_b.ravel(),
         pts_a.reshape(-1, pts_a.shape[-1]), pts_b.reshape(-1, pts_b.shape[-1]),
-        base + rows, base + cols, g > 0, other is not None,
+        np.broadcast_to(row[:, :, None], hit.shape)[hit],
+        np.broadcast_to(row[:, None, :], hit.shape)[hit],
+        g > 0, other is not None,
     )
     return events, int(dc)
 

@@ -232,15 +232,16 @@ class TextSink(JoinSink):
     to reproduce Experiment 3 (computation vs. disk-write time).
 
     Every line — link batches (:meth:`write_links`), single and raw
-    links, group lines — is queued in one pending buffer of ids and line
-    lengths, up to :data:`PENDING_IDS` ids, and goes out as one
-    digit-matrix text (:func:`repro.io.writer.format_lines`) in one file
-    write.  A call's ids are range-checked, and its counters and
-    ``bytes_written`` charged, when it queues its line.  The pending lines
-    are written before a call queues a line that would cross the bound,
-    before a group pair's line, and by :meth:`close` (and a durable
-    sink's ``sync``/``tell``), so the file bytes and their order are
-    those of writing every call at once.
+    links, group lines and group pairs — is queued in one pending buffer
+    of ids and line lengths, up to :data:`PENDING_IDS` ids, and goes out
+    as one digit-matrix text (:func:`repro.io.writer.format_lines`) in one
+    file write.  A group pair's line is its two sides' ids, with a bar
+    marking the last side-a id.  A call's ids are range-checked, and its
+    counters and ``bytes_written`` charged, when it queues its line.  The
+    pending lines are written before a call queues a line that would
+    cross the bound, and by :meth:`close` (and a durable sink's
+    ``sync``/``tell``), so the file bytes and their order are those of
+    writing every call at once.
     """
 
     def __init__(
@@ -261,6 +262,8 @@ class TextSink(JoinSink):
         self._pieces: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
         self._run_ids: list[int] = []
         self._run_lengths: list[int] = []
+        # Pending positions of the ids that `` | `` follows.
+        self._bars: list[int] = []
         self._pending = 0
 
     def write_links(self, ids_i: Sequence[int], ids_j: Sequence[int]) -> None:
@@ -293,19 +296,19 @@ class TextSink(JoinSink):
         self._queue((i, j), min(i, j), max(i, j))
 
     def _store_group_pair(self, ids_a: tuple[int, ...], ids_b: tuple[int, ...]) -> None:
-        check_range(min(ids_a[0], ids_b[0]), max(ids_a[-1], ids_b[-1]), self.id_width)
-        self._flush()
-        start = time.perf_counter()
-        self._writer.write_group_pair(ids_a, ids_b)
-        self.stats.write_time += time.perf_counter() - start
+        low, high = min(ids_a[0], ids_b[0]), max(ids_a[-1], ids_b[-1])
+        self._queue(ids_a + ids_b, low, high, bar=len(ids_a))
 
-    def _queue(self, ids: Sequence[int], low: int, high: int) -> None:
-        """Queue one line whose ids lie in ``low .. high``."""
+    def _queue(self, ids: Sequence[int], low: int, high: int, bar: int = 0) -> None:
+        """Queue one line whose ids lie in ``low .. high``; a group pair's
+        line has its `` | `` after its first ``bar`` ids."""
         if low < 0 or high >= self._limit:
             check_range(low, high, self.id_width)
         n = len(ids)
         if self._pending + n > PENDING_IDS:
             self._flush()
+        if bar:
+            self._bars.append(self._pending + bar - 1)
         self._run_ids.extend(ids)
         self._run_lengths.append(n)
         self._pending += n
@@ -336,7 +339,7 @@ class TextSink(JoinSink):
             self._writer.write_lines(ids, np.concatenate([
                 np.full(len(piece) // 2, 2) if lengths is None else lengths
                 for piece, lengths in pieces
-            ]))
+            ]), self._bars)
         self._drop_pending()
         self.stats.write_time += time.perf_counter() - start
 
@@ -344,6 +347,7 @@ class TextSink(JoinSink):
         self._pieces.clear()
         self._run_ids = []
         self._run_lengths = []
+        self._bars = []
         self._pending = 0
 
     def close(self) -> None:

@@ -11,13 +11,27 @@ their distance, which is the property the completeness proof (Theorem 1,
 Case 2) relies on.
 
 All bulk operations are vectorised with NumPy; leaf-level pairwise distance
-matrices are the join algorithms' hot path.
+matrices are the join algorithms' hot path.  A vector metric is three
+steps over a row of coordinate differences: a per-coordinate term (x²,
+|x| or |x|^p), a left fold of the terms (``+``, or ``max`` for L∞) and a
+finish (sqrt, ^(1/p) or nothing).  For rows of up to
+:data:`FOLD_MAX_DIM` coordinates every distance is computed column by
+column: :meth:`Metric.norm_rows` folds the coordinate views of its term
+array, and :meth:`Metric.pairwise` and :meth:`Metric.condensed_self`
+fold one difference array per coordinate, so their ``(..., d)``
+difference tensor is never made.  NumPy reduces so short an
+axis in the same order, so the distances are bit-identical to
+``np.sum(terms, axis=-1)`` (``tests/test_metrics.py`` pins it).  The
+coordinate axis is 2 or 3 wide in the paper's workloads, where NumPy is
+slow both at broadcasting over it and at reducing it.  ``einsum``,
+``@``, ``np.hypot`` and the ``|a|² + |b|² - 2ab`` expansion all round
+differently, so none of them may stand in for the fold.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -29,7 +43,21 @@ __all__ = [
     "Chebyshev",
     "get_metric",
     "triu_pair_indices",
+    "FOLD_MAX_DIM",
 ]
+
+#: Widest row whose distances are folded column by column.  NumPy sums a
+#: reduction axis shorter than 8 in one accumulator, left to right; from
+#: 8 on its pairwise summation splits the terms over eight accumulators.
+#: Up to this width a left fold over the columns is therefore
+#: ``np.sum(..., axis=-1)`` bit for bit, and wider rows keep the
+#: ``(..., d)`` tensor and NumPy's own reduction.
+FOLD_MAX_DIM = 7
+
+
+def _folds(x: np.ndarray) -> bool:
+    """Whether ``x``'s last axis is a row :data:`FOLD_MAX_DIM` may fold."""
+    return x.ndim > 0 and 0 < x.shape[-1] <= FOLD_MAX_DIM
 
 # Upper-triangle index pairs are recomputed for every leaf the joins
 # visit; leaves share a handful of sizes (bounded by the tree fanout), so
@@ -62,21 +90,59 @@ def triu_pair_indices(k: int) -> "tuple[np.ndarray, np.ndarray]":
 class Metric:
     """Base class for distance metrics over ``R^d`` row vectors.
 
-    Subclasses must implement :meth:`norm_rows`; every other operation is
-    derived from it.  Metrics are stateless and hashable so they can be
-    shared between trees, joins and tests.
+    A vector metric defines three steps over a row of coordinate
+    differences: :meth:`_term` (per coordinate), :attr:`_combine` (a ufunc
+    that folds two terms) and :meth:`_finish`.  :meth:`norm_rows` and every
+    bulk operation derive from them.  Metrics are stateless and hashable
+    so they can be shared between trees, joins and tests.
     """
 
     #: Human-readable identifier, e.g. ``"euclidean"``.
     name: str = "abstract"
 
+    #: Folds two coordinates' terms: ``np.add``, or ``np.maximum`` for L∞.
+    _combine = np.add
+
+    def _term(self, x: np.ndarray, out=None) -> np.ndarray:
+        """Each coordinate's term of ``x`` (x², |x| or |x|^p), into ``out``."""
+        raise NotImplementedError
+
+    def _finish(self, s):
+        """The norm from the folded terms ``s`` (sqrt, ^(1/p) or nothing)."""
+        return s
+
     def norm_rows(self, diffs: np.ndarray) -> np.ndarray:
         """Return the metric norm of each row of ``diffs``.
 
         ``diffs`` may have any shape whose final axis is the coordinate
-        axis; the result drops that axis.
+        axis; the result drops that axis.  The terms are taken once and
+        their coordinate views folded left to right.
         """
-        raise NotImplementedError
+        diffs = np.asarray(diffs)
+        terms = self._term(diffs)
+        if not _folds(diffs):
+            return self._finish(self._combine.reduce(terms, axis=-1))
+        # ``[()]`` makes a 1-D row's first term a NumPy scalar, as
+        # ``np.sum`` returns one, so the finish takes the same scalar path.
+        acc = terms[..., 0][()]
+        for j in range(1, diffs.shape[-1]):
+            acc = self._combine(acc, terms[..., j])
+        return self._finish(acc)
+
+    def _fold(self, d: int, diff: Callable[[int], np.ndarray]) -> np.ndarray:
+        """Distances from ``d`` coordinate columns.
+
+        ``diff(j)`` returns a fresh array of the ``j``-th coordinate's
+        differences.  Each becomes its terms in place and is folded into
+        the first, so no more than two such arrays are alive at once.
+        """
+        first = diff(0)
+        acc = self._term(first, out=first)
+        for j in range(1, d):
+            column = diff(j)
+            self._combine(acc, self._term(column, out=column), out=acc)
+            del column  # freed before the next column is made
+        return self._finish(acc)
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two points (1-D arrays)."""
@@ -96,13 +162,23 @@ class Metric:
         return float(self.norm_rows(np.asarray(values, dtype=float)))
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Full ``len(a) x len(b)`` distance matrix between two point sets."""
+        """Distances between two point sets: ``(n, m)`` for rows ``a`` and
+        ``b``, or ``(K, n, m)`` for ``(K, n, d)`` / ``(K, m, d)`` batches."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        return self.norm_rows(a[:, None, :] - b[None, :, :])
+        if not (_folds(a) and b.shape[-1] == a.shape[-1]):
+            return self.norm_rows(a[..., :, None, :] - b[..., None, :, :])
+        return self._fold(
+            a.shape[-1], lambda j: a[..., :, None, j] - b[..., None, :, j]
+        )
 
     def paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-aligned distances: ``dist(a[i], b[i])`` for each row ``i``."""
+        """Row-aligned distances: ``dist(a[i], b[i])`` for each row ``i``.
+
+        The differences are one array the size of the input, whose column
+        views :meth:`norm_rows` folds: at leaf sizes that takes fewer
+        NumPy calls than a difference array per column.
+        """
         return self.norm_rows(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
     def self_pairwise(self, a: np.ndarray) -> np.ndarray:
@@ -117,18 +193,31 @@ class Metric:
         ``dists[i]`` their distance — the same values as
         ``self_pairwise(a)[rows, cols]`` without ever materialising the
         full ``k x k`` matrix (or its ``(k, k, d)`` difference tensor).
-        Peak memory is ~2x smaller than the full-matrix path on dense
-        leaves; the distances themselves are bit-identical because the
-        elementwise subtraction and norm are unchanged.
+        Each coordinate's pair differences are two gathers of its column;
+        the second is taken half at a time, so a coordinate holds at most
+        2.5 pair-sized arrays next to the fold's, well under the two
+        ``k x k`` arrays of the full matrix.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         rows, cols = triu_pair_indices(len(a))
-        diffs = a[rows]
-        np.subtract(diffs, a[cols], out=diffs)
-        return rows, cols, self.norm_rows(diffs)
+        if not _folds(a):
+            diffs = a[rows]
+            np.subtract(diffs, a[cols], out=diffs)
+            return rows, cols, self.norm_rows(diffs)
+        half = len(rows) // 2
+
+        def diff(j: int) -> np.ndarray:
+            col = a[:, j]
+            out = col[rows]
+            out[:half] -= col[cols[:half]]
+            out[half:] -= col[cols[half:]]
+            return out
+
+        return rows, cols, self._fold(a.shape[-1], diff)
 
     def point_to_points(self, p: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Distances from a single point to each row of ``pts``."""
+        """Distances from a single point to each row of ``pts``, as
+        :meth:`paired` takes them."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.norm_rows(pts - np.asarray(p, dtype=float))
 
@@ -153,8 +242,15 @@ class Minkowski(Metric):
         self.p = float(p)
         self.name = f"minkowski-{self.p:g}"
 
-    def norm_rows(self, diffs: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(diffs) ** self.p, axis=-1) ** (1.0 / self.p)
+    def _term(self, x: np.ndarray, out=None) -> np.ndarray:
+        # ``**=`` takes the same power fast paths as ``**`` (x ** 2.0 is a
+        # square), so the terms are those of ``np.abs(x) ** p``.
+        terms = np.abs(x, out=out)
+        terms **= self.p
+        return terms
+
+    def _finish(self, s):
+        return s ** (1.0 / self.p)
 
     def norm_seq(self, values: "list[float]") -> float:
         return sum(abs(v) ** self.p for v in values) ** (1.0 / self.p)
@@ -170,8 +266,11 @@ class Euclidean(Minkowski):
         super().__init__(2.0)
         self.name = "euclidean"
 
-    def norm_rows(self, diffs: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(diffs * diffs, axis=-1))
+    def _term(self, x: np.ndarray, out=None) -> np.ndarray:
+        return np.multiply(x, x, out=out)
+
+    def _finish(self, s):
+        return np.sqrt(s)
 
     def norm_seq(self, values: "list[float]") -> float:
         return math.sqrt(sum(v * v for v in values))
@@ -184,8 +283,10 @@ class Manhattan(Minkowski):
         super().__init__(1.0)
         self.name = "manhattan"
 
-    def norm_rows(self, diffs: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(diffs), axis=-1)
+    _finish = Metric._finish
+
+    def _term(self, x: np.ndarray, out=None) -> np.ndarray:
+        return np.abs(x, out=out)
 
     def norm_seq(self, values: "list[float]") -> float:
         return sum(abs(v) for v in values)
@@ -195,9 +296,10 @@ class Chebyshev(Metric):
     """The L-infinity (maximum-coordinate) metric."""
 
     name = "chebyshev"
+    _combine = np.maximum
 
-    def norm_rows(self, diffs: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(diffs), axis=-1)
+    def _term(self, x: np.ndarray, out=None) -> np.ndarray:
+        return np.abs(x, out=out)
 
     def norm_seq(self, values: "list[float]") -> float:
         return max(abs(v) for v in values)

@@ -57,22 +57,30 @@ def check_range(low: int, high: int, width: int) -> None:
         )
 
 
-def format_lines(ids, lengths, width: int) -> str:
+#: The bytes that turn a barred id's separating space into `` | ``.
+_BAR = np.frombuffer(b"| ", dtype=np.uint8)
+
+
+def format_lines(ids, lengths, width: int, bars=()) -> str:
     """Fixed-width text of consecutive output lines, as one digit matrix.
 
     ``ids`` holds every line's ids end to end; ``lengths`` is how many ids
     each line holds, one count per line or one count for every line.
     Each id becomes one row of ``width`` ASCII digits (``id // 10**k % 10
     + 48``) plus one separator byte: a space, or a newline on the row that
-    ends its line.  The text equals the lines formatted one f-string at a
-    time, and its length is the sum of :func:`line_bytes` over them.  The
-    range is checked once, on the batch's minimum and maximum, before any
-    text is built.
+    ends its line.  ``bars`` lists the ids followed by `` | `` instead of
+    a space: the last side-a id of a group pair's line, two bytes over
+    :func:`line_bytes`.  The text equals the lines formatted one f-string
+    at a time, and its length is the sum of :func:`line_bytes` over them
+    plus two per bar.  The range is checked once, on the batch's minimum
+    and maximum, before any text is built.
 
     >>> format_lines([1, 2, 3, 4, 5], [2, 3], 3)
     '001 002\\n003 004 005\\n'
     >>> format_lines([1, 2, 3, 4], 2, 3)
     '001 002\\n003 004\\n'
+    >>> format_lines([1, 2, 3], 3, 3, bars=[0])
+    '001 | 002 003\\n'
     """
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
@@ -90,6 +98,10 @@ def format_lines(ids, lengths, width: int) -> str:
         text[lengths - 1 :: lengths, width] = 10
     else:
         text[np.cumsum(lengths) - 1, width] = 10
+    if len(bars):
+        # "| " goes in after the space that ends each barred id's row.
+        at = np.repeat((np.asarray(bars) + 1) * (width + 1), 2)
+        text = np.insert(text.ravel(), at, np.tile(_BAR, len(at) // 2))
     return text.tobytes().decode("ascii")
 
 
@@ -135,9 +147,9 @@ class FixedWidthWriter:
             self._file = target
             self._owns_file = False
 
-    def write_lines(self, ids, lengths) -> None:
+    def write_lines(self, ids, lengths, bars=()) -> None:
         """Consecutive lines in one write: :func:`format_lines` of ``ids``."""
-        text = format_lines(ids, lengths, self.width)
+        text = format_lines(ids, lengths, self.width, bars)
         self._file.write(text)
         self.bytes_written += len(text)
 
@@ -156,11 +168,8 @@ class FixedWidthWriter:
 
     def write_group_pair(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> None:
         """A spatial-join group: both sides on one line, ``|``-separated."""
-        left = format_lines(ids_a, len(ids_a), self.width)[:-1]
-        right = format_lines(ids_b, len(ids_b), self.width)[:-1]
-        line = left + " | " + right + "\n"
-        self._file.write(line)
-        self.bytes_written += len(line)
+        ids = list(ids_a) + list(ids_b)
+        self.write_lines(ids, len(ids), [len(ids_a) - 1])
 
     def sync(self) -> None:
         """Flush buffers and force the bytes to stable storage (fsync).

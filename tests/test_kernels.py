@@ -250,6 +250,29 @@ def test_leaf_window_memory_shape():
         assert window_peak < 1.5 * unit_peak, (eps, window_peak, unit_peak)
 
 
+def test_leaf_cross_never_holds_the_difference_tensor():
+    """A fanout-64 d = 2 leaf pair folds coordinate columns.
+
+    The fold holds two (64, 64) arrays, the bytes of the old (64, 64, 2)
+    difference tensor, while the tensor form holds the tensor and its
+    squares at once.  NumPy stages broadcast operands of either form in
+    buffers of up to ``np.getbufsize()`` elements, so the bound is set
+    against the tensor form measured beside it: at least half a tensor
+    less, which a return to the tensor form cannot meet.
+    """
+    pts = np.random.default_rng(5).random((128, 2))
+    ids1, ids2 = np.arange(64), np.arange(64, 128)
+    metric = get_metric("euclidean")
+    tensor_bytes = 64 * 64 * 2 * 8
+
+    def tensor_form():
+        diffs = pts[ids1][:, None, :] - pts[ids2][None, :, :]
+        return np.nonzero(np.sqrt(np.sum(diffs * diffs, axis=-1)) < 0.05)
+
+    fold_peak = _peak(lambda: leaf_cross_delta(pts, metric, 0.05, ids1, ids2, 0))
+    assert fold_peak + tensor_bytes // 2 < _peak(tensor_form)
+
+
 def test_leaf_windows_stay_within_the_padded_limit():
     """Windows over ragged insertion-built leaves: bounded, maximal, in order."""
     rng = np.random.default_rng(4)

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.geometry.mbr import MBR
 from repro.geometry.metrics import (
+    FOLD_MAX_DIM,
     Chebyshev,
     Euclidean,
     Manhattan,
     Metric,
     Minkowski,
     get_metric,
+    triu_pair_indices,
 )
 
 
@@ -130,3 +133,76 @@ class TestEquality:
     def test_base_metric_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Metric().norm_rows(np.zeros(2))
+
+
+# The column fold (``FOLD_MAX_DIM``) must give NumPy's own reduction, bit
+# for bit.  These are the literal expressions every kernel computed before
+# the fold, not Metric methods: a NumPy that sums a short axis in another
+# order fails here instead of silently moving output bytes.
+LITERAL = {
+    "euclidean": lambda x: np.sqrt(np.sum(x * x, axis=-1)),
+    "manhattan": lambda x: np.sum(np.abs(x), axis=-1),
+    "chebyshev": lambda x: np.max(np.abs(x), axis=-1),
+    "minkowski-3": lambda x: np.sum(np.abs(x) ** 3.0, axis=-1) ** (1.0 / 3.0),
+}
+FOLD_DIMS = range(1, 10)
+
+
+def _draws(shape, seed):
+    """Random reals, and a quarter lattice full of exact ties and zeros."""
+    rng = np.random.default_rng(seed)
+    yield rng.standard_normal(shape) * np.exp(rng.uniform(-6, 6, shape))
+    yield rng.integers(-8, 9, shape) / 4.0
+
+
+def _same(new, old):
+    """Bit-identical values of the same kind: a 1-D row's norm is a scalar."""
+    assert np.ndim(new) == np.ndim(old)
+    assert isinstance(new, np.ndarray) == isinstance(old, np.ndarray)
+    assert np.array_equal(new, old)
+
+
+class TestFoldOrder:
+    def test_fold_stops_below_numpys_pairwise_summation(self):
+        # NumPy's pairwise sum unrolls from 8 terms; the fold must stop short.
+        assert FOLD_MAX_DIM == 7
+
+    @pytest.mark.parametrize("name", sorted(LITERAL))
+    @pytest.mark.parametrize("d", FOLD_DIMS)
+    def test_norm_rows(self, name, d):
+        metric, literal = get_metric(3 if name == "minkowski-3" else name), LITERAL[name]
+        for lead in ((), (50,), (6, 7)):
+            for x in _draws(lead + (d,), d):
+                _same(metric.norm_rows(x), literal(x))
+
+    @pytest.mark.parametrize("name", sorted(LITERAL))
+    @pytest.mark.parametrize("d", FOLD_DIMS)
+    def test_pair_kernels(self, name, d):
+        metric, literal = get_metric(3 if name == "minkowski-3" else name), LITERAL[name]
+        for a, b in zip(_draws((23, d), d), _draws((17, d), d + 100)):
+            _same(metric.pairwise(a, b), literal(a[:, None, :] - b[None, :, :]))
+            rows, cols = triu_pair_indices(len(a))
+            _same(metric.condensed_self(a)[2], literal(a[rows] - a[cols]))
+            _same(metric.paired(a[:17], b), literal(a[:17] - b))
+            _same(metric.point_to_points(a[0], b), literal(b - a[0]))
+        for a, b in zip(_draws((5, 8, d), d), _draws((5, 6, d), d + 200)):
+            # The batched (K, M, d) form leaf windows use.
+            _same(metric.pairwise(a, b), literal(a[:, :, None, :] - b[:, None, :, :]))
+
+    @pytest.mark.parametrize("name", sorted(LITERAL))
+    @pytest.mark.parametrize("d", FOLD_DIMS)
+    def test_single_vectors(self, name, d):
+        """``distance``, ``norm`` and the MBR bounds reduce one 1-D row."""
+        metric, literal = get_metric(3 if name == "minkowski-3" else name), LITERAL[name]
+        for x, y in zip(_draws((4, d), d), _draws((4, d), d + 300)):
+            assert metric.distance(x[0], y[0]) == float(literal(x[0] - y[0]))
+            assert metric.norm(x[1]) == float(literal(x[1]))
+            box1 = MBR(np.minimum(x[0], x[1]), np.maximum(x[0], x[1]))
+            box2 = MBR(np.minimum(y[2], y[3]), np.maximum(y[2], y[3]))
+            gaps = np.maximum(0.0, np.maximum(box1.lo - box2.hi, box2.lo - box1.hi))
+            spans = np.maximum(np.abs(box1.hi - box2.lo), np.abs(box2.hi - box1.lo))
+            union = np.maximum(box1.hi, box2.hi) - np.minimum(box1.lo, box2.lo)
+            assert box1.diagonal(metric) == float(literal(box1.hi - box1.lo))
+            assert box1.min_dist(box2, metric) == float(literal(gaps))
+            assert box1.max_dist(box2, metric) == float(literal(spans))
+            assert box1.union_diagonal(box2, metric) == float(literal(union))
