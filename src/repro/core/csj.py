@@ -207,9 +207,9 @@ def leaf_window_delta(
     by repeating its own entries, and evaluated with one batched
     :meth:`Metric.pairwise` call, ``(K, M, M)`` distances whose values
     are those of a unit's own ``pairwise`` or ``condensed_self``.  One
-    mask drops the padding (and ``r >= c`` in self units), and the hits'
-    gathered rows are read off broadcast row and column numbers through
-    that mask, unit by unit, row-major: the order of
+    mask drops the padding (and ``r >= c`` in self units), and one
+    ``np.nonzero`` of the ``(K * M, M)`` hit matrix lists the hits unit
+    by unit, row-major: the order of
     :func:`leaf_self_delta` / :func:`leaf_cross_delta` run one after
     another.  ``dc`` is the sum of their charges.  Given ``other``, each
     unit's second leaf is ``other``'s.
@@ -231,14 +231,18 @@ def leaf_window_delta(
     hit &= (slot < len_a[:, None])[:, :, None]
     hit &= (slot < len_b[:, None])[:, None, :]
     hit &= (slot[:, None] < slot) | ~is_self[:, None, None]
-    row = np.arange(len(units) * m).reshape(-1, m)
+    # A hit of unit k in block column c is gathered row k * M + c of side
+    # b; the offsets go in place, so the index arrays peak at three.
+    rows, cols = np.nonzero(hit.reshape(-1, m))
+    first = rows % m
+    np.subtract(rows, first, out=first)
+    cols += first
+    del first
     dc = np.where(is_self, len_a * (len_a - 1) // 2, len_a * len_b).sum()
     events = link_events(
         ids_a.ravel(), ids_b.ravel(),
         pts_a.reshape(-1, pts_a.shape[-1]), pts_b.reshape(-1, pts_b.shape[-1]),
-        np.broadcast_to(row[:, :, None], hit.shape)[hit],
-        np.broadcast_to(row[:, None, :], hit.shape)[hit],
-        g > 0, other is not None,
+        rows, cols, g > 0, other is not None,
     )
     return events, int(dc)
 
