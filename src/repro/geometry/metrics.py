@@ -59,6 +59,7 @@ def _folds(x: np.ndarray) -> bool:
     """Whether ``x``'s last axis is a row :data:`FOLD_MAX_DIM` may fold."""
     return x.ndim > 0 and 0 < x.shape[-1] <= FOLD_MAX_DIM
 
+
 # Upper-triangle index pairs are recomputed for every leaf the joins
 # visit; leaves share a handful of sizes (bounded by the tree fanout), so
 # a tiny cache turns that into one allocation per size.  Arrays in the
