@@ -139,13 +139,17 @@ class TestEquality:
 # for bit.  These are the literal expressions every kernel computed before
 # the fold, not Metric methods: a NumPy that sums a short axis in another
 # order fails here instead of silently moving output bytes.
-LITERAL = {
-    "euclidean": lambda x: np.sqrt(np.sum(x * x, axis=-1)),
-    "manhattan": lambda x: np.sum(np.abs(x), axis=-1),
-    "chebyshev": lambda x: np.max(np.abs(x), axis=-1),
-    "minkowski-3": lambda x: np.sum(np.abs(x) ** 3.0, axis=-1) ** (1.0 / 3.0),
-}
-FOLD_DIMS = range(1, 10)
+FOLD_CASES = [
+    (Euclidean(), lambda x: np.sqrt(np.sum(x * x, axis=-1))),
+    (Manhattan(), lambda x: np.sum(np.abs(x), axis=-1)),
+    (Chebyshev(), lambda x: np.max(np.abs(x), axis=-1)),
+    (Minkowski(3), lambda x: np.sum(np.abs(x) ** 3.0, axis=-1) ** (1.0 / 3.0)),
+]
+# One and two past the fold too, where the tensor branch must hold.
+FOLD_DIMS = range(1, FOLD_MAX_DIM + 3)
+each_fold_case = pytest.mark.parametrize(
+    "metric,literal", FOLD_CASES, ids=[metric.name for metric, _ in FOLD_CASES]
+)
 
 
 def _draws(shape, seed):
@@ -162,23 +166,15 @@ def _same(new, old):
     assert np.array_equal(new, old)
 
 
+@each_fold_case
+@pytest.mark.parametrize("d", FOLD_DIMS)
 class TestFoldOrder:
-    def test_fold_stops_below_numpys_pairwise_summation(self):
-        # NumPy's pairwise sum unrolls from 8 terms; the fold must stop short.
-        assert FOLD_MAX_DIM == 7
-
-    @pytest.mark.parametrize("name", sorted(LITERAL))
-    @pytest.mark.parametrize("d", FOLD_DIMS)
-    def test_norm_rows(self, name, d):
-        metric, literal = get_metric(3 if name == "minkowski-3" else name), LITERAL[name]
+    def test_norm_rows(self, metric, literal, d):
         for lead in ((), (50,), (6, 7)):
             for x in _draws(lead + (d,), d):
                 _same(metric.norm_rows(x), literal(x))
 
-    @pytest.mark.parametrize("name", sorted(LITERAL))
-    @pytest.mark.parametrize("d", FOLD_DIMS)
-    def test_pair_kernels(self, name, d):
-        metric, literal = get_metric(3 if name == "minkowski-3" else name), LITERAL[name]
+    def test_pair_kernels(self, metric, literal, d):
         for a, b in zip(_draws((23, d), d), _draws((17, d), d + 100)):
             _same(metric.pairwise(a, b), literal(a[:, None, :] - b[None, :, :]))
             rows, cols = triu_pair_indices(len(a))
@@ -189,11 +185,8 @@ class TestFoldOrder:
             # The batched (K, M, d) form leaf windows use.
             _same(metric.pairwise(a, b), literal(a[:, :, None, :] - b[:, None, :, :]))
 
-    @pytest.mark.parametrize("name", sorted(LITERAL))
-    @pytest.mark.parametrize("d", FOLD_DIMS)
-    def test_single_vectors(self, name, d):
+    def test_single_vectors(self, metric, literal, d):
         """``distance``, ``norm`` and the MBR bounds reduce one 1-D row."""
-        metric, literal = get_metric(3 if name == "minkowski-3" else name), LITERAL[name]
         for x, y in zip(_draws((4, d), d), _draws((4, d), d + 300)):
             assert metric.distance(x[0], y[0]) == float(literal(x[0] - y[0]))
             assert metric.norm(x[1]) == float(literal(x[1]))
