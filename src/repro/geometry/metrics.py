@@ -244,9 +244,11 @@ class Minkowski(Metric):
         self.name = f"minkowski-{self.p:g}"
 
     def _term(self, x: np.ndarray, out=None) -> np.ndarray:
+        terms = np.abs(x, out=out)
+        if out is None:  # integer input too: the power makes the floats
+            return terms ** self.p
         # ``**=`` takes the same power fast paths as ``**`` (x ** 2.0 is a
         # square), so the terms are those of ``np.abs(x) ** p``.
-        terms = np.abs(x, out=out)
         terms **= self.p
         return terms
 

@@ -153,10 +153,12 @@ each_fold_case = pytest.mark.parametrize(
 
 
 def _draws(shape, seed):
-    """Random reals, and a quarter lattice full of exact ties and zeros."""
+    """Random reals, a quarter lattice full of exact ties and zeros, and
+    integers, which the kernels take as they are."""
     rng = np.random.default_rng(seed)
     yield rng.standard_normal(shape) * np.exp(rng.uniform(-6, 6, shape))
     yield rng.integers(-8, 9, shape) / 4.0
+    yield rng.integers(-8, 9, shape)
 
 
 def _same(new, old):
