@@ -1,24 +1,28 @@
 #!/usr/bin/env python
-"""Distance-kernel benchmark: the leaf kernels and the served miss's join.
+"""Distance-kernel benchmark: the leaf kernels and the joins that run them.
 
-Writes ``BENCH_kernels.json`` next to this file (or ``--out``).  Five
+Writes ``BENCH_kernels.json`` next to this file (or ``--out``).  Six
 cells, each a call the joins make, timed in a fresh interpreter:
 
 * ``leaf_cross_delta`` — two 64-point blocks of the served input, next
   to each other in its fanout-64 tree's leaf order;
-* ``leaf_window_delta`` — the first 22 units of a leaf window of the
-  Fig 7 input (Sierpinski3D, 4,000 points, seed 1, fanout 8, range
-  :data:`FIG7_EPS`);
+* ``leaf_window_delta`` — the first 22 units of the first run of 22 or
+  more leaf units in the walk of the Fig 7 input (Sierpinski3D, 4,000
+  points, seed 1, fanout 8, range :data:`FIG7_EPS`); only its events are
+  digested, so checkouts whose executor returns other counters compare;
 * ``condensed_self`` — the first of those blocks;
 * ``join-csj(10)``, ``join-ncsj`` — ``similarity_join`` of the served
   input at range :data:`EPS` (fanout 64, STR), the two reads of
-  perfbench's served-churn.
+  perfbench's served-churn;
+* ``join-fig7-ncsj`` — N-CSJ of the Fig 7 input (fanout 8, STR) at
+  :data:`FIG7_EPS` into a ``TextSink`` file, perfbench's fig7-ncsj-f8
+  join; its digest is the file's sha256.
 
 The served input is perfbench's: ``--n`` points (4,000) drawn with seed
 :data:`SEED` from the 36,000-point LB County map of seed 1.  A kernel run
 times :data:`KERNEL_CALLS` calls in blocks of :data:`BLOCK` and reports
 the median block's time per call; a join run reports the median of
-:data:`JOIN_CALLS` joins into a ``CollectSink``.  Each run warms up first
+:data:`JOIN_CALLS` joins.  Each run warms up first
 and digests what the calls return.
 
 Every run goes in a fresh subprocess whose ``PYTHONPATH`` is one side's
@@ -68,6 +72,7 @@ CELLS = (
     "condensed_self",
     "join-csj(10)",
     "join-ncsj",
+    "join-fig7-ncsj",
 )
 
 
@@ -88,9 +93,9 @@ def digest(value) -> str:
 
 def prepare(inputs: str) -> dict:
     """The call each cell times, built from the saved inputs."""
-    from repro import similarity_join
+    from repro import TextSink, ncsj, similarity_join
     from repro.api import build_index
-    from repro.core.csj import leaf_cross_delta, leaf_window_delta, leaf_windows
+    from repro.core.csj import leaf_cross_delta, leaf_window_delta
     from repro.core.frontier import traverse
     from repro.geometry.metrics import get_metric
     from repro.index.packed import pack_index
@@ -102,19 +107,29 @@ def prepare(inputs: str) -> dict:
     order = pack_index(build_index(served, "rstar", max_entries=64, bulk="str")).entries
     ids1, ids2 = order[:64], order[64:128]
     leaf = np.ascontiguousarray(served[ids1])
-    tree7 = pack_index(build_index(fig7, "rstar", max_entries=8, bulk="str"))
-    window = next(
-        w for w in leaf_windows(traverse(tree7, FIG7_EPS, True), tree7)
-        if len(w) >= WINDOW_UNITS
-    )[:WINDOW_UNITS]
+    index7 = build_index(fig7, "rstar", max_entries=8, bulk="str")
+    tree7 = pack_index(index7)
+    window: list = []
+    for unit in traverse(tree7, FIG7_EPS, True):
+        if len(window) == WINDOW_UNITS:
+            break
+        window = window + [unit] if unit[0] in ("self", "cross") else []
+    out7 = Path(inputs).with_name(f"fig7-{os.getpid()}.txt")
+
+    def fig7_join() -> Path:
+        with TextSink(str(out7), id_width=len(str(len(fig7) - 1))) as sink:
+            ncsj(index7, FIG7_EPS, sink=sink)
+        return out7
+
     return {
         "leaf_cross_delta": lambda: leaf_cross_delta(served, metric, EPS, ids1, ids2, 0),
         "leaf_window_delta": lambda: leaf_window_delta(
             fig7, metric, FIG7_EPS, tree7, window, 0
-        ),
+        )[0],
         "condensed_self": lambda: metric.condensed_self(leaf),
         "join-csj(10)": lambda: similarity_join(served, EPS, algorithm="csj", g=10),
         "join-ncsj": lambda: similarity_join(served, EPS, algorithm="ncsj"),
+        "join-fig7-ncsj": fig7_join,
     }
 
 
@@ -128,7 +143,11 @@ def run_cell(cell: str, inputs: str) -> None:
             start = time.perf_counter()
             result = call()
             times.append(time.perf_counter() - start)
-        out = (result.links, result.groups, result.algorithm)
+        if isinstance(result, Path):
+            out = hashlib.sha256(result.read_bytes()).hexdigest()
+            result.unlink()
+        else:
+            out = (result.links, result.groups, result.algorithm)
         seconds = statistics.median(times)
     else:
         for _ in range(BLOCK):
@@ -244,7 +263,7 @@ def main() -> int:
                        "n": args.n, "seed": SEED, "eps": EPS, "fanout": 64, "bulk": "str"},
             "fig7": {"dataset": "sierpinski3d", "n": 4000, "seed": SEED,
                      "eps": FIG7_EPS, "fanout": 8, "bulk": "str",
-                     "window_units": WINDOW_UNITS},
+                     "window_units": WINDOW_UNITS, "join_sink": "TextSink"},
             "kernel_calls": KERNEL_CALLS, "block": BLOCK, "join_calls": JOIN_CALLS,
         },
         "cells": rows,

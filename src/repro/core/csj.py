@@ -18,9 +18,10 @@ two-point group is written as a plain link in the paper's output format.
 
 All three serial tree joins (SSJ too) are one function, :func:`tree_join`:
 it walks the work units of :func:`repro.core.frontier.traverse`, cuts
-runs of consecutive leaf units into *leaf windows* (:func:`leaf_windows`)
-and evaluates each window of two or more units in one padded gather
-(:func:`leaf_window_delta`), any other unit through
+the sequence into *leaf windows* (:func:`leaf_windows`), which hold
+units of every kind up to a load of :data:`LEAF_WINDOW`, and runs each
+window through :func:`leaf_window_delta`, whose leaf units share one
+padded gather when there are two or more, the others going through
 :func:`tree_task_delta`.  Over an M-tree of arbitrary objects
 (:class:`~repro.core.metricspace.ObjectMetric`) early-stopped groups are
 balls, :func:`make_window` picks the ball merge window, and every unit
@@ -81,9 +82,11 @@ __all__ = [
 
 logger = get_logger("core.csj")
 
-#: Most padded candidate pairs one leaf window evaluates.  It equals one
+#: Largest load of one leaf window (:func:`leaf_windows`): padded
+#: candidate pairs plus half of each group unit's ids.  It equals one
 #: 64 x 64 leaf pair, so a window never needs more scratch memory than a
-#: fanout-64 unit evaluated on its own.
+#: fanout-64 unit evaluated on its own, and an N-CSJ window writes at
+#: most the bytes of 4,096 links.
 LEAF_WINDOW = 4096
 
 
@@ -199,52 +202,107 @@ def leaf_cross_delta(
 def leaf_window_delta(
     points: np.ndarray, metric, eps: float, packed, units: list, g: int,
     other=None,
-) -> tuple[list, int]:
-    """Run a window of ``self`` / ``cross`` units at once: ``(events, dc)``.
+) -> tuple[list, tuple[int, int, int]]:
+    """Run one window of work units: ``(events, (dc, mbr_checks, early_stops))``.
 
-    The units' entry blocks are gathered into one ``(K, M, d)`` array per
-    side, ``M`` the window's largest leaf, with every short block padded
-    by repeating its own entries, and evaluated with one batched
-    :meth:`Metric.pairwise` call, ``(K, M, M)`` distances whose values
-    are those of a unit's own ``pairwise`` or ``condensed_self``.  One
-    mask drops the padding (and ``r >= c`` in self units), and one
-    ``np.nonzero`` of the ``(K * M, M)`` hit matrix lists the hits unit
-    by unit, row-major: the order of
-    :func:`leaf_self_delta` / :func:`leaf_cross_delta` run one after
-    another.  ``dc`` is the sum of their charges.  Given ``other``, each
-    unit's second leaf is ``other``'s.
+    The ``self`` / ``cross`` units are evaluated together: their leaves'
+    rows of :meth:`~repro.index.packed.PackedIndex.leaf_blocks`, cut or
+    padded to ``M`` columns, ``M`` the window's largest leaf, form one
+    ``(K, M, d)`` array per side, and one batched
+    :meth:`Metric.pairwise` call gives ``(K, M, M)`` distances whose
+    values are those of a unit's own ``pairwise`` or ``condensed_self``.
+    A padded slot's point is NaN, so its distances fail ``< eps`` and
+    need no mask; one mask drops ``r >= c`` in self units, if there are
+    any.  The hits, in row-major order of the ``(K * M, M)`` hit matrix,
+    come unit by unit: the order of :func:`leaf_self_delta` /
+    :func:`leaf_cross_delta` run one after another.  The ``group`` /
+    ``pgroup`` units run through :func:`tree_task_delta`, and the hit
+    list is split at each one's position, so the events are those of the
+    units run one by one, in order, with consecutive link events merged,
+    and the counters are their sums.  A window with fewer than two leaf
+    units runs every unit through :func:`tree_task_delta`.  Given
+    ``other``, each unit's second node is ``other``'s.
     """
+    run_unit = partial(tree_task_delta, points, metric, eps, g, packed, other=other)
+    a: list = []
+    b: list = []
+    cuts: list = []  # (leaf units before it, group unit)
+    selfs = 0
+    for unit in units:
+        kind = unit[0]
+        if kind == "cross":
+            a.append(unit[1])
+            b.append(unit[2])
+        elif kind == "self":
+            a.append(unit[1])
+            b.append(unit[1])
+            selfs += 1
+        else:
+            cuts.append((len(a), unit))
+    if len(a) < 2:
+        events, dc, stops = [], 0, 0
+        for unit in units:
+            unit_events, (unit_dc, _, unit_stops) = run_unit(unit)
+            events += unit_events
+            dc += unit_dc
+            stops += unit_stops
+        return events, (dc, 0, stops)
     q = packed if other is None else other
-    is_self = np.array([unit[0] == "self" for unit in units])
-    a = np.array([unit[1] for unit in units], dtype=np.intp)
-    b = np.array([unit[-1] for unit in units], dtype=np.intp)
-    beg_a, beg_b = packed.entry_beg[a], q.entry_beg[b]
-    len_a = packed.entry_end[a] - beg_a
-    len_b = q.entry_end[b] - beg_b
+    a = np.array(a, dtype=np.intp)
+    b = np.array(b, dtype=np.intp)
+    len_a, len_b = packed.counts.take(a), q.counts.take(b)
     m = int(max(len_a.max(), len_b.max()))
-    slot = np.arange(m)
-    ids_a = packed.entries[beg_a[:, None] + np.minimum(slot, len_a[:, None] - 1)]
-    ids_b = q.entries[beg_b[:, None] + np.minimum(slot, len_b[:, None] - 1)]
-    pts_a = points[ids_a]
-    pts_b = (points if other is None else q.points)[ids_b]
+    ids_a, pts_a = _window_block(packed, a, m)
+    ids_b, pts_b = _window_block(q, b, m)
     hit = metric.pairwise(pts_a, pts_b) < eps
-    hit &= (slot < len_a[:, None])[:, :, None]
-    hit &= (slot < len_b[:, None])[:, None, :]
-    hit &= (slot[:, None] < slot) | ~is_self[:, None, None]
-    # A hit of unit k in block column c is gathered row k * M + c of side
-    # b; the offsets go in place, so the index arrays peak at three.
-    rows, cols = np.nonzero(hit.reshape(-1, m))
+    dc = int(np.dot(len_a, len_b))
+    if selfs:
+        is_self = a == b  # a cross unit joins two distinct leaves
+        slot = np.arange(m)
+        hit &= (slot[:, None] < slot) | ~is_self[:, None, None]
+        own = len_a[is_self]
+        dc -= int(np.dot(own, own + 1)) // 2
+    # Hit (k, r, c) pairs gathered row k * M + r of side a with row
+    # k * M + c of side b.
+    rows, cols = np.divmod(np.flatnonzero(hit), m)
     first = rows % m
     np.subtract(rows, first, out=first)
     cols += first
     del first
-    dc = np.where(is_self, len_a * (len_a - 1) // 2, len_a * len_b).sum()
     events = link_events(
         ids_a.ravel(), ids_b.ravel(),
         pts_a.reshape(-1, pts_a.shape[-1]), pts_b.reshape(-1, pts_b.shape[-1]),
         rows, cols, g > 0, other is not None,
     )
-    return events, int(dc)
+    if not cuts:
+        return events, (dc, 0, 0)
+    # Rows are unit-major: the hits of the units before a group are the
+    # rows below its first leaf unit's block.
+    ends = np.searchsorted(rows, [k * m for k, _ in cuts]).tolist()
+    merged: list = []
+    start = 0
+    for end, (_, unit) in zip(ends + [len(rows)], cuts + [(0, None)]):
+        if end > start:
+            kind, *fields = events[0]
+            merged.append((kind, *(field[start:end] for field in fields)))
+            start = end
+        if unit is not None:
+            merged += run_unit(unit)[0]
+    return merged, (dc, 0, len(cuts))
+
+
+def _window_block(packed, leaves: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(K, m)`` ids and ``(K, m, d)`` points of ``leaves``' padded rows."""
+    ids, pts = packed.leaf_blocks()
+    ids, pts = ids.take(leaves, axis=0), pts.take(leaves, axis=0)
+    width = ids.shape[1]
+    if width > m:
+        return ids[:, :m], pts[:, :m]
+    if width < m:  # every leaf of this tree is narrower than the window
+        pad = m - width
+        ids = np.pad(ids, ((0, 0), (0, pad)), mode="edge")
+        pts = np.pad(pts, ((0, 0), (0, pad), (0, 0)), constant_values=np.nan)
+    return ids, pts
 
 
 def tree_task_delta(
@@ -279,31 +337,37 @@ def tree_task_delta(
 def leaf_windows(units: Iterator[tuple], packed, other=None) -> Iterator[list]:
     """Cut a unit sequence into the batches :func:`tree_join` executes.
 
-    Consecutive ``self`` / ``cross`` units form one *leaf window*, closed
-    before a group unit (which follows alone), at the end of the
-    sequence, and before a unit that would lift the window's padded
-    candidate count, ``len(window) * M**2`` with ``M`` its largest leaf,
-    past :data:`LEAF_WINDOW`.  Concatenated, the batches are ``units``.
-    Given ``other``, a unit's second leaf is ``other``'s.
+    A *leaf window* holds units of every kind.  It closes at the end of
+    the sequence and before a unit that would lift its *load* past
+    :data:`LEAF_WINDOW`: its padded leaf candidates, ``leaf units * M**2``
+    with ``M`` its largest leaf, plus half of each group unit's ids,
+    rounded up.  A group line of ``k`` ids takes the bytes of ``k / 2``
+    links, so an N-CSJ window writes at most ``LEAF_WINDOW`` links' worth
+    of bytes.  Concatenated, the batches are ``units``.  Given ``other``,
+    a unit's second node is ``other``'s.
     """
-    sizes = (packed.entry_end - packed.entry_beg).tolist()
-    sizes2 = sizes if other is None else (other.entry_end - other.entry_beg).tolist()
+    counts = packed.counts.tolist()
+    counts2 = counts if other is None else other.counts.tolist()
     window: list = []
-    width = 0
+    leaves = width = extra = 0
     for unit in units:
-        if unit[0] in ("group", "pgroup"):
-            if window:
+        kind = unit[0]
+        if kind == "cross" or kind == "self":
+            own = max(counts[unit[1]], counts2[unit[-1]])
+            grown = own if own > width else width
+            if window and (leaves + 1) * grown * grown + extra > LEAF_WINDOW:
                 yield window
-                window, width = [], 0
-            yield [unit]
-            continue
-        m = max(sizes[unit[1]], sizes2[unit[-1]])
-        grown = max(width, m)
-        if window and (len(window) + 1) * grown * grown > LEAF_WINDOW:
-            yield window
-            window, grown = [], m
+                window, leaves, extra, grown = [], 0, 0, own
+            leaves += 1
+            width = grown
+        else:
+            ids = counts[unit[1]] + (counts2[unit[2]] if kind == "pgroup" else 0)
+            half = (ids + 1) // 2
+            if window and leaves * width * width + extra + half > LEAF_WINDOW:
+                yield window
+                window, leaves, extra, width = [], 0, 0, 0
+            extra += half
         window.append(unit)
-        width = grown
     if window:
         yield window
 
@@ -329,22 +393,20 @@ def tree_plan(
     """Tree work units as ``(batches, execute)`` for :func:`run_batches`.
 
     This is the one place that decides how tree units are batched: over a
-    vector metric, in :func:`leaf_windows`, a window of two or more units
-    run by :func:`leaf_window_delta` and any other unit by
-    :func:`tree_task_delta`; over an :class:`ObjectMetric`, which has no
-    ``norm_rows`` to batch, every unit alone.  A batch's events and
-    counter sums are those of running its units one by one, also for
-    the two-dataset walk from the roots of ``packed`` and ``other``.
+    vector metric, in :func:`leaf_windows`, each window run by
+    :func:`leaf_window_delta`; over an :class:`ObjectMetric`, which has
+    no ``norm_rows`` to batch, every unit alone through
+    :func:`tree_task_delta`.  A batch's events and counter sums are those
+    of running its units one by one, also for the two-dataset walk from
+    the roots of ``packed`` and ``other``.
     """
-    run_unit = partial(tree_task_delta, points, metric, eps, g, packed, other=other)
     if isinstance(packed.metric, ObjectMetric):
-        return unit_batches(units, run_unit)
+        return unit_batches(
+            units, partial(tree_task_delta, points, metric, eps, g, packed, other=other)
+        )
 
     def execute(batch: list) -> tuple[list, tuple[int, int, int]]:
-        if len(batch) == 1:
-            return run_unit(batch[0])
-        events, dc = leaf_window_delta(points, metric, eps, packed, batch, g, other)
-        return events, (dc, 0, 0)
+        return leaf_window_delta(points, metric, eps, packed, batch, g, other)
 
     return leaf_windows(units, packed, other), execute
 
@@ -452,18 +514,19 @@ def tree_join(
 
     The lazy walk of :func:`repro.core.frontier.traverse` runs through
     :func:`run_batches`, inside :func:`serial_join`, as :func:`tree_plan`
-    batches it: group units as they are yielded, leaf units one leaf
-    window at a time.  The sink and the merge window receive the
-    calls of running every unit through :func:`tree_task_delta`, and the
-    counters end as per-unit runs leave them, a window's
-    ``distance_computations`` charged at once.
+    batches it: one leaf window at a time, group units included.  The
+    sink and the merge window receive the calls of running every unit
+    through :func:`tree_task_delta`, and the counters end as per-unit
+    runs leave them, a window's ``distance_computations`` and
+    ``early_stops`` charged at once.
 
     The walk checks the ``budget`` up to one leaf window ahead of the
-    sink, so a byte or group breach is seen up to one window (at most
-    :data:`LEAF_WINDOW` links) plus the unit that closed it later than
-    unit by unit.  The pending units of a window are dropped at a breach,
-    never half applied, and a breach first reached by the final window
-    is not raised, as one reached by the final unit never was.
+    sink, so a byte or group breach is seen up to one window (a load of
+    at most :data:`LEAF_WINDOW`: 4,096 links' worth of N-CSJ bytes)
+    later than unit by unit.  The pending units of a window are dropped
+    at a breach, never half applied, and a breach first reached by the
+    final window is not raised, as one reached by the final unit never
+    was.
     """
     radius = float(eps)
     stats = sink.stats

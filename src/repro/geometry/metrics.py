@@ -94,7 +94,9 @@ class Metric:
     A vector metric defines three steps over a row of coordinate
     differences: :meth:`_term` (per coordinate), :attr:`_combine` (a ufunc
     that folds two terms) and :meth:`_finish`.  :meth:`norm_rows` and every
-    bulk operation derive from them.  Metrics are stateless and hashable
+    bulk operation derive from them.  A NaN coordinate gives a NaN
+    distance, which no ``< eps`` test accepts: the joins' leaf windows
+    pad short leaves with NaN points.  Metrics are stateless and hashable
     so they can be shared between trees, joins and tests.
     """
 

@@ -14,9 +14,14 @@ arrays:
     entry_beg/entry_end : (n,) intp            leaf i's entries are
                                                entries[entry_beg[i]:entry_end[i]]
     entries    : (total_entries,) intp         contiguous leaf entry blocks
+    counts     : (n,) intp                     entries below each node
     lo, hi     : (n, d) float                  rect kind: MBR corners
     centers    : (n, d) float; radii : (n,)    ball kind: covering balls
     diam       : (n,) float                    node diameters, batched
+
+The leaf windows of :mod:`repro.core.csj` also read each leaf's entries
+as one row of a padded block (:meth:`PackedIndex.leaf_blocks`), built the
+first time a window asks for it and kept with the pack.
 
 Packing uses *level-order* numbering, which makes every node's children a
 contiguous id range — child geometry blocks are array slices (views), not
@@ -58,6 +63,8 @@ class PackedIndex:
         "entry_beg",
         "entry_end",
         "entries",
+        "counts",
+        "blocks",
         "lo",
         "hi",
         "centers",
@@ -76,6 +83,8 @@ class PackedIndex:
         self.entry_beg: np.ndarray = None
         self.entry_end: np.ndarray = None
         self.entries: np.ndarray = None
+        self.counts: np.ndarray = None
+        self.blocks: Optional[tuple[np.ndarray, np.ndarray]] = None
         self.lo: Optional[np.ndarray] = None
         self.hi: Optional[np.ndarray] = None
         self.centers: Optional[np.ndarray] = None
@@ -115,6 +124,26 @@ class PackedIndex:
         if not blocks:
             return np.empty(0, dtype=np.intp)
         return np.concatenate(blocks)
+
+    def leaf_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, pts)``: every leaf's entries padded to the widest leaf.
+
+        Row ``i`` of the ``(n, W)`` id block holds leaf ``i``'s entry ids
+        followed by copies of its last one; the ``(n, W, d)`` point block
+        holds their rows of :attr:`points`, NaN in the padded slots, so a
+        vector metric's distances from a padded slot are NaN and never
+        below a range.  Rows of inner nodes are padding.  Built on the
+        first call and kept with the (memoized) pack.
+        """
+        if self.blocks is None:
+            sizes = self.entry_end - self.entry_beg
+            slot = np.arange(sizes.max())
+            at = self.entry_beg[:, None] + np.minimum(slot, sizes[:, None] - 1)
+            ids = self.entries[at]
+            pts = self.points[ids]
+            pts[slot >= sizes[:, None]] = np.nan
+            self.blocks = (ids, pts)
+        return self.blocks
 
     # ------------------------------------------------------------------
     # Batched pruning over packed node-id selections
@@ -246,6 +275,13 @@ def _pack_index_uncached(index: SpatialIndex) -> Optional[PackedIndex]:
         if entry_blocks
         else np.empty(0, dtype=np.intp)
     )
+    # Children follow their parent in level order, so one backward pass
+    # sums every subtree.
+    counts = [end - beg for beg, end in zip(entry_beg, entry_end)]
+    for nid in range(n - 1, -1, -1):
+        if not leaf[nid]:
+            counts[nid] = sum(counts[child_beg[nid] : child_end[nid]])
+    packed.counts = np.array(counts, dtype=np.intp)
 
     if kind == "rect":
         packed.lo, packed.hi = MBR.stack(node.mbr for node in nodes)

@@ -150,7 +150,7 @@ class TestGracefulDegradation:
 
 
 class TestSerialBreachPoint:
-    """Serial tree joins see a byte breach up to one leaf window late.
+    """Serial tree joins see a byte or group breach up to one leaf window late.
 
     The traversal checks the budget while the sink still lacks the
     pending window, so the run stops at the first check after the window
@@ -195,6 +195,55 @@ class TestSerialBreachPoint:
         last = ends.index(written)  # the last unit that wrote bytes
         assert last >= crossing
         assert ends[last - 1] - ends[crossing] <= LEAF_WINDOW * line_bytes(2, width)
+
+    def test_ncsj_group_breach_is_a_prefix_within_one_window(self, tmp_path):
+        """A ``max_groups`` breach follows the same rule on the windowed path.
+
+        Windows hold group units, each loaded with half its ids, rounded
+        up, so the groups written after the unit that crossed the cap
+        fit within one window's load.
+        """
+        eps = 0.125
+        pts = load_dataset("sierpinski3d", 2000, seed=0)
+        tree = build_index(pts, "rstar", max_entries=8, bulk="str")
+        width = width_for(len(pts))
+        full_path = tmp_path / "full.txt"
+        with TextSink(str(full_path), id_width=width) as sink:
+            total = ncsj(tree, eps, sink=sink).stats.groups_emitted
+        full = full_path.read_bytes()
+
+        # Bytes and groups written after each unit, units applied one by
+        # one, and each unit's group load.
+        packed = pack_index(tree)
+        counting = CountingSink(id_width=width)
+        window = make_window(0, eps, counting, tree.metric)
+        ends, groups, loads = [], [], []
+        for unit in traverse(packed, eps, True):
+            events, _ = tree_task_delta(pts, tree.metric, eps, 0, packed, unit)
+            apply_events(events, counting, window)
+            ends.append(counting.stats.bytes_written)
+            groups.append(counting.stats.groups_emitted)
+            loads.append(sum((len(e[1]) + 1) // 2 for e in events if e[0] == "group"))
+        assert ends[-1] == len(full)
+        assert groups[-1] == total
+
+        cap = total // 3
+        budget = Budget(max_groups=cap, check_every=1)
+        part_path = tmp_path / "part.txt"
+        with TextSink(str(part_path), id_width=width) as sink:
+            with pytest.raises(BudgetExceededError) as info:
+                ncsj(tree, eps, sink=sink, budget=budget)
+        assert info.value.kind == "groups"
+        stats = info.value.partial.stats
+        part = part_path.read_bytes()
+        assert len(part) == stats.bytes_written
+        assert full.startswith(part)
+        assert len(part) in ends  # cut at a unit boundary
+        last = ends.index(len(part))  # the last unit that wrote bytes
+        assert groups[last] == stats.groups_emitted > cap
+        crossing = next(i for i, count in enumerate(groups) if count > cap)
+        assert last >= crossing
+        assert sum(loads[crossing + 1 : last + 1]) <= LEAF_WINDOW
 
 
 class TestRunnerIntegration:

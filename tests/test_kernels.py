@@ -30,6 +30,7 @@ from repro.core.csj import (
     leaf_windows,
 )
 from repro.core.frontier import traverse
+from repro.datasets import load_dataset
 from repro.geometry import kernels
 from repro.geometry.ball import Ball
 from repro.geometry.mbr import MBR
@@ -274,35 +275,47 @@ def test_leaf_cross_never_holds_the_difference_tensor():
 
 
 def test_leaf_windows_stay_within_the_padded_limit():
-    """Windows over ragged insertion-built leaves: bounded, maximal, in order."""
+    """Windows over ragged insertion-built leaves and over Fig 7's
+    early-stopped groups: bounded, maximal, in order.
+
+    A window's load is its padded leaf candidates plus half of each
+    group unit's ids, rounded up.
+    """
     rng = np.random.default_rng(4)
-    tree = build_index(rng.random((900, 2)), "rstar", max_entries=12)
-    packed = pack_index(tree)
-    sizes = (packed.entry_end - packed.entry_beg).tolist()
-    units = list(traverse(packed, 0.08, True))
-    batches = list(leaf_windows(iter(units), packed))
-    assert [unit for batch in batches for unit in batch] == units
+    ragged = build_index(rng.random((900, 2)), "rstar", max_entries=12)
+    packed = pack_index(ragged)
+    assert len(set(packed.counts[packed.leaf].tolist())) > 1
+    fig7 = build_index(
+        load_dataset("sierpinski3d", 2000, seed=0), "rstar", max_entries=8, bulk="str"
+    )
+    for tree, eps in ((ragged, 0.08), (fig7, 0.125)):
+        packed = pack_index(tree)
+        counts = packed.counts.tolist()
+        units = list(traverse(packed, eps, True))
+        batches = list(leaf_windows(iter(units), packed))
+        assert [unit for batch in batches for unit in batch] == units
 
-    def width(unit):
-        return max(sizes[unit[1]], sizes[unit[-1]])
+        def is_group(unit):
+            return unit[0] in ("group", "pgroup")
 
-    def is_leaf_batch(batch):
-        return batch[0][0] in ("self", "cross")
+        def load(batch):
+            leaves = [unit for unit in batch if not is_group(unit)]
+            m = max((max(counts[unit[1]], counts[unit[-1]]) for unit in leaves), default=0)
+            ids = [sum(counts[nid] for nid in unit[1:]) for unit in batch if is_group(unit)]
+            return len(leaves) * m * m + sum((k + 1) // 2 for k in ids)
 
-    assert len(set(sizes[nid] for nid in np.flatnonzero(packed.leaf))) > 1
-    assert any(len(batch) > 1 for batch in batches)
-    for batch, following in zip(batches, batches[1:] + [None]):
-        if not is_leaf_batch(batch):
-            assert len(batch) == 1
-            continue
-        assert all(unit[0] in ("self", "cross") for unit in batch)
-        m = max(width(unit) for unit in batch)
-        if len(batch) > 1:
-            assert len(batch) * m * m <= LEAF_WINDOW
-        if following is not None and is_leaf_batch(following):
-            # Closed only because the next unit would not fit.
-            grown = max(m, width(following[0]))
-            assert (len(batch) + 1) * grown * grown > LEAF_WINDOW
+        assert any(len(batch) > 1 for batch in batches)
+        # Early-stopped groups share windows with leaf units.
+        assert any(
+            any(map(is_group, batch)) and not all(map(is_group, batch))
+            for batch in batches
+        )
+        for batch, following in zip(batches, batches[1:] + [None]):
+            if len(batch) > 1:
+                assert load(batch) <= LEAF_WINDOW
+            if following is not None:
+                # Closed only because the next unit would not fit.
+                assert load(batch + following[:1]) > LEAF_WINDOW
 
 
 def test_mbr_stack_and_of_mbrs():

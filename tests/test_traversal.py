@@ -334,44 +334,79 @@ WINDOW_TREES = {  # (bulk, fanout): insertion-built trees have ragged leaves
     "insert-f16": (None, 16),
     "str-f8": ("str", 8),
 }
+# Dual windows, side a's tree against side b's: the STR fanout-4 side is
+# narrower than any window's widest leaf, so its blocks are padded out.
+DUAL_WINDOW_TREES = [("insert-f16", "str-f4"), ("str-f8", "insert-f16")]
+DUAL_B_TREES = {"str-f4": ("str", 4), "insert-f16": (None, 16)}
 
 
-def _flat_events(events):
-    """Events as one ``(kind, ids_i, ids_j, coords_i, coords_j)`` row."""
-    kinds = {event[0] for event in events}
-    assert len(kinds) <= 1
-    ids_i, ids_j, coords_i, coords_j = [], [], [], []
+def _window_points(rng, n, dim):
+    """Half on a quarter lattice, so realised distances tie often."""
+    lattice = rng.integers(0, 5, size=(n // 2, dim)) * 0.25
+    jitter = rng.random((n - n // 2, dim)) * 1.25
+    return np.vstack([lattice, jitter])
+
+
+def _link_runs(events):
+    """Events as rows, consecutive link events merged into one row."""
+    rows = []
     for event in events:
-        ids_i += list(map(int, event[1]))
-        ids_j += list(map(int, event[2]))
-        if event[0] == "linkseq":
-            coords_i += event[3]
-            coords_j += event[4]
-    return (kinds.pop() if kinds else None, ids_i, ids_j, coords_i, coords_j)
+        kind = event[0]
+        if kind == "group":
+            rows.append(event)
+            continue
+        coords = (event[3], event[4]) if kind == "linkseq" else ([], [])
+        row = (kind, list(map(int, event[1])), list(map(int, event[2])), *coords)
+        if rows and rows[-1][0] == kind:
+            for merged, more in zip(rows[-1][1:], row[1:]):
+                merged += more
+        else:
+            rows.append(row)
+    return rows
 
 
-def _random_window(packed, rng):
-    """Mixed self/cross units within ``LEAF_WINDOW`` padded slots."""
+def _random_window(packed, rng, other=None):
+    """Leaf units within ``LEAF_WINDOW`` padded slots, groups among them.
+
+    A self-join window mixes ``self``, ``cross``, ``group`` and
+    ``pgroup`` units; given ``other``, ``cross`` and ``pgroup`` units
+    whose second node is ``other``'s, as the dual walk yields them.
+    """
+    q = packed if other is None else other
     leaves = np.flatnonzero(packed.leaf).tolist()
-    sizes = (packed.entry_end - packed.entry_beg).tolist()
-    window, width = [], 0
-    for _ in range(int(rng.integers(2, 24))):
+    leaves2 = np.flatnonzero(q.leaf).tolist()
+    sizes, sizes2 = packed.counts.tolist(), q.counts.tolist()
+    window, count, width = [], 0, 0
+    for _ in range(int(rng.integers(2, 30))):
+        if rng.random() < 0.3:
+            a = int(rng.integers(packed.n_nodes))
+            if other is None and rng.random() < 0.5:
+                window.append(("group", a))
+            else:
+                window.append(("pgroup", a, int(rng.integers(q.n_nodes))))
+            continue
         a = leaves[int(rng.integers(len(leaves)))]
-        b = leaves[int(rng.integers(len(leaves)))]
-        unit = ("self", a) if a == b or rng.random() < 0.25 else ("cross", a, b)
-        grown = max(width, sizes[a], sizes[b])
-        if (len(window) + 1) * grown * grown > LEAF_WINDOW:
+        b = leaves2[int(rng.integers(len(leaves2)))]
+        if other is None and (a == b or rng.random() < 0.25):
+            unit = ("self", a)
+        else:
+            unit = ("cross", a, b)
+        grown = max(width, sizes[a], sizes2[unit[-1]])
+        if (count + 1) * grown * grown > LEAF_WINDOW:
             break
         window.append(unit)
+        count += 1
         width = grown
-    return window
+    return window, count, width
 
 
-def _realised_eps(points, packed, metric, window, rng):
-    """A distance some unit of ``window`` evaluates: a tie for ``<``."""
-    unit = window[int(rng.integers(len(window)))]
+def _realised_eps(points, packed, metric, window, rng, other=None):
+    """A distance some leaf unit of ``window`` evaluates: a tie for ``<``."""
+    q = packed if other is None else other
+    leaf_units = [unit for unit in window if unit[0] in ("self", "cross")]
+    unit = leaf_units[int(rng.integers(len(leaf_units)))]
     block_a = points[packed.leaf_entry_ids(unit[1])]
-    block_b = points[packed.leaf_entry_ids(unit[-1])]
+    block_b = q.points[q.leaf_entry_ids(unit[-1])]
     dists = metric.pairwise(block_a, block_b)
     return float(dists.flat[int(rng.integers(dists.size))])
 
@@ -381,46 +416,58 @@ def _realised_eps(points, packed, metric, window, rng):
 def test_leaf_window_matches_per_unit(dim, metric_name):
     """One padded window gives the per-unit events and charges, bit for bit.
 
-    Half the points sit on a quarter lattice, so realised distances tie
-    often; eps is always a distance some unit of the window evaluates,
-    so the strict ``<`` and the last bit of every reduction are tested.
+    Windows put ``group`` and ``pgroup`` units between their leaf units,
+    in self-joins and in dual joins (``other=``), one of whose sides has
+    leaves narrower than the window's widest.  Half the points sit on a
+    quarter lattice, so realised distances tie often; eps is always a
+    distance some unit of the window evaluates, so the strict ``<`` and
+    the last bit of every reduction are tested.
     """
     rng = np.random.default_rng(100 * dim + len(metric_name))
-    n = 240
-    lattice = rng.integers(0, 5, size=(n // 2, dim)) * 0.25
-    jitter = rng.random((n - n // 2, dim)) * 1.25
-    points = np.vstack([lattice, jitter])
-    checked = 0
-    for bulk, fanout in WINDOW_TREES.values():
-        tree = build_index(
-            points, "rstar", metric=WINDOW_METRICS[metric_name],
-            max_entries=fanout, bulk=bulk,
-        )
-        packed = pack_index(tree)
-        metric = tree.metric
+    points = _window_points(rng, 240, dim)
+    points_b = _window_points(rng, 200, dim)
+    metric_arg = WINDOW_METRICS[metric_name]
+
+    def tree(pts, bulk, fanout):
+        return pack_index(build_index(
+            pts, "rstar", metric=metric_arg, max_entries=fanout, bulk=bulk,
+        ))
+
+    cases = [(tree(points, *spec), None) for spec in WINDOW_TREES.values()]
+    cases += [
+        (tree(points, *WINDOW_TREES[a]), tree(points_b, *DUAL_B_TREES[b]))
+        for a, b in DUAL_WINDOW_TREES
+    ]
+    checked = spanning = narrow = 0
+    for packed, other in cases:
+        q = packed if other is None else other
+        metric = packed.metric
         if packed.leaf.sum() < 2:
             continue
         for _ in range(10):
-            window = _random_window(packed, rng)
-            if len(window) < 2:
-                continue
-            for eps in {_realised_eps(points, packed, metric, window, rng)
+            window, count, width = _random_window(packed, rng, other)
+            if not count:
+                continue  # a window of one leaf unit runs unit by unit
+            spanning += count > 1 and len(window) > count
+            narrow += width > (q.entry_end - q.entry_beg).max()
+            for eps in {_realised_eps(points, packed, metric, window, rng, other)
                         for _ in range(3)}:
                 if eps <= 0:
                     continue
                 for g in (0, 10):
-                    expected, charged = [], 0
+                    expected, charged = [], np.zeros(3, dtype=int)
                     for unit in window:
-                        events, (dc, _, _) = tree_task_delta(
-                            points, metric, eps, g, packed, unit
+                        events, counters = tree_task_delta(
+                            points, metric, eps, g, packed, unit, other
                         )
                         expected += events
-                        charged += dc
-                    events, dc = leaf_window_delta(
-                        points, metric, eps, packed, window, g
+                        charged += counters
+                    events, counters = leaf_window_delta(
+                        points, metric, eps, packed, window, g, other
                     )
-                    assert dc == charged
-                    assert len(events) <= 1
-                    assert _flat_events(events) == _flat_events(expected)
+                    assert counters == tuple(charged.tolist())
+                    assert _link_runs(events) == _link_runs(expected)
                     checked += 1
     assert checked > 0
+    assert spanning > 0
+    assert narrow > 0
