@@ -20,8 +20,8 @@ All three serial tree joins (SSJ too) are one function, :func:`tree_join`:
 it walks the work units of :func:`repro.core.frontier.traverse`, cuts
 the sequence into *leaf windows* (:func:`leaf_windows`), which hold
 units of every kind up to a load of :data:`LEAF_WINDOW`, and runs each
-window through :func:`leaf_window_delta`, whose leaf units share one
-padded gather when there are two or more, the others going through
+window of two or more units through :func:`leaf_window_delta`, whose
+leaf units share one padded gather, a lone unit through
 :func:`tree_task_delta`.  Over an M-tree of arbitrary objects
 (:class:`~repro.core.metricspace.ObjectMetric`) early-stopped groups are
 balls, :func:`make_window` picks the ball merge window, and every unit
@@ -393,19 +393,20 @@ def tree_plan(
     """Tree work units as ``(batches, execute)`` for :func:`run_batches`.
 
     This is the one place that decides how tree units are batched: over a
-    vector metric, in :func:`leaf_windows`, each window run by
-    :func:`leaf_window_delta`; over an :class:`ObjectMetric`, which has
-    no ``norm_rows`` to batch, every unit alone through
-    :func:`tree_task_delta`.  A batch's events and counter sums are those
+    vector metric, in :func:`leaf_windows`, a window of two or more units
+    run by :func:`leaf_window_delta` and a lone unit by
+    :func:`tree_task_delta`; over an :class:`ObjectMetric`, which has no
+    ``norm_rows`` to batch, every unit alone.  A batch's events and counter sums are those
     of running its units one by one, also for the two-dataset walk from
     the roots of ``packed`` and ``other``.
     """
+    run_unit = partial(tree_task_delta, points, metric, eps, g, packed, other=other)
     if isinstance(packed.metric, ObjectMetric):
-        return unit_batches(
-            units, partial(tree_task_delta, points, metric, eps, g, packed, other=other)
-        )
+        return unit_batches(units, run_unit)
 
     def execute(batch: list) -> tuple[list, tuple[int, int, int]]:
+        if len(batch) == 1:
+            return run_unit(batch[0])
         return leaf_window_delta(points, metric, eps, packed, batch, g, other)
 
     return leaf_windows(units, packed, other), execute

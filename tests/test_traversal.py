@@ -355,7 +355,7 @@ def _link_runs(events):
         if kind == "group":
             rows.append(event)
             continue
-        coords = (event[3], event[4]) if kind == "linkseq" else ([], [])
+        coords = (list(event[3]), list(event[4])) if kind == "linkseq" else ([], [])
         row = (kind, list(map(int, event[1])), list(map(int, event[2])), *coords)
         if rows and rows[-1][0] == kind:
             for merged, more in zip(rows[-1][1:], row[1:]):
