@@ -261,7 +261,8 @@ def main() -> int:
                 if row.get("resumes_identical") is False
             ]
         status = "FAIL " + ", ".join(problems) if problems else "ok"
-        extra = f"  records {rows['change']['records']}" if cell["kind"] == "ckpt" else ""
+        change = rows["change"]
+        extra = f"  records {change['records']}" if change and "records" in change else ""
         print(f"  {status:4s} {name}{extra}")
         if problems:
             failures.append({"cell": name, "problems": problems, "rows": rows})
