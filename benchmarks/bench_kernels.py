@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Distance-kernel benchmark: the leaf kernels and the joins that run them.
 
-Writes ``BENCH_kernels.json`` next to this file (or ``--out``).  Six
+Writes ``BENCH_kernels.json`` next to this file (or ``--out``).  Seven
 cells, each a call the joins make, timed in a fresh interpreter:
 
 * ``leaf_cross_delta`` — two 64-point blocks of the served input, next
@@ -16,7 +16,12 @@ cells, each a call the joins make, timed in a fresh interpreter:
   perfbench's served-churn;
 * ``join-fig7-ncsj`` — N-CSJ of the Fig 7 input (fanout 8, STR) at
   :data:`FIG7_EPS` into a ``TextSink`` file, perfbench's fig7-ncsj-f8
-  join; its digest is the file's sha256.
+  join; its digest is the file's sha256;
+* ``join-county-csj(10)`` — CSJ(10) of perfbench's county input (12,000
+  points drawn with seed :data:`SEED` from the 27,000-point MG County
+  map of seed 0; fanout 64, STR) at :data:`EPS` into a ``TextSink``
+  file, perfbench's county-csj-f64 join, whose merge window is most of
+  its time; its digest is the file's sha256.
 
 The served input is perfbench's: ``--n`` points (4,000) drawn with seed
 :data:`SEED` from the 36,000-point LB County map of seed 1.  A kernel run
@@ -51,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +79,7 @@ CELLS = (
     "join-csj(10)",
     "join-ncsj",
     "join-fig7-ncsj",
+    "join-county-csj(10)",
 )
 
 
@@ -93,7 +100,7 @@ def digest(value) -> str:
 
 def prepare(inputs: str) -> dict:
     """The call each cell times, built from the saved inputs."""
-    from repro import TextSink, ncsj, similarity_join
+    from repro import TextSink, csj, ncsj, similarity_join
     from repro.api import build_index
     from repro.core.csj import leaf_cross_delta, leaf_window_delta
     from repro.core.frontier import traverse
@@ -101,7 +108,7 @@ def prepare(inputs: str) -> dict:
     from repro.index.packed import pack_index
 
     data = np.load(inputs)
-    served, fig7 = data["served"], data["fig7"]
+    served, fig7, county = data["served"], data["fig7"], data["county"]
     metric = get_metric("euclidean")
     # Points in leaf order: blocks of 64 are neighbours, as a leaf's are.
     order = pack_index(build_index(served, "rstar", max_entries=64, bulk="str")).entries
@@ -115,11 +122,21 @@ def prepare(inputs: str) -> dict:
             break
         window = window + [unit] if unit[0] in ("self", "cross") else []
     out7 = Path(inputs).with_name(f"fig7-{os.getpid()}.txt")
+    out_county = Path(inputs).with_name(f"county-{os.getpid()}.txt")
 
     def fig7_join() -> Path:
         with TextSink(str(out7), id_width=len(str(len(fig7) - 1))) as sink:
             ncsj(index7, FIG7_EPS, sink=sink)
         return out7
+
+    @cache  # built by the untimed first call, and only in its own cell
+    def county_index():
+        return build_index(county, "rstar", max_entries=64, bulk="str")
+
+    def county_join() -> Path:
+        with TextSink(str(out_county), id_width=len(str(len(county) - 1))) as sink:
+            csj(county_index(), EPS, g=10, sink=sink)
+        return out_county
 
     return {
         "leaf_cross_delta": lambda: leaf_cross_delta(served, metric, EPS, ids1, ids2, 0),
@@ -130,6 +147,7 @@ def prepare(inputs: str) -> dict:
         "join-csj(10)": lambda: similarity_join(served, EPS, algorithm="csj", g=10),
         "join-ncsj": lambda: similarity_join(served, EPS, algorithm="ncsj"),
         "join-fig7-ncsj": fig7_join,
+        "join-county-csj(10)": county_join,
     }
 
 
@@ -207,7 +225,7 @@ def bench(cell: str, sides: dict, pairs: int, inputs: Path) -> dict:
         f"{name} {row[name]['median_us']:.1f}us (IQR {row[name]['iqr_us']:.1f}, "
         f"wins {row[name]['wins']})" for name in names
     )
-    print(f"{cell:18s} {line}  identical {row['identical']}", flush=True)
+    print(f"{cell:19s} {line}  identical {row['identical']}", flush=True)
     return row
 
 
@@ -243,12 +261,15 @@ def main() -> int:
         sides["baseline"] = str(Path(args.baseline).resolve())
     base = load_dataset("lb_county", 36_000, seed=1)
     pick = np.random.default_rng(SEED).choice(len(base), args.n, replace=False)
+    county = load_dataset("mg_county", 27_000, seed=0)
+    county_pick = np.random.default_rng(SEED).choice(len(county), 12_000, replace=False)
     with tempfile.TemporaryDirectory(prefix="bench_kernels_") as tmp:
         inputs = Path(tmp) / "inputs.npz"
         np.savez(
             inputs,
             served=np.ascontiguousarray(base[np.sort(pick)]),
             fig7=load_dataset("sierpinski3d", 4000, seed=SEED),
+            county=np.ascontiguousarray(county[np.sort(county_pick)]),
         )
         rows = {cell: bench(cell, sides, args.pairs, inputs) for cell in CELLS}
     identical = all(row["identical"] for row in rows.values())
@@ -264,6 +285,9 @@ def main() -> int:
             "fig7": {"dataset": "sierpinski3d", "n": 4000, "seed": SEED,
                      "eps": FIG7_EPS, "fanout": 8, "bulk": "str",
                      "window_units": WINDOW_UNITS, "join_sink": "TextSink"},
+            "county": {"dataset": "mg_county", "base_n": 27_000, "base_seed": 0,
+                       "n": 12_000, "seed": SEED, "eps": EPS, "g": 10, "fanout": 64,
+                       "bulk": "str", "join_sink": "TextSink"},
             "kernel_calls": KERNEL_CALLS, "block": BLOCK, "join_calls": JOIN_CALLS,
         },
         "cells": rows,

@@ -19,6 +19,12 @@ integer ``JoinStats`` field.  The cells:
   csj(10) over fanout-8 R*-trees (STR) and M-trees (inserted), whose
   windows hold early-stopped node pairs, and the spatial hash join,
   plain and csj(10);
+* ``ties`` — 2-D and 3-D quarter-lattice inputs (1,200 and 1,000
+  points drawn from half as many lattice rows, so most rows repeat) at
+  a range equal to a realised lattice distance, so link distances and
+  group diagonals tie with it exactly: csj(10), egrid-csj 10 and
+  pbsm-csj 10 over fanout-8 STR trees, and, between the even and the
+  odd rows, dual-tree csj(10) and the spatial hash join's csj(10);
 * ``ckpt`` — ``CheckpointedJoin`` on the Fig 7 input at fanout 8, ncsj
   and csj(10): the run is cut after every journal record in turn (the
   journal keeps the records up to it, the output file keeps every byte)
@@ -57,6 +63,9 @@ SELF_ALGORITHMS = [
 ]
 FIG7_EPS = 0.125
 DUAL_EPS = (0.05, 0.3)
+#: Tie inputs and their ranges: the distance of lattice offsets (1, 2)
+#: and (1, 1, 2), a quarter apart.
+TIES_EPS = {"ties2d": 0.3125 ** 0.5, "ties3d": 0.375 ** 0.5}
 
 
 def make_inputs(scale: float, path: Path) -> None:
@@ -67,6 +76,11 @@ def make_inputs(scale: float, path: Path) -> None:
     def size(n: int) -> int:
         return max(20, int(n * scale))
 
+    def lattice(n: int, d: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 24 if d == 2 else 10, size=(n // 2, d)) * 0.25
+        return rows[rng.integers(0, len(rows), size=n)]
+
     centers = np.random.default_rng(11).random((12, 2))
     np.savez(
         path,
@@ -76,6 +90,8 @@ def make_inputs(scale: float, path: Path) -> None:
         fig7=load_dataset("sierpinski3d", size(4000), seed=1),
         clusters_a=gaussian_clusters(size(1800), seed=1, centers=centers),
         clusters_b=gaussian_clusters(size(1500), seed=2, centers=centers),
+        ties2d=lattice(size(1200), 2, seed=3),
+        ties3d=lattice(size(1000), 3, seed=4),
     )
 
 
@@ -98,6 +114,13 @@ def cells() -> list[dict]:
                                 g=g, eps=eps))
         for compact, g in ((False, 0), (True, 10)):
             out.append(dict(kind="hash", compact=compact, g=g, eps=eps))
+    for data, eps in TIES_EPS.items():
+        for algorithm in ("csj", "egrid-csj", "pbsm-csj"):
+            out.append(dict(kind="ties", join="self", data=data, algorithm=algorithm,
+                            g=10, eps=eps, fanout=8))
+        out.append(dict(kind="ties", join="dual", data=data, index="rstar", bulk="str",
+                        compact=True, g=10, eps=eps))
+        out.append(dict(kind="ties", join="hash", data=data, compact=True, g=10, eps=eps))
     for algorithm, g in (("ncsj", 0), ("csj", 10)):
         out.append(dict(kind="ckpt", algorithm=algorithm, g=g, eps=FIG7_EPS, fanout=8))
     return out
@@ -169,11 +192,17 @@ def run_cell(cell: dict, data, out: Path) -> dict:
     kind = cell["kind"]
     if kind == "ckpt":
         return run_checkpointed(cell, data["fig7"], out)
-    if kind in ("dual", "hash"):
+    if kind == "ties":
+        kind = cell["join"]
+        pts = data[cell["data"]]
+        a, b = pts[::2], pts[1::2]
+    elif kind in ("dual", "hash"):
         a, b = data["clusters_a"], data["clusters_b"]
-        width = width_for(max(len(a), len(b)))
     else:
         pts = data[cell["data"]]
+    if kind in ("dual", "hash"):
+        width = width_for(max(len(a), len(b)))
+    else:
         width = width_for(len(pts))
     with TextSink(str(out), id_width=width) as sink:
         if kind == "self":

@@ -192,7 +192,8 @@ def leaf_cross_delta(
         return [], 0
     pts1 = points[arr1]
     pts2 = (points if points2 is None else points2)[arr2]
-    rows, cols = np.nonzero(metric.pairwise(pts1, pts2) < eps)
+    # Row-major hits, as a 2-D nonzero gives them, at half its cost.
+    rows, cols = np.divmod(np.flatnonzero(metric.pairwise(pts1, pts2) < eps), len(arr2))
     events = link_events(
         arr1, arr2, pts1, pts2, rows, cols, g > 0, points2 is not None
     )
@@ -379,7 +380,7 @@ def make_window(g: int, eps: float, sink: JoinSink, metric, stats=None, dim=None
     (:class:`~repro.core.metricspace.BallGroupBuffer`); every vector
     metric gets MBR groups (:class:`~repro.core.groups.GroupBuffer`).
     Both take the events of :func:`tree_task_delta` through the same
-    ``create_group`` / ``add_link`` calls.
+    ``create_group`` / ``add_links`` calls.
     """
     if isinstance(metric, ObjectMetric):
         return BallGroupBuffer(g, eps, sink, metric, stats=stats)

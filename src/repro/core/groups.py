@@ -19,18 +19,24 @@ The two-dataset joins' :class:`~repro.core.dual.PairWindow` is this
 window with a group-pair write-out; side b's ids enter it as ``~j``.
 
 Performance note: this is the per-link hot path of CSJ(g), so group
-bounds are kept as plain Python lists and the Euclidean diagonal test is
-inlined (``sqrt`` of a scalar squared sum — comparing squares against
-``eps**2`` would change strictness on exact-distance ties, since the
-square can round up); other metrics go through ``metric.norm_seq``.
-NumPy is deliberately absent here — dispatch overhead on 2-3 element
-arrays costs more than the arithmetic.
+bounds are kept as plain Python lists, a ``linkseq`` event enters the
+window in one :meth:`GroupBuffer.add_links` call, and the 2-D and 3-D
+Euclidean loops are inlined.  The Euclidean test compares the squared
+diagonal with ``limit``, the largest double whose ``sqrt`` is below the
+range (:func:`sqrt_limit`, once per window): ``sqrt`` is correctly
+rounded, hence monotone, so ``s <= limit`` decides exactly as
+``sqrt(s) < eps`` does, ties included, where comparing against
+``eps**2`` would not (the square can round either way).  A group whose
+first span alone exceeds the limit is rejected without the other axes.
+Other metrics go through ``metric.norm_seq``.  NumPy is deliberately
+absent here — dispatch overhead on 2-3 element arrays costs more than
+the arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from math import sqrt
+from math import inf, nextafter, sqrt
 from typing import Optional, Sequence
 
 from repro.core.results import JoinSink
@@ -39,7 +45,7 @@ from repro.geometry.mbr import MBR
 from repro.geometry.metrics import Metric, get_metric
 from repro.stats.counters import JoinStats
 
-__all__ = ["Group", "GroupBuffer", "apply_events", "link_events"]
+__all__ = ["Group", "GroupBuffer", "apply_events", "link_events", "sqrt_limit"]
 
 
 def link_events(
@@ -85,7 +91,8 @@ def apply_events(events, sink: JoinSink, buffer: Optional["GroupBuffer"]) -> Non
       by :meth:`~repro.core.results.JoinSink.write_link_raw`;
     * ``("group", ids, lo, hi)`` — an early-stopped group;
     * ``("linkseq", ids_i, ids_j, coords_i, coords_j)`` — residual links
-      routed one by one through the CSJ(g) merge window.
+      for the CSJ(g) merge window, handed over in one
+      :meth:`GroupBuffer.add_links` call.
 
     Because replay performs exactly the sink/window calls the in-place
     algorithms make, applying a task sequence in canonical order is
@@ -110,11 +117,25 @@ def apply_events(events, sink: JoinSink, buffer: Optional["GroupBuffer"]) -> Non
             if kind == "group":
                 buffer.create_group(event[1], event[2], event[3])
             else:
-                add_link = buffer.add_link
-                for i, j, p_i, p_j in zip(event[1], event[2], event[3], event[4]):
-                    add_link(i, j, p_i, p_j)
+                buffer.add_links(event[1], event[2], event[3], event[4])
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown task event kind {kind!r}")
+
+
+def sqrt_limit(eps: float) -> float:
+    """The largest double whose ``sqrt`` is below ``eps``.
+
+    IEEE ``sqrt`` is correctly rounded, hence monotone, so for any double
+    ``s`` (ties, ``inf`` and NaN included) ``s <= sqrt_limit(eps)`` holds
+    exactly when ``sqrt(s) < eps``.  ``eps * eps`` alone would not do: it
+    can round to either side of the limit.
+    """
+    limit = eps * eps
+    while limit > 0.0 and not sqrt(limit) < eps:
+        limit = nextafter(limit, 0.0)
+    while sqrt(nextafter(limit, inf)) < eps:
+        limit = nextafter(limit, inf)
+    return limit
 
 
 class Group:
@@ -175,12 +196,14 @@ class GroupBuffer:
         self.stats = stats if stats is not None else sink.stats
         self._window: deque[Group] = deque()
         self._euclidean = self.metric.name == "euclidean"
+        #: The Euclidean merge test is ``squared diagonal <= limit``.
+        self.limit = sqrt_limit(self.eps)
         # The merge test runs per residual link; for the common 2-D/3-D
-        # Euclidean case a fully inlined scalar variant is bound here.
+        # Euclidean case a fully inlined batch loop is bound here.
         if self.g > 0 and self._euclidean and dim == 2:
-            self.add_link = self._add_link_2d
+            self.add_links = self._add_links_2d
         elif self.g > 0 and self._euclidean and dim == 3:
-            self.add_link = self._add_link_3d
+            self.add_links = self._add_links_3d
 
     # ------------------------------------------------------------------
     # Group creation
@@ -208,144 +231,159 @@ class GroupBuffer:
     ) -> None:
         """Route one qualifying link through mergeIntoPrevGroup.
 
-        ``p_i`` / ``p_j`` are plain coordinate sequences.  Tries the
-        recent groups newest-first; on failure creates a new group bounded
-        by the link's own MBR (whose diagonal equals the pair distance,
-        hence always below the range).
+        A one-link call of :meth:`add_links`, whose semantics it has.
         """
-        pair_lo = [a if a < b else b for a, b in zip(p_i, p_j)]
-        pair_hi = [b if a < b else a for a, b in zip(p_i, p_j)]
-        if self.g > 0:
-            stats = self.stats
-            attempts = 0
-            if self._euclidean:
-                eps = self.eps
-                for group in reversed(self._window):
-                    attempts += 1
-                    glo, ghi = group.lo, group.hi
-                    total = 0.0
-                    for k in range(len(glo)):
-                        lo = glo[k]
-                        hi = ghi[k]
-                        a = pair_lo[k]
-                        b = pair_hi[k]
-                        if a < lo:
-                            lo = a
-                        if b > hi:
-                            hi = b
-                        span = hi - lo
-                        total += span * span
-                    # sqrt before comparing: strictness must agree bit-for-
-                    # bit with the canonical metric (eps*eps can round up).
-                    if sqrt(total) < eps:
-                        self._commit(group, i, j, pair_lo, pair_hi)
-                        stats.merge_attempts += attempts
-                        stats.mbr_checks += attempts
-                        stats.merge_successes += 1
-                        return
-            else:
-                norm_seq = self.metric.norm_seq
-                for group in reversed(self._window):
+        self.add_links((i,), (j,), (p_i,), (p_j,))
+
+    def add_links(
+        self,
+        ids_i: Sequence[int],
+        ids_j: Sequence[int],
+        coords_i: Sequence[Sequence[float]],
+        coords_j: Sequence[Sequence[float]],
+    ) -> None:
+        """Route a ``linkseq`` event's links through mergeIntoPrevGroup.
+
+        Link ``k`` is ``(ids_i[k], ids_j[k])`` with endpoints
+        ``coords_i[k]`` / ``coords_j[k]``, plain coordinate sequences.
+        Each link tries the recent groups newest-first; on failure it
+        creates a new group bounded by its own MBR (whose diagonal equals
+        the pair distance, hence always below the range).  The merge
+        counters are charged once per call, also when an eviction's sink
+        write raises, so they always count the links routed so far.
+        """
+        window = self._window  # stays empty when g = 0
+        eps = self.eps
+        limit = self.limit
+        norm_seq = None if self._euclidean else self.metric.norm_seq
+        attempts = successes = 0
+        try:
+            for i, j, p_i, p_j in zip(ids_i, ids_j, coords_i, coords_j):
+                pair_lo = [a if a < b else b for a, b in zip(p_i, p_j)]
+                pair_hi = [b if a < b else a for a, b in zip(p_i, p_j)]
+                for group in reversed(window):
                     attempts += 1
                     spans = [
                         (h if h > b else b) - (l if l < a else a)
                         for l, h, a, b in zip(group.lo, group.hi, pair_lo, pair_hi)
                     ]
-                    if norm_seq(spans) < self.eps:
+                    if norm_seq is not None:
+                        fits = norm_seq(spans) < eps
+                    else:  # a left fold: sum() compensates on Python 3.12+
+                        total = 0.0
+                        for v in spans:
+                            total += v * v
+                        fits = total <= limit
+                    if fits:
                         self._commit(group, i, j, pair_lo, pair_hi)
-                        stats.merge_attempts += attempts
-                        stats.mbr_checks += attempts
-                        stats.merge_successes += 1
-                        return
-            stats.merge_attempts += attempts
-            stats.mbr_checks += attempts
-        self.create_group((i, j), pair_lo, pair_hi)
+                        successes += 1
+                        break
+                else:
+                    self.create_group((i, j), pair_lo, pair_hi)
+        finally:
+            self._charge(attempts, successes)
 
-    def _add_link_2d(self, i: int, j: int, p_i, p_j) -> None:
-        """Inlined 2-D Euclidean variant of :meth:`add_link`.
+    def _add_links_2d(self, ids_i, ids_j, coords_i, coords_j) -> None:
+        """:meth:`add_links` for 2-D Euclidean windows, inlined.
 
-        Identical semantics (same scan order, same strict test); only the
-        interpreter overhead differs — this path handles tens of millions
-        of residual links in the large-range county experiments.
+        Same scan order and decisions; only the interpreter overhead
+        differs.  A group whose x span alone exceeds the limit is
+        rejected before its y span is computed: adding a non-negative
+        square never lowers a float sum.
         """
-        x1, y1 = p_i
-        x2, y2 = p_j
-        if x2 < x1:
-            x1, x2 = x2, x1
-        if y2 < y1:
-            y1, y2 = y2, y1
-        eps = self.eps
-        attempts = 0
-        for group in reversed(self._window):
-            attempts += 1
-            glo = group.lo
-            ghi = group.hi
-            lox = glo[0] if glo[0] < x1 else x1
-            hix = ghi[0] if ghi[0] > x2 else x2
-            loy = glo[1] if glo[1] < y1 else y1
-            hiy = ghi[1] if ghi[1] > y2 else y2
-            dx = hix - lox
-            dy = hiy - loy
-            if sqrt(dx * dx + dy * dy) < eps:
-                glo[0] = lox
-                ghi[0] = hix
-                glo[1] = loy
-                ghi[1] = hiy
-                group.ids.add(i)
-                group.ids.add(j)
-                stats = self.stats
-                stats.merge_attempts += attempts
-                stats.mbr_checks += attempts
-                stats.merge_successes += 1
-                return
-        stats = self.stats
-        stats.merge_attempts += attempts
-        stats.mbr_checks += attempts
-        self.create_group((i, j), [x1, y1], [x2, y2])
+        window = self._window
+        limit = self.limit
+        create_group = self.create_group
+        attempts = successes = 0
+        try:
+            for i, j, (x1, y1), (x2, y2) in zip(ids_i, ids_j, coords_i, coords_j):
+                if x2 < x1:
+                    x1, x2 = x2, x1
+                if y2 < y1:
+                    y1, y2 = y2, y1
+                for group in reversed(window):
+                    attempts += 1
+                    glo = group.lo
+                    ghi = group.hi
+                    lox = glo[0] if glo[0] < x1 else x1
+                    hix = ghi[0] if ghi[0] > x2 else x2
+                    dx = hix - lox
+                    sx = dx * dx
+                    if sx > limit:
+                        continue
+                    loy = glo[1] if glo[1] < y1 else y1
+                    hiy = ghi[1] if ghi[1] > y2 else y2
+                    dy = hiy - loy
+                    if sx + dy * dy <= limit:
+                        glo[0] = lox
+                        ghi[0] = hix
+                        glo[1] = loy
+                        ghi[1] = hiy
+                        ids = group.ids
+                        ids.add(i)
+                        ids.add(j)
+                        successes += 1
+                        break
+                else:
+                    create_group((i, j), [x1, y1], [x2, y2])
+        finally:
+            self._charge(attempts, successes)
 
-    def _add_link_3d(self, i: int, j: int, p_i, p_j) -> None:
-        """Inlined 3-D Euclidean variant of :meth:`add_link`."""
-        x1, y1, z1 = p_i
-        x2, y2, z2 = p_j
-        if x2 < x1:
-            x1, x2 = x2, x1
-        if y2 < y1:
-            y1, y2 = y2, y1
-        if z2 < z1:
-            z1, z2 = z2, z1
-        eps = self.eps
-        attempts = 0
-        for group in reversed(self._window):
-            attempts += 1
-            glo = group.lo
-            ghi = group.hi
-            lox = glo[0] if glo[0] < x1 else x1
-            hix = ghi[0] if ghi[0] > x2 else x2
-            loy = glo[1] if glo[1] < y1 else y1
-            hiy = ghi[1] if ghi[1] > y2 else y2
-            loz = glo[2] if glo[2] < z1 else z1
-            hiz = ghi[2] if ghi[2] > z2 else z2
-            dx = hix - lox
-            dy = hiy - loy
-            dz = hiz - loz
-            if sqrt(dx * dx + dy * dy + dz * dz) < eps:
-                glo[0] = lox
-                ghi[0] = hix
-                glo[1] = loy
-                ghi[1] = hiy
-                glo[2] = loz
-                ghi[2] = hiz
-                group.ids.add(i)
-                group.ids.add(j)
-                stats = self.stats
-                stats.merge_attempts += attempts
-                stats.mbr_checks += attempts
-                stats.merge_successes += 1
-                return
+    def _add_links_3d(self, ids_i, ids_j, coords_i, coords_j) -> None:
+        """:meth:`add_links` for 3-D Euclidean windows, inlined like
+        :meth:`_add_links_2d`; the sum is ``(dx² + dy²) + dz²``."""
+        window = self._window
+        limit = self.limit
+        create_group = self.create_group
+        attempts = successes = 0
+        try:
+            for i, j, (x1, y1, z1), (x2, y2, z2) in zip(
+                ids_i, ids_j, coords_i, coords_j
+            ):
+                if x2 < x1:
+                    x1, x2 = x2, x1
+                if y2 < y1:
+                    y1, y2 = y2, y1
+                if z2 < z1:
+                    z1, z2 = z2, z1
+                for group in reversed(window):
+                    attempts += 1
+                    glo = group.lo
+                    ghi = group.hi
+                    lox = glo[0] if glo[0] < x1 else x1
+                    hix = ghi[0] if ghi[0] > x2 else x2
+                    dx = hix - lox
+                    sx = dx * dx
+                    if sx > limit:
+                        continue
+                    loy = glo[1] if glo[1] < y1 else y1
+                    hiy = ghi[1] if ghi[1] > y2 else y2
+                    loz = glo[2] if glo[2] < z1 else z1
+                    hiz = ghi[2] if ghi[2] > z2 else z2
+                    dy = hiy - loy
+                    dz = hiz - loz
+                    if sx + dy * dy + dz * dz <= limit:
+                        glo[0] = lox
+                        ghi[0] = hix
+                        glo[1] = loy
+                        ghi[1] = hiy
+                        glo[2] = loz
+                        ghi[2] = hiz
+                        ids = group.ids
+                        ids.add(i)
+                        ids.add(j)
+                        successes += 1
+                        break
+                else:
+                    create_group((i, j), [x1, y1, z1], [x2, y2, z2])
+        finally:
+            self._charge(attempts, successes)
+
+    def _charge(self, attempts: int, successes: int) -> None:
         stats = self.stats
         stats.merge_attempts += attempts
         stats.mbr_checks += attempts
-        self.create_group((i, j), [x1, y1, z1], [x2, y2, z2])
+        stats.merge_successes += successes
 
     @staticmethod
     def _commit(

@@ -173,7 +173,7 @@ class BallGroupBuffer:
     """The g-recent-group window with ball-bounded groups.
 
     The object-metric twin of :class:`~repro.core.groups.GroupBuffer`,
-    driven through the same two calls.  A group's center is a coordinate
+    driven through the same calls.  A group's center is a coordinate
     row — the ``[object id]`` row of the router or link endpoint it was
     seeded from — so events and checkpoint snapshots stay plain data;
     the window resolves each row to its object once.  A group enters the
@@ -215,18 +215,27 @@ class BallGroupBuffer:
     def add_link(
         self, i: int, j: int, p_i: Sequence[float], p_j: Sequence[float]
     ) -> None:
-        """mergeIntoPrevGroup with the ball membership test.
+        """mergeIntoPrevGroup for one link: a one-link :meth:`add_links`."""
+        self.add_links((i,), (j,), (p_i,), (p_j,))
 
-        ``p_i`` / ``p_j`` are the endpoints' coordinate rows.  A link no
+    def add_links(self, ids_i, ids_j, coords_i, coords_j) -> None:
+        """mergeIntoPrevGroup with the ball membership test, link by link.
+
+        Link ``k`` is ``(ids_i[k], ids_j[k])`` and ``coords_i[k]`` /
+        ``coords_j[k]`` are its endpoints' coordinate rows.  A link no
         recent ball absorbs seeds a ball of its own when its length is
         below half the range, and is written as a plain link otherwise.
         """
-        if self.g > 0:
-            fn = self._fn
-            obj_i = self._resolve(p_i)
-            obj_j = self._resolve(p_j)
-            stats = self.stats
-            half = self.eps / 2.0
+        fn = self._fn
+        resolve = self._resolve
+        stats = self.stats
+        half = self.eps / 2.0
+        for i, j, p_i, p_j in zip(ids_i, ids_j, coords_i, coords_j):
+            if self.g == 0:
+                self.sink.write_link(int(i), int(j))
+                continue
+            obj_i = resolve(p_i)
+            obj_j = resolve(p_j)
             for group in reversed(self._window):
                 stats.merge_attempts += 1
                 stats.distance_computations += 2
@@ -237,13 +246,14 @@ class BallGroupBuffer:
                     group.ids.add(int(i))
                     group.ids.add(int(j))
                     stats.merge_successes += 1
-                    return
-            d = fn(obj_i, obj_j)
-            stats.distance_computations += 1
-            if 2.0 * d < self.eps:
-                self._push(_BallGroup({int(i), int(j)}, list(p_i), obj_i, float(d)))
-                return
-        self.sink.write_link(int(i), int(j))
+                    break
+            else:
+                d = fn(obj_i, obj_j)
+                stats.distance_computations += 1
+                if 2.0 * d < self.eps:
+                    self._push(_BallGroup({int(i), int(j)}, list(p_i), obj_i, float(d)))
+                else:
+                    self.sink.write_link(int(i), int(j))
 
     def _push(self, group: _BallGroup) -> None:
         self._window.append(group)

@@ -228,12 +228,14 @@ class MaintainedJoin:
                     del self._pid_links[other]
 
     def _diagonal_ok(self, lo: list[float], hi: list[float]) -> bool:
-        """Strict diagonal-below-ε test, bit-identical to the merge window.
+        """Strict diagonal-below-ε test, deciding as the merge window does.
 
         ``metric.norm_seq`` is the expression of
         :class:`repro.core.groups.GroupBuffer`'s merge test: Euclidean
-        takes ``sqrt`` of the scalar squared sum (comparing squares
-        against ``eps**2`` can flip strictness on exact-distance ties).
+        takes ``sqrt`` of the scalar squared sum, which the window's
+        ``squared sum <= limit`` matches exactly
+        (:func:`~repro.core.groups.sqrt_limit`); comparing squares
+        against ``eps**2`` can flip strictness on exact-distance ties.
         """
         return self.metric.norm_seq([h - l for l, h in zip(lo, hi)]) < self.eps
 

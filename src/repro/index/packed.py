@@ -15,6 +15,8 @@ arrays:
                                                entries[entry_beg[i]:entry_end[i]]
     entries    : (total_entries,) intp         contiguous leaf entry blocks
     counts     : (n,) intp                     entries below each node
+    first      : (n,) intp                     node i's subtree entries are
+                                               entries[first[i]:first[i] + counts[i]]
     lo, hi     : (n, d) float                  rect kind: MBR corners
     centers    : (n, d) float; radii : (n,)    ball kind: covering balls
     diam       : (n,) float                    node diameters, batched
@@ -64,6 +66,7 @@ class PackedIndex:
         "entry_end",
         "entries",
         "counts",
+        "first",
         "blocks",
         "lo",
         "hi",
@@ -84,6 +87,7 @@ class PackedIndex:
         self.entry_end: np.ndarray = None
         self.entries: np.ndarray = None
         self.counts: np.ndarray = None
+        self.first: np.ndarray = None
         self.blocks: Optional[tuple[np.ndarray, np.ndarray]] = None
         self.lo: Optional[np.ndarray] = None
         self.hi: Optional[np.ndarray] = None
@@ -105,25 +109,14 @@ class PackedIndex:
     def subtree_entry_ids(self, nid: int) -> np.ndarray:
         """All entry ids below ``nid``, in DFS (left-to-right leaf) order.
 
-        Level-order packing keeps each node's children contiguous *and*
-        in ``node.children`` order, so this DFS concatenation reproduces
+        A view into :attr:`entries`.  Level-order packing keeps each
+        node's children contiguous *and* in ``node.children`` order, and
+        in a valid tree every leaf sits on level 0, so the leaves below a
+        node are consecutive in level order and this one slice reproduces
         ``IndexNode.subtree_ids()`` exactly.
         """
-        if self.leaf[nid]:
-            return self.leaf_entry_ids(nid)
-        blocks: list[np.ndarray] = []
-        stack = [int(nid)]
-        while stack:
-            i = stack.pop()
-            if self.leaf[i]:
-                blocks.append(self.leaf_entry_ids(i))
-            else:
-                stack.extend(
-                    range(int(self.child_end[i]) - 1, int(self.child_beg[i]) - 1, -1)
-                )
-        if not blocks:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(blocks)
+        first = self.first[nid]
+        return self.entries[first : first + self.counts[nid]]
 
     def leaf_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ids, pts)``: every leaf's entries padded to the widest leaf.
@@ -276,12 +269,17 @@ def _pack_index_uncached(index: SpatialIndex) -> Optional[PackedIndex]:
         else np.empty(0, dtype=np.intp)
     )
     # Children follow their parent in level order, so one backward pass
-    # sums every subtree.
+    # sums every subtree and finds where its entries begin.
     counts = [end - beg for beg, end in zip(entry_beg, entry_end)]
+    first = list(entry_beg)
     for nid in range(n - 1, -1, -1):
         if not leaf[nid]:
-            counts[nid] = sum(counts[child_beg[nid] : child_end[nid]])
+            beg, end = child_beg[nid], child_end[nid]
+            counts[nid] = sum(counts[beg:end])
+            if end > beg:
+                first[nid] = first[beg]
     packed.counts = np.array(counts, dtype=np.intp)
+    packed.first = np.array(first, dtype=np.intp)
 
     if kind == "rect":
         packed.lo, packed.hi = MBR.stack(node.mbr for node in nodes)

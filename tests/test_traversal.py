@@ -320,6 +320,29 @@ def test_every_index_packs():
     assert packed.kind == "ball"
 
 
+@pytest.mark.parametrize("index,bulk", [
+    ("rtree", None), ("rstar", None), ("mtree", None),
+    ("rstar", "str"), ("rtree", "str"), ("rstar", "hilbert"),
+])
+def test_subtree_slice_is_the_node_subtree(index, bulk):
+    """Every node's entry slice is its ``subtree_ids()``, also after churn."""
+    pts = load_dataset("mg_county", 400, seed=2)
+    tree = build_index(pts, index, max_entries=6, bulk=bulk)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        tree.validate()
+        packed = pack_index(tree)
+        for nid, node in enumerate(packed.nodes):
+            assert (
+                packed.subtree_entry_ids(nid).tolist() == node.subtree_ids().tolist()
+            ), nid
+        live = packed.subtree_entry_ids(0)
+        for pid in rng.choice(live, len(live) // 4, replace=False):
+            assert tree.delete(int(pid))
+        for coords in rng.random((30, 2)):
+            tree.add_point(coords)
+
+
 # Leaf windows: the serial join evaluates runs of leaf units in one padded
 # gather.  Its reference is the per-unit executors, run one after another.
 WINDOW_DIMS = [1, 2, 3, 7, 8, 9, 17]  # NumPy's sum unrolls from 8 elements
