@@ -120,7 +120,8 @@ def cells() -> list[dict]:
                             g=10, eps=eps, fanout=8))
         out.append(dict(kind="ties", join="dual", data=data, index="rstar", bulk="str",
                         compact=True, g=10, eps=eps))
-        out.append(dict(kind="ties", join="hash", data=data, compact=True, g=10, eps=eps))
+        out.append(dict(kind="ties", join="hash", data=data, compact=True, g=10,
+                        eps=eps))
     for algorithm, g in (("ncsj", 0), ("csj", 10)):
         out.append(dict(kind="ckpt", algorithm=algorithm, g=g, eps=FIG7_EPS, fanout=8))
     return out

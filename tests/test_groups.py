@@ -244,6 +244,12 @@ class ReferenceLinks:
             stats.mbr_checks += attempts
         self.create_group((i, j), pair_lo, pair_hi)
 
+    def _tally(self, attempts, successes):
+        stats = self.stats
+        stats.merge_attempts += attempts
+        stats.mbr_checks += attempts
+        stats.merge_successes += successes
+
     def _link_2d(self, i, j, p_i, p_j):
         x1, y1 = p_i
         x2, y2 = p_j
@@ -266,9 +272,9 @@ class ReferenceLinks:
                 glo[0], ghi[0], glo[1], ghi[1] = lox, hix, loy, hiy
                 group.ids.add(i)
                 group.ids.add(j)
-                self._charge(attempts, 1)
+                self._tally(attempts, 1)
                 return
-        self._charge(attempts, 0)
+        self._tally(attempts, 0)
         self.create_group((i, j), [x1, y1], [x2, y2])
 
     def _link_3d(self, i, j, p_i, p_j):
@@ -299,9 +305,9 @@ class ReferenceLinks:
                 glo[2], ghi[2] = loz, hiz
                 group.ids.add(i)
                 group.ids.add(j)
-                self._charge(attempts, 1)
+                self._tally(attempts, 1)
                 return
-        self._charge(attempts, 0)
+        self._tally(attempts, 0)
         self.create_group((i, j), [x1, y1, z1], [x2, y2, z2])
 
 
@@ -455,7 +461,6 @@ class TestReferenceParity:
             assert sink.groups == [(3, 4, 5, 6)]
             assert counters(sink.stats) == [2, 2, 1]
 
-
     def test_first_axis_at_the_limit_merges(self):
         """A group whose first span alone squares to the limit still merges."""
         rng = np.random.default_rng(5)
@@ -505,8 +510,7 @@ class TestSqrtLimit:
     @pytest.mark.parametrize("eps", [1e-200, 0.1, 1e200])
     def test_squares_decide_as_sqrt(self, eps):
         limit = sqrt_limit(eps)
-        below = [0.0, limit, nextafter(limit, inf), inf, float("nan")]
-        for s in below:
+        for s in (0.0, limit, nextafter(limit, inf), inf, float("nan")):
             assert (s <= limit) == (sqrt(s) < eps)
 
 
